@@ -14,8 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import prime as nth_prime
+from itertools import count
 
 from .density import format_density, parse_density, scale_density
 from .saturated import (
@@ -42,6 +41,7 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
+    _is_prime,
     canonical_ratio,
     divide_by,
     mul_natural,
@@ -163,6 +163,15 @@ class Stage:
         return mul_natural(self.s, self.k)
 
 
+def _json_field(obj: dict, key: str, kind: type):
+    # Exact type match: JSON true is a Python int and 1.5 would truncate.
+    value = obj[key]
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "a string"
+        raise ParseError(f"chain field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainPresentation:
     """Finitely presented ascending chain of corners M_{k_i}(A_{s_i}).
@@ -216,15 +225,17 @@ class ChainPresentation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChainPresentation":
         try:
-            stages = tuple(Stage(int(e["k"]), parse_steinitz(e["s"])) for e in d["stages"])
-            quotients = tuple(int(e["q"]) for e in d["stages"][:-1])
+            stages = tuple(
+                Stage(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in d["stages"]
+            )
+            quotients = tuple(_json_field(e, "q", int) for e in d["stages"][:-1])
             tail_d = d.get("tail")
             if tail_d is None:
                 tail = None
             elif tail_d["kind"] == "unbounded":
                 tail = TailRule.unbounded()
             else:
-                tail = TailRule(tail_d["kind"], parse_density(tail_d["r"]))
+                tail = TailRule(tail_d["kind"], parse_density(_json_field(tail_d, "r", str)))
         except (KeyError, TypeError) as e:
             raise ParseError(f"malformed chain object: {e}") from e
         chain = cls(stages, quotients, tail)
@@ -267,11 +278,13 @@ class FiniteMatrixChain:
 def _default_divisor_chain(base: SteinitzNumber, depth: int) -> list[int]:
     # Diagonal sweep: b_i is the product over the first i primes p of
     # p^min(v_p(base), i).  Ascending by divisibility, lcm exhausts the base.
+    primes = filter(_is_prime, count(2))
+    first: list[int] = []
     out = []
     for i in range(1, depth + 1):
+        first.append(next(primes))
         b = 1
-        for j in range(1, i + 1):
-            p = int(nth_prime(j))
+        for p in first:
             b *= p ** min(base.valuation(p), i)
         out.append(b)
     return out
@@ -317,17 +330,11 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     return chain
 
 
-def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
-    if s.is_natural:
-        return mk_segment(s.as_int())
-    return mk_finite_type(Fraction(1), s, strict=False)
-
-
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     """Union of the stage spectra, with the declared tail: Spec of the
     chain's union algebra."""
     chain.validate()
-    prefix = [_unital_spectrum(n) for n in chain.stage_numbers()]
+    prefix = [spec_unital(n).spectrum for n in chain.stage_numbers()]
     return union_chain(prefix, chain.tail)
 
 
@@ -363,10 +370,6 @@ def match_corner(
     return CornerWitness(n, r1, r2)
 
 
-def _ratio_key(ref: SteinitzNumber, t: SteinitzNumber) -> Fraction:
-    return canonical_ratio(ref, t)
-
-
 def interleave(cA: ChainPresentation, cB: ChainPresentation) -> list[SteinitzNumber] | None:
     """Isomorphism certificate for two chains with equal spectra.
 
@@ -380,7 +383,7 @@ def interleave(cA: ChainPresentation, cB: ChainPresentation) -> list[SteinitzNum
         return None
     numbers = cA.stage_numbers() + cB.stage_numbers()
     ref = numbers[0]
-    numbers.sort(key=lambda t: _ratio_key(ref, t))
+    numbers.sort(key=lambda t: canonical_ratio(ref, t))
     merged: list[SteinitzNumber] = []
     for t in numbers:
         if not merged or merged[-1] != t:

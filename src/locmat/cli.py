@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from . import algebra, oracle, saturated
+from .algebra import parse_descriptor
 from .density import INFINITY, format_density
 from .saturated import AllNaturals, InfType, contains, format_set, parse_set
 from .steinitz import ParseError, parse_scaled
@@ -74,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_alg(text: str) -> algebra.AlgebraDescriptor:
-    return algebra.parse_descriptor(text)
-
-
 def _bool_result(flag: bool) -> tuple[object, int]:
     return flag, 0 if flag else 1
 
@@ -107,33 +104,36 @@ def _dispatch(args) -> tuple[object, int]:
 
     if args.group == "alg":
         if args.cmd == "unital":
-            return _bool_result(algebra.is_unital(_parse_alg(args.alg)))
+            return _bool_result(algebra.is_unital(parse_descriptor(args.alg)))
         if args.cmd == "iso":
-            return _bool_result(algebra.isomorphic(_parse_alg(args.alg1), _parse_alg(args.alg2)))
+            return _bool_result(algebra.isomorphic(parse_descriptor(args.alg1), parse_descriptor(args.alg2)))
         if args.cmd == "embed":
             return _bool_result(
-                algebra.embeds_as_approximative_corner(_parse_alg(args.alg1), _parse_alg(args.alg2))
+                algebra.embeds_as_approximative_corner(parse_descriptor(args.alg1), parse_descriptor(args.alg2))
             )
         if args.cmd == "spectrum":
             arg = args.arg.strip()
             if arg.startswith("{"):
                 return format_set(algebra.spectrum_of_chain(algebra.ChainPresentation.from_json(arg))), 0
-            return format_set(_parse_alg(arg).spectrum), 0
+            return format_set(parse_descriptor(arg).spectrum), 0
         if args.cmd == "realize":
             arg = args.arg.strip()
-            S = _parse_alg(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
+            S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
             chain = None
             if args.chain:
                 chain = [int(x) for x in args.chain.split(",")]
             return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict(), 0
         if args.cmd == "minf":
-            return str(algebra.m_infinity(_parse_alg(args.alg))), 0
+            return str(algebra.m_infinity(parse_descriptor(args.alg))), 0
         if args.cmd == "matover":
-            return str(algebra.matrix_over(_parse_alg(args.alg), args.n)), 0
+            return str(algebra.matrix_over(parse_descriptor(args.alg), args.n)), 0
         if args.cmd == "corner":
             num, _, den = args.rank.partition("/")
-            q = Fraction(int(num), int(den) if den else 1)
-            return str(algebra.corner(_parse_alg(args.alg), q)), 0
+            d = int(den) if den else 1
+            if d == 0:
+                raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
+            q = Fraction(int(num), d)
+            return str(algebra.corner(parse_descriptor(args.alg), q)), 0
 
     if args.group == "check":
         return _run_checks(args.suite, seed=args.seed, bound=args.bound, trials=args.trials)

@@ -218,7 +218,10 @@ def parse_density(text: str) -> Density:
         return INFINITY
     m = _RAT_RE.match(t)
     if m:
-        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+        den = int(m.group(2) or 1)
+        if den == 0:
+            raise ParseError(f"zero denominator in density {text!r}", len(text) - len(text.lstrip()) + m.start(2))
+        return Fraction(int(m.group(1)), den)
     m = _SQRT_RE.match(t)
     if m:
         return Surd.make(0, 1, int(m.group(1)), 1)

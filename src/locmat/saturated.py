@@ -141,6 +141,11 @@ def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
     return c < 0 if S.strict else c <= 0
 
 
+def _density_at(S: FiniteType, t: SteinitzNumber) -> Density:
+    # t = q * base, so the density expressed at t is r / q.
+    return scale_density(S.r, 1 / canonical_ratio(S.base, t))
+
+
 def rebase(S: SaturatedSet, t: SteinitzNumber) -> tuple[Density, bool]:
     """Density and strictness of the same set expressed at the member t."""
     if not contains(S, t):
@@ -148,8 +153,7 @@ def rebase(S: SaturatedSet, t: SteinitzNumber) -> tuple[Density, bool]:
     if isinstance(S, InfType):
         return INFINITY, False
     if isinstance(S, FiniteType):
-        q = canonical_ratio(S.base, t)  # t = q * base, so r(t) = r / q
-        return scale_density(S.r, 1 / q), S.strict
+        return _density_at(S, t), S.strict
     raise ValueError(f"{format_set(S)} has no base to rebase")
 
 
@@ -193,28 +197,6 @@ def max_element(S: SaturatedSet) -> SteinitzNumber | None:
     return None
 
 
-def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
-    """Descriptor-level equality after normalization.
-
-    Finite types are compared by rebasing S2's density to S1's base and
-    matching (density, strictness) exactly; infinite types by rational
-    connectivity of bases.
-    """
-    if isinstance(S1, Segment) and isinstance(S2, Segment):
-        return S1.n == S2.n
-    if isinstance(S1, AllNaturals) and isinstance(S2, AllNaturals):
-        return True
-    if isinstance(S1, InfType) and isinstance(S2, InfType):
-        return rationally_connected(S1.base, S2.base)
-    if isinstance(S1, FiniteType) and isinstance(S2, FiniteType):
-        if not rationally_connected(S1.base, S2.base):
-            return False
-        q = canonical_ratio(S2.base, S1.base)
-        r2_here = scale_density(S2.r, 1 / q)
-        return S1.strict == S2.strict and cmp_density(S1.r, r2_here) == 0
-    return False
-
-
 class Inclusion(Enum):
     DISJOINT = "disjoint"
     EQUAL = "equal"
@@ -246,10 +228,7 @@ def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     if not rationally_connected(S1.base, S2.base):
         return Inclusion.DISJOINT
     d1 = S1.r if isinstance(S1, FiniteType) else INFINITY
-    if isinstance(S2, FiniteType):
-        d2 = scale_density(S2.r, 1 / canonical_ratio(S2.base, S1.base))
-    else:
-        d2 = INFINITY
+    d2 = _density_at(S2, S1.base) if isinstance(S2, FiniteType) else INFINITY
     c = cmp_density(d1, d2)
     if c < 0:
         return Inclusion.LEFT_IN_RIGHT
@@ -259,6 +238,16 @@ def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     if r1 == r2:
         return Inclusion.EQUAL
     return Inclusion.LEFT_IN_RIGHT if r1 < r2 else Inclusion.RIGHT_IN_LEFT
+
+
+def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
+    """Descriptor-level equality after normalization.
+
+    Finite types are compared by rebasing S2's density to S1's base and
+    matching (density, strictness) exactly; infinite types by rational
+    connectivity of bases.
+    """
+    return compare_inclusion(S1, S2) is Inclusion.EQUAL
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
     for S in prefix:
         if not isinstance(S, FiniteType):
             raise ValueError("a density tail is inconsistent with an infinite-type prefix")
-        d_here = scale_density(S.r, 1 / canonical_ratio(S.base, base))
+        d_here = _density_at(S, base)
         c = cmp_density(tail.r, d_here)
         if c < 0 or (c == 0 and tail.kind == "approached" and not S.strict):
             raise ValueError(
@@ -399,9 +388,6 @@ def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) ->
 class AxiomViolation:
     axiom: int
     witness: str
-
-
-MemberPool = SaturatedSet  # or any collection of SteinitzNumber
 
 
 def check_saturation_axioms(S, samples: int = 1000, seed: int = 0, den_bound: int = 30):

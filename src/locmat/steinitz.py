@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import factorint, isprime
-
 #: Exponent value standing for an infinite prime exponent.  Finite exponents
 #: stay arbitrary-precision ints; only this one value is a float.
 INF = math.inf
@@ -38,17 +36,151 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+# (bound, bases): being a strong probable prime to every base is exact for
+# odd n < bound (Jaeschke 1993, Sinclair 2011, Sorenson and Webster 2015).
+# Each range starts above its largest base, so no base is a multiple of n.
+_MR_BASES = (
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3317044064679887385961981, _SMALL_PRIMES[:13]),
+)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1 - D)/4)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # index k = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n: int) -> bool:
+    """Exact primality: trial division, then deterministic Miller-Rabin,
+    then Baillie-PSW past the largest proven base set."""
+    if n < 2:
+        return False
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n < _TRIAL_LIMIT and n in _SMALL_PRIMES
+    if n < _TRIAL_LIMIT**2:
+        return True
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n (Brent 1980), with one gcd per
+    batch of 128 steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"no factor found for {n}")
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as sorted (p, e) pairs."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
-    return tuple(sorted((int(p), int(e)) for p, e in factorint(n).items()))
-
-
-@lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return bool(isprime(p))
+    counts: dict[int, int] = {}
+    small = math.gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if small == 1:
+            break
+        if small % p == 0:
+            small //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            counts[p] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            pending += (d, m // d)
+    return tuple(sorted(counts.items()))
 
 
 def _check_exponent(e: Exponent) -> Exponent:

@@ -40,7 +40,15 @@ from locmat.saturated import (
     mk_segment,
     sample_members,
 )
-from locmat.steinitz import ONE, SteinitzNumber, canonical_ratio, parse, parse_scaled, rationally_connected
+from locmat.steinitz import (
+    ONE,
+    ParseError,
+    SteinitzNumber,
+    canonical_ratio,
+    parse,
+    parse_scaled,
+    rationally_connected,
+)
 
 P = parse("P")
 SQRT2 = Surd.make(0, 1, 2, 1)
@@ -203,6 +211,28 @@ class TestChainJson:
             ChainPresentation.from_json("{not json")
         with pytest.raises(ValueError):
             ChainPresentation.from_json('{"stages": []}')
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("tail", "r"), None),
+            (("stages", 0, "s"), 5),
+            (("stages", 0, "k"), 1.5),
+            (("stages", 0, "k"), True),
+            (("stages", 0, "q"), 3.0),
+        ],
+    )
+    def test_field_types(self, path, value):
+        # Each wrongly typed field is a ParseError, never an AttributeError
+        # or a silent int() truncation of 1.5 or true.
+        d = realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[2, 6]).to_json_dict()
+        *parents, key = path
+        obj = d
+        for step in parents:
+            obj = obj[step]
+        obj[key] = value
+        with pytest.raises(ParseError, match=repr(key)):
+            ChainPresentation.from_json_dict(d)
 
 
 class TestMatchCorner:

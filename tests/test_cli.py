@@ -49,6 +49,8 @@ GOLDEN = [
     (["num", "eval", "4^2"], 2, "error: non-prime base 4 (at position 0)"),
     (["set", "member", "S(3/2)", "P"], 2, "error: missing comma in 'S(3/2)' (at position 5)"),
     (["set", "rsub", "S(3/2,P)", "P", "4"], 2, "error: 4 is not in Omega(P)"),
+    (["set", "member", "S(1/0,P)", "P"], 2, "error: zero denominator in density '1/0' (at position 2)"),
+    (["alg", "corner", "alg([1..4])", "1/0"], 2, "error: zero denominator in rank '1/0' (at position 2)"),
 ]
 
 

@@ -1,6 +1,12 @@
 """Steinitz number arithmetic: worked examples and algebraic laws."""
 
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +19,10 @@ from locmat.steinitz import (
     SteinitzNumber,
     canonical_ratio,
     divide_by,
+    _is_prime,
     divides,
     enumerate_omega,
+    factorize,
     finitely_divides,
     lcm,
     mul_natural,
@@ -282,3 +290,67 @@ def test_omega_contains_matches_enumeration(s, bound):
     listed = set(enumerate_omega(s, bound))
     for n in range(1, bound + 1):
         assert (n in listed) == omega_contains(s, n)
+
+
+def prime_sieve(bound: int) -> bytearray:
+    # Independent oracle for primality below bound: Eratosthenes.
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return sieve
+
+
+class TestPrimeKernel:
+    def test_is_prime_matches_sieve(self):
+        bound = 200_000
+        sieve = prime_sieve(bound)
+        # The uncached function, so the sweep leaves no cache behind.
+        assert [n for n in range(bound) if _is_prime.__wrapped__(n)] == [n for n in range(bound) if sieve[n]]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,
+            41041,
+            3215031751,
+            3825123056546413051,
+            318665857834031151167461,
+            # Strong pseudoprime to all 13 prime bases up to 41: only the
+            # Lucas half of Baillie-PSW rejects it.
+            3317044064679887385961981,
+        ],
+    )
+    def test_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("k", [61, 89, 127])
+    def test_mersenne_primes_accepted(self, k):
+        assert _is_prime(2**k - 1)
+
+    def test_factorize_mersenne_composite(self):
+        assert factorize(2**67 - 1) == ((193707721, 1), (761838257287, 1))
+
+    def test_factorize_roundtrip(self):
+        rng = random.Random(20)
+        for n in [1, 2, 999_983**2, 2**64 + 1] + [rng.randint(1, 10**20) for _ in range(150)]:
+            f = factorize(n)
+            assert math.prod(p**e for p, e in f) == n
+            assert [p for p, _ in f] == sorted({p for p, _ in f})
+            assert all(e >= 1 and _is_prime(p) for p, e in f)
+
+    def test_cli_import_leaves_sympy_out(self):
+        import locmat
+
+        src = str(Path(locmat.__file__).resolve().parents[1])
+        code = "import sys, locmat.cli; print('sympy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
