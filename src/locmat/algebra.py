@@ -18,7 +18,6 @@ from itertools import count
 
 from .density import format_density, parse_density, scale_density
 from .saturated import (
-    ALL_NATURALS,
     AllNaturals,
     FiniteType,
     Inclusion,
@@ -32,6 +31,7 @@ from .saturated import (
     format_set,
     max_element,
     mk_finite_type,
+    mk_inf_type,
     mk_segment,
     parse_set,
     r_sub,
@@ -109,7 +109,7 @@ def _require_st(A: AlgebraDescriptor, op: str) -> SteinitzNumber:
 def m_infinity(A: AlgebraDescriptor) -> AlgebraDescriptor:
     """Finitary infinite matrices over a unital A: spectrum S(inf, st(A))."""
     s = _require_st(A, "m_infinity")
-    return AlgebraDescriptor(InfType(s) if s.is_infinite else ALL_NATURALS)
+    return AlgebraDescriptor(mk_inf_type(s))
 
 
 def matrix_over(A: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
@@ -298,6 +298,8 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     an instance of r_s(b)*(c/b) <= r_s(c).  Segment and infinite-type
     spectra use the single-stage and growing-size constructions.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be positive, got {depth}")
     if isinstance(S, Segment):
         return ChainPresentation((Stage(S.n, ONE),), ())
     if isinstance(S, AllNaturals):

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="verification suites over the built-in corpus")
     chk.add_argument("suite", choices=["all", "saturation", "inequalities", "roundtrip"])
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--bound", type=int, default=60, help="divisor bound for the suites")
+    chk.add_argument("--bound", type=int, default=60, help="divisor bound, read by the inequalities suite only")
     chk.add_argument("--trials", type=int, default=200)
     return p
 

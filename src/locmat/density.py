@@ -216,18 +216,23 @@ def parse_density(text: str) -> Density:
     t = text.strip()
     if t == "inf":
         return INFINITY
+    lead = len(text) - len(text.lstrip())
+
+    def nonzero(m: re.Match, group: int, what: str) -> int:
+        v = int(m.group(group))
+        if v == 0:
+            raise ParseError(f"zero {what} in density {text!r}", lead + m.start(group))
+        return v
+
     m = _RAT_RE.match(t)
     if m:
-        den = int(m.group(2) or 1)
-        if den == 0:
-            raise ParseError(f"zero denominator in density {text!r}", len(text) - len(text.lstrip()) + m.start(2))
-        return Fraction(int(m.group(1)), den)
+        return Fraction(int(m.group(1)), 1 if m.group(2) is None else nonzero(m, 2, "denominator"))
     m = _SQRT_RE.match(t)
     if m:
-        return Surd.make(0, 1, int(m.group(1)), 1)
+        return Surd.make(0, 1, nonzero(m, 1, "radicand"), 1)
     m = _SURD_RE.match(t)
     if m:
-        return Surd.make(int(m.group(1)), int(m.group(2)), int(m.group(3)), int(m.group(4)))
+        return Surd.make(int(m.group(1)), int(m.group(2)), nonzero(m, 3, "radicand"), nonzero(m, 4, "denominator"))
     raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", 0)
 
 

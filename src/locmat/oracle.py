@@ -34,7 +34,6 @@ from .steinitz import (
     SteinitzNumber,
     divide_by,
     enumerate_omega,
-    factorize,
     mul_natural,
     omega_contains,
     parse,
@@ -62,12 +61,11 @@ ABOVE_BOUND = AboveBound()
 
 @dataclass(frozen=True)
 class EnumWindow:
-    prime_bound: int = 210
     numerator_bound: int = 64
     denominator_bound: int = 30
 
     def __post_init__(self):
-        if min(self.prime_bound, self.numerator_bound, self.denominator_bound) < 1:
+        if min(self.numerator_bound, self.denominator_bound) < 1:
             raise ValueError("window bounds must be positive")
 
 
@@ -106,10 +104,9 @@ class Report:
 def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, SteinitzNumber]]:
     """All members representable in the window, by raw definition sweep.
 
-    Based sets sweep b over Omega(base) up to the denominator bound (prime
-    factors capped by the prime bound) and a up to the numerator bound,
-    keeping pairs that satisfy the defining inequality; results are
-    deduplicated by reduced formal ratio.
+    Based sets sweep b over Omega(base) up to the denominator bound and a up
+    to the numerator bound, keeping pairs that satisfy the defining
+    inequality; results are deduplicated by reduced formal ratio.
     """
     if isinstance(S, (Segment, AllNaturals)):
         top = w.numerator_bound if isinstance(S, AllNaturals) else min(S.n, w.numerator_bound)
@@ -118,8 +115,6 @@ def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, St
     seen: set[Fraction] = set()
     check = S.base.is_infinity_free
     for b in enumerate_omega(S.base, w.denominator_bound):
-        if b > 1 and max(p for p, _ in factorize(b)) > w.prime_bound:
-            continue
         for a in range(1, w.numerator_bound + 1):
             if isinstance(S, FiniteType):
                 c = cmp_density(Fraction(a, b), S.r)

@@ -305,18 +305,18 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
     return mk_finite_type(tail.r, base, strict=(tail.kind == "approached"))
 
 
-def sample_members(
-    S: SaturatedSet,
-    den_bound: int = 30,
-    limit: int | None = None,
-    inf_cap: int = 3,
-) -> list[SteinitzNumber]:
+_INF_CAP = 3  # sample_members takes a <= _INF_CAP*b + 1 on infinite types
+_SEARCH_DEN_BOUND = 4096  # largest denominator of the representation search
+_AXIOM_DEN_BOUND = 30  # denominators of the axiom checker's pool and divisors
+
+
+def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = None) -> list[SteinitzNumber]:
     """Deterministic member sample.
 
     Based sets are swept as (a/b)*base with b from Omega(base) up to
     den_bound and a up to the density bound (plus one, to probe the
     boundary), filtering by the defining inequality; infinite types cap a at
-    inf_cap*b+1.  Natural sets are initial segments of the integers.
+    _INF_CAP*b+1.  Natural sets are initial segments of the integers.
     """
     out: list[SteinitzNumber] = []
     seen: set[SteinitzNumber] = set()
@@ -327,7 +327,7 @@ def sample_members(
         return [SteinitzNumber.from_int(i) for i in range(1, top + 1)]
     for b in enumerate_omega(S.base, den_bound):
         if isinstance(S, InfType):
-            hi = inf_cap * b + 1
+            hi = _INF_CAP * b + 1
         else:
             hi = floor_times(S.r, b) + 1
         for a in range(1, hi + 1):
@@ -344,7 +344,7 @@ def sample_members(
     return out
 
 
-def _existential_contains(S: FiniteType, t: SteinitzNumber, den_bound: int = 4096) -> bool:
+def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
     """Membership by representation search: some b in Omega(base) with
     t = (a/b)*base and a within the bound.
 
@@ -354,7 +354,7 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber, den_bound: int = 409
     """
     if not rationally_connected(S.base, t):
         return False
-    for b in enumerate_omega(S.base, den_bound):
+    for b in enumerate_omega(S.base, _SEARCH_DEN_BOUND):
         a = finitely_divides(divide_by(S.base, b), t)
         if a is None:
             continue
@@ -390,7 +390,7 @@ class AxiomViolation:
     witness: str
 
 
-def check_saturation_axioms(S, samples: int = 1000, seed: int = 0, den_bound: int = 30):
+def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
     """Check the three saturation axioms on sampled members.
 
     ``S`` may be a canonical SaturatedSet or a literal collection of
@@ -398,7 +398,7 @@ def check_saturation_axioms(S, samples: int = 1000, seed: int = 0, den_bound: in
     AxiomViolation found, or None.  Deterministic for a fixed seed.
     """
     if isinstance(S, SaturatedSet):
-        pool = sample_members(S, den_bound=den_bound, limit=max(40, samples // 10))
+        pool = sample_members(S, den_bound=_AXIOM_DEN_BOUND, limit=max(40, samples // 10))
         member = lambda t: _probe_contains(S, t)
     else:
         pool = list(S)
@@ -416,7 +416,7 @@ def check_saturation_axioms(S, samples: int = 1000, seed: int = 0, den_bound: in
             return AxiomViolation(1, f"{t1} and {t2} are not rationally connected")
         t = rng.choice(pool)
         if t not in omegas:
-            omegas[t] = enumerate_omega(t, den_bound)
+            omegas[t] = enumerate_omega(t, _AXIOM_DEN_BOUND)
         b = rng.choice(omegas[t])
         spent += 1
         if not member(divide_by(t, b)):

@@ -51,6 +51,13 @@ _MR_BASES = (
 )
 
 
+#: Pollard-Brent step budget per composite cofactor.  Rho finds a prime
+#: factor p after a small multiple of sqrt(p) steps, so this splits off
+#: factors up to about 10^10.  A product of larger primes, which CLI input
+#: can name, is refused after this many steps instead of running for hours.
+_RHO_STEPS = 1 << 20
+
+
 def _strong_probable_prime(n: int, bases) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
@@ -129,10 +136,15 @@ def _is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A proper factor of the odd composite n (Brent 1980), with one gcd per
-    batch of 128 steps."""
+    batch of 128 steps.  Raises ValueError once a round would take the steps
+    over _RHO_STEPS, summed across every constant c tried."""
+    steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # at most r steps to x, then r steps compared to it
+            if steps > _RHO_STEPS:
+                raise ValueError(f"{n} is too large to factor")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -195,37 +207,35 @@ def _check_exponent(e: Exponent) -> Exponent:
 class SteinitzNumber:
     """A Steinitz number in minimal cofinite presentation.
 
-    ``default`` is the exponent of every prime not listed in ``exceptions``;
-    each exception value differs from the default and keys are primes in
-    increasing order.  Instances compare equal iff they denote the same
-    number (the presentation is canonical).
+    ``default`` is the exponent of every prime not listed in ``exceptions``,
+    given as (p, e) pairs or a dict in any order and stored sorted by prime,
+    without entries equal to the default, so instances compare and hash equal
+    iff they denote the same number.  Only :meth:`of` checks keys and exponents.
     """
 
     default: Exponent
     exceptions: tuple[tuple[int, Exponent], ...]
 
+    def __post_init__(self):
+        exc = dict(self.exceptions)
+        if len(exc) != len(self.exceptions):
+            raise ValueError(f"duplicate prime in exceptions {self.exceptions!r}")
+        d = self.default
+        object.__setattr__(self, "exceptions", tuple(sorted((p, e) for p, e in exc.items() if e != d)))
+
     @classmethod
     def of(cls, default: Exponent = 0, exceptions: dict[int, Exponent] | None = None) -> "SteinitzNumber":
-        default = _check_exponent(default)
-        cleaned: dict[int, Exponent] = {}
+        checked: dict[int, Exponent] = {}
         for p, e in (exceptions or {}).items():
             if not (isinstance(p, int) and _is_prime(p)):
                 raise ValueError(f"exception key {p!r} is not a prime")
-            e = _check_exponent(e)
-            if e != default:
-                cleaned[p] = e
-        return cls(default, tuple(sorted(cleaned.items())))
-
-    @classmethod
-    def _make(cls, default: Exponent, exceptions: dict[int, Exponent]) -> "SteinitzNumber":
-        # Trusted fast path for arithmetic results: primes and exponents
-        # already validated, only minimality and ordering to restore.
-        return cls(default, tuple(sorted((p, e) for p, e in exceptions.items() if e != default)))
+            checked[p] = _check_exponent(e)
+        return cls(_check_exponent(default), checked)
 
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":
         """The natural number n viewed as a Steinitz number."""
-        return cls.of(0, dict(factorize(n)))
+        return cls(0, factorize(n))
 
     def valuation(self, p: int) -> Exponent:
         """Exponent of the prime p (exception value if listed, else default)."""
@@ -351,12 +361,27 @@ def omega_contains(s: SteinitzNumber, n: int) -> bool:
     return all(e <= s.valuation(p) for p, e in factorize(n))
 
 
+def _aligned(s1: SteinitzNumber, s2: SteinitzNumber):
+    """(p, e1, e2) for each prime listed in either operand, in no order."""
+    d1, d2 = dict(s1.exceptions), dict(s2.exceptions)
+    for p in d1.keys() | d2.keys():
+        yield p, d1.get(p, s1.default), d2.get(p, s2.default)
+
+
 def divides(s1: SteinitzNumber, s2: SteinitzNumber) -> bool:
     """Divisibility order: every valuation of s1 is <= that of s2."""
-    if not s1.default <= s2.default:
-        return False
-    merged = {p for p, _ in s1.exceptions} | {p for p, _ in s2.exceptions}
-    return all(s1.valuation(p) <= s2.valuation(p) for p in merged)
+    return s1.default <= s2.default and all(e1 <= e2 for _, e1, e2 in _aligned(s1, s2))
+
+
+def _shift(s: SteinitzNumber, n: int, sign: int) -> SteinitzNumber:
+    # s * n**sign exponentwise; INF absorbs, and below 0 n is not in Omega(s).
+    exc = dict(s.exceptions)
+    for p, e in factorize(n):
+        e = exc.get(p, s.default) + sign * e
+        if e < 0:
+            raise ValueError(f"{n} is not in Omega({s})")
+        exc[p] = e
+    return SteinitzNumber(s.default, exc)
 
 
 def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
@@ -365,20 +390,12 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
         raise ValueError(f"multiplier must be positive, got {n}")
     if n == 1:
         return s
-    exc = dict(s.exceptions)
-    for p, e in factorize(n):
-        exc[p] = s.valuation(p) + e
-    return SteinitzNumber._make(s.default, exc)
+    return _shift(s, n, 1)
 
 
 def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
     """Divide by b in Omega(s) (exponentwise subtract; INF absorbs)."""
-    if not omega_contains(s, b):
-        raise ValueError(f"{b} is not in Omega({s})")
-    exc = dict(s.exceptions)
-    for p, e in factorize(b):
-        exc[p] = s.valuation(p) - e
-    return SteinitzNumber._make(s.default, exc)
+    return _shift(s, b, -1)
 
 
 def scale(s: SteinitzNumber, q: Fraction | int) -> SteinitzNumber:
@@ -400,9 +417,7 @@ def finitely_divides(s1: SteinitzNumber, s2: SteinitzNumber) -> int | None:
     if s1.default != s2.default:
         return None
     b = 1
-    merged = {p for p, _ in s1.exceptions} | {p for p, _ in s2.exceptions}
-    for p in sorted(merged):
-        e1, e2 = s1.valuation(p), s2.valuation(p)
+    for p, e1, e2 in _aligned(s1, s2):
         if (e1 == INF) != (e2 == INF):
             return None
         if e1 == INF:
@@ -415,13 +430,11 @@ def finitely_divides(s1: SteinitzNumber, s2: SteinitzNumber) -> int | None:
 
 def ratio_if_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction | None:
     """The canonical ratio q with s2 = q*s1, or None when not rationally
-    connected.  One sweep over the merged exception primes."""
+    connected.  One sweep over the primes listed in either operand."""
     if s1.default != s2.default:
         return None
     num = den = 1
-    merged = {p for p, _ in s1.exceptions} | {p for p, _ in s2.exceptions}
-    for p in merged:
-        e1, e2 = s1.valuation(p), s2.valuation(p)
+    for p, e1, e2 in _aligned(s1, s2):
         if e1 == INF or e2 == INF:
             if e1 != e2:
                 return None
@@ -453,9 +466,7 @@ def canonical_ratio(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction:
 
 def lcm(s1: SteinitzNumber, s2: SteinitzNumber) -> SteinitzNumber:
     """Pointwise max of valuations."""
-    default = max(s1.default, s2.default)
-    merged = {p for p, _ in s1.exceptions} | {p for p, _ in s2.exceptions}
-    return SteinitzNumber.of(default, {p: max(s1.valuation(p), s2.valuation(p)) for p in merged})
+    return SteinitzNumber(max(s1.default, s2.default), {p: max(e1, e2) for p, e1, e2 in _aligned(s1, s2)})
 
 
 def enumerate_omega(s: SteinitzNumber, bound: int) -> list[int]:

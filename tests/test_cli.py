@@ -1,6 +1,7 @@
 """CLI golden outputs and exit-code protocol."""
 
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,12 @@ GOLDEN = [
     (["set", "rsub", "S(3/2,P)", "P", "4"], 2, "error: 4 is not in Omega(P)"),
     (["set", "member", "S(1/0,P)", "P"], 2, "error: zero denominator in density '1/0' (at position 2)"),
     (["alg", "corner", "alg([1..4])", "1/0"], 2, "error: zero denominator in rank '1/0' (at position 2)"),
+    (
+        ["set", "member", "S((1+1*sqrt(2))/0,P)", "P"],
+        2,
+        "error: zero denominator in density '(1+1*sqrt(2))/0' (at position 14)",
+    ),
+    (["set", "member", "S(sqrt(0),P)", "P"], 2, "error: zero radicand in density 'sqrt(0)' (at position 5)"),
 ]
 
 
@@ -141,3 +148,20 @@ def test_json_check_report():
     data = json.loads(out)
     assert data["result"]["passed"] is True
     assert all(c["ok"] for c in data["result"]["checks"])
+
+
+def test_unfactorable_size_exits_2_quickly():
+    # p and q are the first two primes above 10^15: Pollard-Brent would need
+    # about 3*10^7 steps, past the factorization budget.
+    p, q = 1000000000000037, 1000000000000091
+    start = time.perf_counter()
+    code, out = cli.run(["alg", "matover", "alg([1..2])", str(p * q)])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == f"error: {p * q} is too large to factor"
+
+
+@pytest.mark.parametrize("arg", ["S(inf, P)", "N", "[1..3]", "S(3/2, P)"])
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_realize_rejects_depth_below_one(arg, depth):
+    code, out = cli.run(["alg", "realize", arg, "--depth", depth])
+    assert (code, out) == (2, f"error: depth must be positive, got {depth}")

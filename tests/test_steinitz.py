@@ -354,3 +354,35 @@ class TestPrimeKernel:
             check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+class TestCanonicalConstructor:
+    def test_raw_default_only_prime(self):
+        raw = SteinitzNumber(1, ((2, 1),))
+        assert raw == parse("P")
+        assert hash(raw) == hash(parse("P"))
+
+    def test_raw_unsorted_with_default_entry(self):
+        assert SteinitzNumber(0, ((3, 1), (5, 0), (2, 1))) == parse("2*3")
+
+    def test_raw_duplicate_prime_rejected(self):
+        with pytest.raises(ValueError):
+            SteinitzNumber(0, ((2, 1), (2, 3)))
+
+    def test_of_validates(self):
+        with pytest.raises(ValueError):
+            SteinitzNumber.of(0, {4: 1})
+        with pytest.raises(ValueError):
+            SteinitzNumber.of(0, {2: -1})
+        with pytest.raises(ValueError):
+            SteinitzNumber.of(1.5, {})
+
+
+@given(steinitz_numbers, st.data())
+def test_raw_constructor_canonicalizes(s, data):
+    listed = {p for p, _ in s.exceptions}
+    extra = data.draw(st.sampled_from([p for p in _PRIMES + (13,) if p not in listed]))
+    pairs = data.draw(st.permutations(s.exceptions + ((extra, s.default),)))
+    raw = SteinitzNumber(s.default, tuple(pairs))
+    assert raw == s
+    assert hash(raw) == hash(s)
