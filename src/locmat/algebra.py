@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .density import format_density, parse_density, scale_density
+from .density import INFINITY, format_density, parse_density, scale_density
 from .saturated import (
-    AllNaturals,
-    FiniteType,
     Inclusion,
     InfType,
     SaturatedSet,
@@ -56,24 +54,25 @@ from .steinitz import (
 class AlgebraDescriptor:
     """A locally matrix algebra, known through its spectrum.
 
-    ``collapsed`` is set when constructor normalization changed the
-    canonical form (a finite-type spectrum over a base with an infinite
-    prime collapses to the infinite type); ``unit_st`` then records the
-    Steinitz number of the modeled unital algebra, which the spectrum alone
-    no longer determines.
+    ``unit_st`` is set when constructor normalization changed the canonical
+    form (a finite-type spectrum over a base with an infinite prime
+    collapses to the infinite type): it records the Steinitz number of the
+    modeled unital algebra, which the spectrum alone no longer determines.
     """
 
     spectrum: SaturatedSet
-    collapsed: bool = False
     unit_st: SteinitzNumber | None = None
+
+    @property
+    def collapsed(self) -> bool:
+        """Whether normalization dropped the modeled unital algebra's st."""
+        return self.unit_st is not None
 
     @property
     def st(self) -> SteinitzNumber | None:
         """Steinitz number of the algebra, when it is unital (or collapsed)."""
         m = max_element(self.spectrum)
-        if m is not None:
-            return m
-        return self.unit_st if self.collapsed else None
+        return self.unit_st if m is None else m
 
     def __str__(self) -> str:
         return f"alg({format_set(self.spectrum)})"
@@ -95,7 +94,7 @@ def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:
         return AlgebraDescriptor(mk_segment(s.as_int()))
     spec = mk_finite_type(Fraction(1), s, strict=False)
     if isinstance(spec, InfType):
-        return AlgebraDescriptor(spec, collapsed=True, unit_st=s)
+        return AlgebraDescriptor(spec, unit_st=s)
     return AlgebraDescriptor(spec)
 
 
@@ -275,6 +274,13 @@ class FiniteMatrixChain:
                 raise ValueError(f"step {i}: {self.sizes[i + 1]} != {m}*{self.sizes[i]}+{z}")
 
 
+#: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a
+#: product over the first i primes, so the cost of one call grows steeply with
+#: the depth: for S(3/2, P) on a 2-core Xeon, about 13 ms at depth 64, 2 s at
+#: depth 300 and 50 s at depth 500.
+_MAX_DEPTH = 64
+
+
 def _default_divisor_chain(base: SteinitzNumber, depth: int) -> list[int]:
     # Diagonal sweep: b_i is the product over the first i primes p of
     # p^min(v_p(base), i).  Ascending by divisibility, lcm exhausts the base.
@@ -300,12 +306,11 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     """
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be at most {_MAX_DEPTH}, got {depth}")
     if isinstance(S, Segment):
         return ChainPresentation((Stage(S.n, ONE),), ())
-    if isinstance(S, AllNaturals):
-        stages = tuple(Stage(i, ONE) for i in range(1, depth + 1))
-        return ChainPresentation(stages, (1,) * (depth - 1), TailRule.unbounded())
-    if isinstance(S, InfType):
+    if S.r is INFINITY:
         stages = tuple(Stage(i, S.base) for i in range(1, depth + 1))
         return ChainPresentation(stages, (1,) * (depth - 1), TailRule.unbounded())
     base = S.base
@@ -363,7 +368,7 @@ def match_corner(
         return None
     ref = A.st
     if ref is None:
-        ref = A.spectrum.base if isinstance(A.spectrum, (InfType, FiniteType)) else ONE
+        ref = A.spectrum.base
     q1 = canonical_ratio(ref, current)
     q2 = canonical_ratio(ref, target)
     n = math.lcm(q1.denominator, q2.denominator)

@@ -18,8 +18,6 @@ from .density import INFINITY, Surd, cmp_density
 from .saturated import (
     ALL_NATURALS,
     AllNaturals,
-    FiniteType,
-    InfType,
     SaturatedSet,
     Segment,
     check_saturation_axioms,
@@ -104,23 +102,20 @@ class Report:
 def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, SteinitzNumber]]:
     """All members representable in the window, by raw definition sweep.
 
-    Based sets sweep b over Omega(base) up to the denominator bound and a up
+    Every set sweeps b over Omega(base) up to the denominator bound and a up
     to the numerator bound, keeping pairs that satisfy the defining
-    inequality; results are deduplicated by reduced formal ratio.
+    inequality; results are deduplicated by reduced formal ratio.  Natural
+    sets have base 1, so they sweep a = 1, 2, ... against a <= n.
     """
-    if isinstance(S, (Segment, AllNaturals)):
-        top = w.numerator_bound if isinstance(S, AllNaturals) else min(S.n, w.numerator_bound)
-        return [(Fraction(i), SteinitzNumber.from_int(i)) for i in range(1, top + 1)]
     out: list[tuple[Fraction, SteinitzNumber]] = []
     seen: set[Fraction] = set()
     check = S.base.is_infinity_free
     for b in enumerate_omega(S.base, w.denominator_bound):
         for a in range(1, w.numerator_bound + 1):
-            if isinstance(S, FiniteType):
-                c = cmp_density(Fraction(a, b), S.r)
-                if c > 0 or (c == 0 and S.strict):
-                    continue
             key = Fraction(a, b)
+            c = cmp_density(key, S.r)
+            if c > 0 or (c == 0 and S.strict):
+                continue
             if key in seen:
                 continue
             seen.add(key)
@@ -172,7 +167,7 @@ def check_inequality_suite(
     only; all comparisons are exact rationals.  ``brute_values`` may carry a
     precomputed r_sub_brute table keyed by b.
     """
-    if isinstance(S, (InfType, AllNaturals)):
+    if S.r is INFINITY:
         raise ValueError("inequality ladder applies to finite-type sets only")
     if pairs is None:
         pairs = divisor_pairs(t, bound)
@@ -253,7 +248,7 @@ def saturation_fuzz(S, trials: int = 1000, seed: int = 0) -> Report:
     rng = random.Random(seed)
     t = reference_member(S)
     omega = enumerate_omega(t, 210)
-    infinite = isinstance(S, (InfType, AllNaturals))
+    infinite = S.r is INFINITY
     mismatch = None
     for _ in range(max(10, trials // 50)):
         b = rng.choice(omega)

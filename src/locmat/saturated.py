@@ -8,6 +8,10 @@ naturals, an infinite-type set S(inf, s), or a finite-type set S(r, s)
 base s.  Constructors here normalize to those forms; in particular a
 finite-type set over a base with an infinite prime exponent is extensionally
 the infinite-type set and is normalized to it (the "collapse").
+
+The natural sets are the other two over the base 1: Omega(1) = {1}, so
+[1..n] is S(n, 1) and N is S(inf, 1).  Every class therefore exposes the
+same ``base``, ``r`` and ``strict``, and each decision reads those alone.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .density import (
     times_is_integer,
 )
 from .steinitz import (
+    ONE,
     ParseError,
     SteinitzNumber,
     canonical_ratio,
@@ -53,14 +58,24 @@ class SaturatedSet:
 
 @dataclass(frozen=True)
 class Segment(SaturatedSet):
-    """{1, 2, ..., n}."""
+    """{1, 2, ..., n} = S(n, 1)."""
 
     n: int
+    base = ONE
+    strict = False
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.n)
 
 
 @dataclass(frozen=True)
 class AllNaturals(SaturatedSet):
-    """All positive integers."""
+    """All positive integers: S(inf, 1)."""
+
+    base = ONE
+    r = INFINITY
+    strict = False
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,8 @@ class InfType(SaturatedSet):
     """S(inf, base) = {(a/b)*base : a natural, b in Omega(base)}."""
 
     base: SteinitzNumber
+    r = INFINITY
+    strict = False
 
 
 @dataclass(frozen=True)
@@ -121,40 +138,38 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
     return FiniteType(r, s, strict)
 
 
-def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
-    """Exact membership test."""
-    if isinstance(S, Segment):
-        return t.is_natural and t.as_int() <= S.n
-    if isinstance(S, AllNaturals):
-        return t.is_natural
-    if isinstance(S, InfType):
-        # Any rationally connected t is (a/b)*base with reduced b in
-        # Omega(base): the reduced denominator must divide the base for the
-        # exponents of t to stay nonnegative.
-        return rationally_connected(S.base, t)
+def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> Fraction | None:
+    """The canonical q with t = q*base when t is a member of S, else None.
+
+    The reduced denominator of q always divides the base: the exponents of
+    t are nonnegative, so no Omega check is needed.
+    """
     q = ratio_if_connected(S.base, t)
     if q is None:
-        return False
-    if not omega_contains(S.base, q.denominator):
-        return False
+        return None
     c = cmp_density(q, S.r)  # a <= r*b  iff  a/b <= r
-    return c < 0 if S.strict else c <= 0
+    return q if c < 0 or (c == 0 and not S.strict) else None
 
 
-def _density_at(S: FiniteType, t: SteinitzNumber) -> Density:
-    # t = q * base, so the density expressed at t is r / q.
-    return scale_density(S.r, 1 / canonical_ratio(S.base, t))
+def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
+    """Exact membership test."""
+    return _member_ratio(S, t) is not None
+
+
+def _rebased(S: SaturatedSet, t: SteinitzNumber) -> Density:
+    """The density of S expressed at the member t = q*base: r / q."""
+    q = _member_ratio(S, t)
+    if q is None:
+        raise ValueError(f"{t} is not a member of {format_set(S)}")
+    return scale_density(S.r, 1 / q)
 
 
 def rebase(S: SaturatedSet, t: SteinitzNumber) -> tuple[Density, bool]:
     """Density and strictness of the same set expressed at the member t."""
-    if not contains(S, t):
-        raise ValueError(f"{t} is not a member of {format_set(S)}")
-    if isinstance(S, InfType):
-        return INFINITY, False
-    if isinstance(S, FiniteType):
-        return _density_at(S, t), S.strict
-    raise ValueError(f"{format_set(S)} has no base to rebase")
+    r = _rebased(S, t)
+    if S.base.is_natural:
+        raise ValueError(f"{format_set(S)} has no base to rebase")
+    return r, S.strict
 
 
 def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
@@ -167,33 +182,27 @@ def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
 def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | type(INFINITY):
     """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form.
 
-    Infinite-type sets (and all naturals) give infinity.  Finite types use
-    the floor dichotomy: floor(r*b) when r is irrational or its reduced
+    Infinite densities (S(inf, s) and N) give infinity.  Finite densities,
+    segments [1..n] = S(n, 1) included, use the floor dichotomy at the
+    density r rebased to t: floor(r*b) when r is irrational or its reduced
     denominator v does not divide b; exactly r*b (closed) or r*b - 1
     (strict) when v divides b.
     """
-    if not contains(S, t):
-        raise ValueError(f"{t} is not a member of {format_set(S)}")
+    r = _rebased(S, t)
     if not omega_contains(t, b):
         raise ValueError(f"{b} is not in Omega({t})")
-    if isinstance(S, (InfType, AllNaturals)):
+    if r is INFINITY:
         return INFINITY
-    if isinstance(S, Segment):
-        return S.n * b // t.as_int()
-    r, strict = rebase(S, t)
     if times_is_integer(r, b):
         exact = r.numerator * b // r.denominator
-        return exact - 1 if strict else exact
+        return exact - 1 if S.strict else exact
     return floor_times(r, b)
 
 
 def max_element(S: SaturatedSet) -> SteinitzNumber | None:
     """The largest member, when one exists (segments and attained closed bounds)."""
-    if isinstance(S, Segment):
-        return SteinitzNumber.from_int(S.n)
-    if isinstance(S, FiniteType) and not S.strict and isinstance(S.r, Fraction):
-        if omega_contains(S.base, S.r.denominator):
-            return scale(S.base, S.r)
+    if not S.strict and isinstance(S.r, Fraction) and omega_contains(S.base, S.r.denominator):
+        return scale(S.base, S.r)
     return None
 
 
@@ -204,40 +213,21 @@ class Inclusion(Enum):
     RIGHT_IN_LEFT = "right-in-left"
 
 
-def _strictness_rank(S: SaturatedSet) -> int:
-    # S+(r,s) within S(r,s) within S(inf,s) at equal density.
-    if isinstance(S, InfType):
-        return 2
-    return 0 if S.strict else 1
-
-
 def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     """Exact trichotomy: saturated sets are disjoint or nested."""
-    natural1 = isinstance(S1, (Segment, AllNaturals))
-    natural2 = isinstance(S2, (Segment, AllNaturals))
-    if natural1 != natural2:
+    q = ratio_if_connected(S1.base, S2.base)
+    if q is None:
         return Inclusion.DISJOINT
-    if natural1:
-        n1 = S1.n if isinstance(S1, Segment) else None
-        n2 = S2.n if isinstance(S2, Segment) else None
-        if n1 == n2:
-            return Inclusion.EQUAL
-        if n2 is None or (n1 is not None and n1 < n2):
-            return Inclusion.LEFT_IN_RIGHT
-        return Inclusion.RIGHT_IN_LEFT
-    if not rationally_connected(S1.base, S2.base):
-        return Inclusion.DISJOINT
-    d1 = S1.r if isinstance(S1, FiniteType) else INFINITY
-    d2 = _density_at(S2, S1.base) if isinstance(S2, FiniteType) else INFINITY
-    c = cmp_density(d1, d2)
+    # S2.base = q * S1.base, so S2's density at S1's base is S2.r * q.
+    c = cmp_density(S1.r, scale_density(S2.r, q))
     if c < 0:
         return Inclusion.LEFT_IN_RIGHT
     if c > 0:
         return Inclusion.RIGHT_IN_LEFT
-    r1, r2 = _strictness_rank(S1), _strictness_rank(S2)
-    if r1 == r2:
+    # Equal densities: S+(r,s) within S(r,s); infinite densities are never strict.
+    if S1.strict == S2.strict:
         return Inclusion.EQUAL
-    return Inclusion.LEFT_IN_RIGHT if r1 < r2 else Inclusion.RIGHT_IN_LEFT
+    return Inclusion.LEFT_IN_RIGHT if S1.strict else Inclusion.RIGHT_IN_LEFT
 
 
 def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
@@ -284,19 +274,17 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
             raise ValueError(f"chain prefix is not ascending at {format_set(a)} vs {format_set(b)}")
     if tail is None:
         return prefix[-1]
+    base = prefix[0].base
     if tail.kind == "unbounded":
-        if isinstance(prefix[0], (Segment, AllNaturals)):
-            return ALL_NATURALS
-        return mk_inf_type(prefix[0].base)
+        return mk_inf_type(base)
     if tail.kind not in ("attained", "approached"):
         raise ValueError(f"unknown tail kind {tail.kind!r}")
-    if isinstance(prefix[0], (Segment, AllNaturals)):
+    if base.is_natural:
         raise ValueError("a density tail needs a chain of based sets")
-    base = prefix[0].base
     for S in prefix:
-        if not isinstance(S, FiniteType):
+        if S.r is INFINITY:
             raise ValueError("a density tail is inconsistent with an infinite-type prefix")
-        d_here = _density_at(S, base)
+        d_here = scale_density(S.r, 1 / canonical_ratio(S.base, base))
         c = cmp_density(tail.r, d_here)
         if c < 0 or (c == 0 and tail.kind == "approached" and not S.strict):
             raise ValueError(
@@ -326,15 +314,11 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
             top = min(top, limit)
         return [SteinitzNumber.from_int(i) for i in range(1, top + 1)]
     for b in enumerate_omega(S.base, den_bound):
-        if isinstance(S, InfType):
-            hi = _INF_CAP * b + 1
-        else:
-            hi = floor_times(S.r, b) + 1
+        hi = _INF_CAP * b + 1 if S.r is INFINITY else floor_times(S.r, b) + 1
         for a in range(1, hi + 1):
-            if isinstance(S, FiniteType):
-                c = cmp_density(Fraction(a, b), S.r)
-                if (S.strict and c >= 0) or (not S.strict and c > 0):
-                    continue
+            c = cmp_density(Fraction(a, b), S.r)
+            if c > 0 or (c == 0 and S.strict):
+                continue
             t = scale(S.base, Fraction(a, b))
             if t not in seen:
                 seen.add(t)

@@ -290,6 +290,13 @@ class SteinitzNumber:
 
 ONE = SteinitzNumber.of(0, {})
 
+#: Size budget of one product literal, in bits.  A term p^e weighs e times
+#: the bit length of p (p^0 and p^inf weigh it once), and P^e weighs as p^e
+#: would for the largest listed prime p.  That bounds the integers that
+#: ratios and as_int build from the literal, and the primes that parse tests
+#: for primality (a 2048-bit test takes about 0.3 s on a 2-core Xeon).
+_LITERAL_BITS = 2048
+
 _TERM_RE = re.compile(r"^(?:(?P<prime>\d+)|(?P<all>P))(?:\^(?P<exp>\d+|inf))?$")
 
 
@@ -299,7 +306,8 @@ def parse(text: str) -> SteinitzNumber:
     Terms are separated by ``*``: ``p^e`` with p a prime literal and e a
     nonnegative integer or ``inf``; a bare ``p`` means ``p^1``; at most one
     ``P^e`` term assigns e to every unlisted prime (absent means default 0).
-    The literal ``1`` denotes the empty product.
+    The literal ``1`` denotes the empty product.  A literal heavier than
+    ``_LITERAL_BITS`` is refused at the term that crosses the budget.
 
     >>> parse("2^inf*3^2")
     SteinitzNumber("2^inf*3^2")
@@ -312,6 +320,14 @@ def parse(text: str) -> SteinitzNumber:
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
     offset = 0
+    spent = top = 0  # the literal's weight so far; its largest prime's bit length
+
+    def spend(bits: int, e: Exponent, pos: int) -> None:
+        nonlocal spent
+        spent += bits * (1 if e == INF else max(e, 1))
+        if spent > _LITERAL_BITS:
+            raise ParseError(f"literal exceeds the size budget of {_LITERAL_BITS} bits", pos)
+
     for raw in text.split("*"):
         term = raw.strip()
         pos = offset + (len(raw) - len(raw.lstrip()))
@@ -324,15 +340,21 @@ def parse(text: str) -> SteinitzNumber:
         if m.group("all"):
             if default is not None:
                 raise ParseError("duplicate P term", pos)
-            default = e
+            default, default_pos = e, pos
             continue
         p = int(m.group("prime"))
+        spend(p.bit_length(), e, pos)
+        top = max(top, p.bit_length())
         if not _is_prime(p):
             raise ParseError(f"non-prime base {p}", pos)
         if p in exceptions:
             raise ParseError(f"duplicate prime {p}", pos)
         exceptions[p] = e
-    return SteinitzNumber.of(default if default is not None else 0, exceptions)
+    if default is None:
+        default = 0
+    else:
+        spend(top, default, default_pos)
+    return SteinitzNumber.of(default, exceptions)
 
 
 _SCALED_RE = re.compile(r"^\(\s*(\d+)\s*/\s*(\d+)\s*\)\s*\*\s*(.+)$", re.DOTALL)
@@ -414,18 +436,8 @@ def finitely_divides(s1: SteinitzNumber, s2: SteinitzNumber) -> int | None:
     are not unique when s2 has an infinite prime (extra powers of it change
     nothing); the minimal one has exponent 0 there.
     """
-    if s1.default != s2.default:
-        return None
-    b = 1
-    for p, e1, e2 in _aligned(s1, s2):
-        if (e1 == INF) != (e2 == INF):
-            return None
-        if e1 == INF:
-            continue
-        if e1 > e2:
-            return None
-        b *= p ** (e2 - e1)
-    return b
+    q = ratio_if_connected(s2, s1)
+    return q.denominator if q is not None and q.numerator == 1 else None
 
 
 def ratio_if_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction | None:

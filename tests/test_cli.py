@@ -1,12 +1,16 @@
 """CLI golden outputs and exit-code protocol."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from locmat import cli, oracle
-from locmat.steinitz import SteinitzNumber
+from locmat.steinitz import SteinitzNumber, _is_prime
 
 # (argv, expected exit code, expected byte-exact output)
 GOLDEN = [
@@ -165,3 +169,49 @@ def test_unfactorable_size_exits_2_quickly():
 def test_realize_rejects_depth_below_one(arg, depth):
     code, out = cli.run(["alg", "realize", arg, "--depth", depth])
     assert (code, out) == (2, f"error: depth must be positive, got {depth}")
+
+
+# Alternating p^100 and p^0 over the first 2000 primes, against a base P^50:
+# every term is within the literal budget, their sum is not.  Unbounded, the
+# member ratio is a quotient of two products of about 10^6 bits each.
+_PRIMES_2000 = [p for p in range(2, 17390) if _is_prime(p)]
+_MANY_TERMS = "*".join(f"{p}^{0 if i % 2 else 100}" for i, p in enumerate(_PRIMES_2000)) + "*P^50"
+
+
+def _run_bounded(argv: list[str]) -> tuple[int, str, float]:
+    """cli.run in a fresh interpreter, killed after 20 s: (code, output, seconds)."""
+    import locmat
+
+    src = str(Path(locmat.__file__).resolve().parents[1])
+    code = (
+        "import json, sys, time\n"
+        "from locmat import cli\n"
+        "start = time.perf_counter()\n"
+        "code, out = cli.run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, out, time.perf_counter() - start]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=20,
+        check=True,
+    )
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["set", "member", "S(3/2,P)", "3^100000000*P"],
+        ["set", "member", "[1..3]", "2^100000000"],
+        ["set", "member", "S(3/2,P^50)", _MANY_TERMS],
+        ["alg", "realize", "S(3/2,P)", "--depth", "1000"],
+    ],
+    ids=["huge-exponent", "huge-natural", "many-terms", "depth-1000"],
+)
+def test_oversized_input_exits_2_quickly(argv):
+    code, out, seconds = _run_bounded(argv)
+    assert code == 2 and out.startswith("error: ") and "Traceback" not in out
+    assert seconds < 1

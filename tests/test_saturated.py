@@ -372,3 +372,31 @@ def test_max_element_dominates_members(S):
         else:
             q = canonical_ratio(m, t)
             assert q <= 1
+
+
+natural_sets = st.one_of(st.builds(mk_segment, st.integers(min_value=1, max_value=60)), st.just(ALL_NATURALS))
+
+
+def _top(S):
+    # The largest member of a natural set as an int, or None for N.
+    return S.n if isinstance(S, Segment) else None
+
+
+@given(natural_sets, natural_sets, st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=12))
+def test_natural_sets_match_integer_arithmetic(Sa, Sb, m, b):
+    n, n2 = _top(Sa), _top(Sb)
+    t = SteinitzNumber.from_int(m)
+    assert contains(Sa, t) == (n is None or m <= n)
+    assert not contains(Sa, mul_natural(P, m))
+    tb = SteinitzNumber.from_int(m * b)  # b is in Omega(m*b)
+    if contains(Sa, tb):
+        assert r_sub(Sa, tb, b) == (INFINITY if n is None else n * b // (m * b))
+    assert max_element(Sa) == (None if n is None else SteinitzNumber.from_int(n))
+    if n == n2:
+        want = Inclusion.EQUAL
+    elif n2 is None or (n is not None and n < n2):
+        want = Inclusion.LEFT_IN_RIGHT
+    else:
+        want = Inclusion.RIGHT_IN_LEFT
+    assert compare_inclusion(Sa, Sb) is want
+    assert compare_inclusion(Sa, S32) is Inclusion.DISJOINT

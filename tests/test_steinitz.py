@@ -29,6 +29,7 @@ from locmat.steinitz import (
     omega_contains,
     parse,
     parse_scaled,
+    ratio_if_connected,
     rationally_connected,
     scale,
 )
@@ -386,3 +387,72 @@ def test_raw_constructor_canonicalizes(s, data):
     raw = SteinitzNumber(s.default, tuple(pairs))
     assert raw == s
     assert hash(raw) == hash(s)
+
+
+@st.composite
+def connected_pairs(draw):
+    """(base, t) with t = q*base: equal defaults and infinite primes, any
+    finite exponents of t at the listed primes."""
+    base = draw(steinitz_numbers)
+    exc = {p: INF if base.valuation(p) == INF else draw(st.integers(0, 6)) for p in _PRIMES}
+    return base, SteinitzNumber.of(base.default, exc)
+
+
+@given(connected_pairs())
+def test_member_ratio_denominator_divides_base(pair):
+    # The exponents of t are nonnegative, so the reduced denominator of
+    # q = t/base divides the base: membership needs no Omega check.
+    base, t = pair
+    q = ratio_if_connected(base, t)
+    assert q is not None
+    assert omega_contains(base, q.denominator)
+    assert scale(base, q) == t
+
+
+def walk_finitely_divides(s1, s2):
+    # Independent reference: the exponent walk over every prime the
+    # strategies list, with the deficit s2/s1 built prime by prime.
+    if s1.default != s2.default:
+        return None
+    b = 1
+    for p in _PRIMES:
+        e1, e2 = s1.valuation(p), s2.valuation(p)
+        if (e1 == INF) != (e2 == INF) or e1 > e2:
+            return None
+        if e1 != INF:
+            b *= p ** (e2 - e1)
+    return b
+
+
+@given(st.one_of(connected_pairs(), st.tuples(steinitz_numbers, steinitz_numbers)))
+def test_finitely_divides_matches_exponent_walk(pair):
+    a, b = pair
+    assert finitely_divides(a, b) == walk_finitely_divides(a, b)
+    assert finitely_divides(b, a) == walk_finitely_divides(b, a)
+
+
+class TestLiteralBudget:
+    def test_within_budget(self):
+        assert parse("2^1024").as_int() == 2**1024
+        assert parse("P^100000000").default == 100000000  # no listed prime to weigh it by
+        assert parse("3^inf*5^0*P^681").default == 681
+
+    def test_exponent_over_budget(self):
+        with pytest.raises(ParseError) as e:
+            parse("3 * 2^1025")
+        assert e.value.pos == 4
+
+    def test_sum_over_budget(self):
+        with pytest.raises(ParseError) as e:
+            parse("2^1000*3^20*5^3")
+        assert e.value.pos == 12
+
+    def test_default_weighs_at_largest_listed_prime(self):
+        with pytest.raises(ParseError) as e:
+            parse("P^683*5")
+        assert e.value.pos == 0
+
+    def test_long_prime_literal_refused_before_primality_test(self):
+        with pytest.raises(ParseError, match="size budget") as e:
+            parse(f"2*{2**2100 + 1}^inf")
+        assert e.value.pos == 2
