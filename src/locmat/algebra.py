@@ -23,6 +23,8 @@ from .saturated import (
     SaturatedSet,
     Segment,
     TailRule,
+    _floor_count,
+    _has_max,
     compare_inclusion,
     contains,
     equals_formal,
@@ -32,7 +34,6 @@ from .saturated import (
     mk_inf_type,
     mk_segment,
     parse_set,
-    r_sub,
     union_chain,
 )
 from .steinitz import (
@@ -135,7 +136,7 @@ def corner(A: AlgebraDescriptor, q: Fraction) -> AlgebraDescriptor:
 def is_unital(A: AlgebraDescriptor) -> bool:
     """Unital iff the spectrum has a largest element (segment, or closed
     rational bound attained at the base)."""
-    return max_element(A.spectrum) is not None
+    return _has_max(A.spectrum)
 
 
 def isomorphic(A: AlgebraDescriptor, B: AlgebraDescriptor) -> bool:
@@ -318,23 +319,17 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
         divisor_chain = _default_divisor_chain(base, depth)
     if not divisor_chain:
         raise ValueError("empty divisor chain")
+    # divide_by rejects a divisor outside Omega(base), zero and negatives included.
+    stages = tuple(Stage(_floor_count(S.r, S.strict, b), divide_by(base, b)) for b in divisor_chain)
     for b, c in zip(divisor_chain, divisor_chain[1:]):
         if c % b != 0:
             raise ValueError(f"divisor chain not ascending by divisibility: {b}, {c}")
-    for b in divisor_chain:
-        if not omega_contains(base, b):
-            raise ValueError(f"divisor {b} is not in Omega({base})")
-    stages = []
-    for b in divisor_chain:
-        k = r_sub(S, base, b)
-        stages.append(Stage(k, divide_by(base, b)))
     quotients = tuple(c // b for b, c in zip(divisor_chain, divisor_chain[1:]))
+    ChainPresentation(stages, quotients).validate()  # a stage size of 0 fails here, before b1/k1
     k1, b1 = stages[0].k, divisor_chain[0]
     tail_r = scale_density(S.r, Fraction(b1, k1))
     tail = TailRule.approached(tail_r) if S.strict else TailRule.attained(tail_r)
-    chain = ChainPresentation(tuple(stages), quotients, tail)
-    chain.validate()
-    return chain
+    return ChainPresentation(stages, quotients, tail)
 
 
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:

@@ -13,12 +13,13 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 
 from . import algebra, oracle, saturated
 from .algebra import parse_descriptor
 from .density import INFINITY, format_density
 from .saturated import contains, format_set, parse_set
-from .steinitz import ParseError, parse_scaled
+from .steinitz import ParseError, _parse_int, parse_scaled
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +122,9 @@ def _dispatch(args) -> tuple[object, int]:
             S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
             chain = None
             if args.chain:
-                chain = [int(x) for x in args.chain.split(",")]
+                pieces = args.chain.split(",")
+                starts = accumulate((len(x) + 1 for x in pieces), initial=0)
+                chain = [_parse_int(x, pos) for x, pos in zip(pieces, starts)]
             return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict(), 0
         if args.cmd == "minf":
             return str(algebra.m_infinity(parse_descriptor(args.alg))), 0
@@ -129,10 +132,10 @@ def _dispatch(args) -> tuple[object, int]:
             return str(algebra.matrix_over(parse_descriptor(args.alg), args.n)), 0
         if args.cmd == "corner":
             num, _, den = args.rank.partition("/")
-            d = int(den) if den else 1
+            d = _parse_int(den, len(num) + 1) if den else 1
             if d == 0:
                 raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
-            q = Fraction(int(num), d)
+            q = Fraction(_parse_int(num, 0), d)
             return str(algebra.corner(parse_descriptor(args.alg), q)), 0
 
     if args.group == "check":

@@ -9,11 +9,12 @@ order predicates a <= r*b used in membership tests are exact.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .steinitz import ParseError, factorize
+from .steinitz import ParseError, _parse_int, factorize
 
 
 class InfiniteDensity:
@@ -37,8 +38,8 @@ def _sign(n) -> int:
     return (n > 0) - (n < 0)
 
 
-def _sign_single(a, b, d: int) -> int:
-    """Sign of a + b*sqrt(d) for rational a, b and squarefree d > 1.
+def _sign_single(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and d squarefree (d > 1 unless b = 0).
 
     Never returns 0 with b != 0: that would make sqrt(d) rational.
     """
@@ -48,15 +49,6 @@ def _sign_single(a, b, d: int) -> int:
         return -_sign_single(-a, -b, d)
     if a >= 0:
         return 1
-    return _sign(b * b * d - a * a)
-
-
-def _cmp_surd_rational(x: int, y: int, d: int, z: int, num: int, den: int) -> int:
-    """(x + y*sqrt(d))/z versus num/den, all integers, y > 0, z, den > 0."""
-    a = x * den - num * z
-    if a >= 0:
-        return 1
-    b = y * den
     return _sign(b * b * d - a * a)
 
 
@@ -70,12 +62,24 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return k, m
 
 
+def _order(test):
+    """A Surd comparison method: ``test`` on the exact three-way result."""
+
+    def method(self, other):
+        if not isinstance(other, (int, Fraction, Surd)):
+            return NotImplemented
+        return test(cmp_density(self, other), 0)
+
+    return method
+
+
 @dataclass(frozen=True)
 class Surd:
     """(x + y*sqrt(d))/z with y > 0, z > 0, d squarefree > 1, gcd(x,y,z) = 1.
 
     Always irrational under those invariants; construct via :meth:`make`,
-    which normalizes square parts and common factors.
+    which normalizes square parts and common factors.  A Surd never equals
+    an int or a Fraction.
     """
 
     x: int
@@ -100,78 +104,45 @@ class Surd:
         g = math.gcd(math.gcd(abs(x), y), z)
         return cls(x // g, y // g, m, z // g)
 
-    def _cmp(self, other) -> int:
-        """Three-way exact comparison against Surd, Fraction or int."""
-        if isinstance(other, int):
-            return _cmp_surd_rational(self.x, self.y, self.d, self.z, other, 1)
-        if isinstance(other, Fraction):
-            return _cmp_surd_rational(self.x, self.y, self.d, self.z, other.numerator, other.denominator)
-        if not isinstance(other, Surd):
-            return NotImplemented
-        x1, y1, d1, z1 = self.x, self.y, self.d, self.z
-        x2, y2, d2, z2 = other.x, other.y, other.d, other.z
-        if d1 == d2:
-            return _sign_single(x1 * z2 - x2 * z1, y1 * z2 - y2 * z1, d1)
-        # Compare B*sqrt(d1) - E*sqrt(d2) against R, squaring once; B, E > 0.
-        big_b, big_e, r = y1 * z2, y2 * z1, x2 * z1 - x1 * z2
-        s_t = 1 if big_b * big_b * d1 > big_e * big_e * d2 else -1
-        s_r = _sign(r)
-        if s_t != s_r:
-            return s_t
-        g = math.gcd(d1, d2)
-        m = (d1 // g) * (d2 // g)
-        s2 = _sign_single(big_b * big_b * d1 + big_e * big_e * d2 - r * r, -2 * big_b * big_e * g, m)
-        return s_t * s2
-
-    def __eq__(self, other):
-        if isinstance(other, Surd):
-            return (self.x, self.y, self.d, self.z) == (other.x, other.y, other.d, other.z)
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("surd", self.x, self.y, self.d, self.z))
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __repr__(self):
-        return f"({self.x}+{self.y}*sqrt({self.d}))/{self.z}"
+        return format_density(self)
 
 
 #: A density value: exact rational, exact quadratic surd, or infinity.
 Density = Fraction | Surd | InfiniteDensity
 
 
+def _parts(r: int | Fraction | Surd) -> tuple[int, int, int, int]:
+    """(x, y, d, z) with r = (x + y*sqrt(d))/z and z > 0; a rational has y = 0, d = 1."""
+    if isinstance(r, Surd):
+        return r.x, r.y, r.d, r.z
+    return r.numerator, 0, 1, r.denominator
+
+
 def cmp_density(a: Density, b: Density) -> int:
     """Three-way comparison across all density kinds (INFINITY is largest)."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return _sign(a.numerator * b.denominator - b.numerator * a.denominator)
-    if a is INFINITY and b is INFINITY:
-        return 0
-    if a is INFINITY:
-        return 1
-    if b is INFINITY:
-        return -1
-    if isinstance(a, Surd):
-        return a._cmp(b)
-    if isinstance(b, Surd):
-        return -b._cmp(a)
-    return _sign(a - b)
+    if a is INFINITY or b is INFINITY:
+        return (a is INFINITY) - (b is INFINITY)
+    x1, y1, d1, z1 = _parts(a)
+    x2, y2, d2, z2 = _parts(b)
+    # a - b has the sign of r + p*sqrt(d1) - q*sqrt(d2), with p, q >= 0.
+    r, p, q = x1 * z2 - x2 * z1, y1 * z2, y2 * z1
+    if d1 == d2 or 1 in (d1, d2):  # one radicand: the other side has q or p = 0
+        return _sign_single(r, p - q, max(d1, d2))
+    # Distinct radicands: t = p*sqrt(d1) - q*sqrt(d2) against -r.  Where the
+    # signs agree, compare squares: t^2 = p^2 d1 + q^2 d2 - 2pq*g*sqrt(m).
+    s_t = 1 if p * p * d1 > q * q * d2 else -1
+    if s_t != -_sign(r):
+        return s_t
+    g = math.gcd(d1, d2)
+    return s_t * _sign_single(p * p * d1 + q * q * d2 - r * r, -2 * p * q * g, (d1 // g) * (d2 // g))
 
 
 def scale_density(r: Density, q: Fraction) -> Density:
@@ -180,9 +151,8 @@ def scale_density(r: Density, q: Fraction) -> Density:
         raise ValueError(f"scale factor must be positive, got {q}")
     if r is INFINITY:
         return INFINITY
-    if isinstance(r, Surd):
-        return Surd.make(r.x * q.numerator, r.y * q.numerator, r.d, r.z * q.denominator)
-    return r * q
+    x, y, d, z = _parts(r)
+    return Surd.make(x * q.numerator, y * q.numerator, d, z * q.denominator)
 
 
 def floor_times(r: Fraction | Surd, b: int) -> int:
@@ -191,19 +161,17 @@ def floor_times(r: Fraction | Surd, b: int) -> int:
     For a surd (x + y*sqrt(d))/z the value x*b + y*b*sqrt(d) lies strictly
     between consecutive integers K and K+1 with K = x*b + isqrt((y*b)^2 d)
     (the radicand is never a perfect square), and floor of anything in that
-    open interval divided by z is K // z.
+    open interval divided by z is K // z.  A rational has y = 0.
     """
-    if isinstance(r, Surd):
-        t = r.y * b
-        return (r.x * b + math.isqrt(t * t * r.d)) // r.z
-    return (r.numerator * b) // r.denominator
+    x, y, d, z = _parts(r)
+    t = y * b
+    return (x * b + math.isqrt(t * t * d)) // z
 
 
 def times_is_integer(r: Fraction | Surd, b: int) -> bool:
     """Whether r * b is an integer (never, for surds)."""
-    if isinstance(r, Surd):
-        return False
-    return r.numerator * b % r.denominator == 0
+    x, y, _, z = _parts(r)
+    return y == 0 and x * b % z == 0
 
 
 _SURD_RE = re.compile(r"^\(\s*(-?\d+)\s*\+\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(\d+)$")
@@ -218,29 +186,30 @@ def parse_density(text: str) -> Density:
         return INFINITY
     lead = len(text) - len(text.lstrip())
 
-    def nonzero(m: re.Match, group: int, what: str) -> int:
-        v = int(m.group(group))
-        if v == 0:
-            raise ParseError(f"zero {what} in density {text!r}", lead + m.start(group))
+    def number(m: re.Match, group: int, nonzero: str = "") -> int:
+        # ``nonzero`` names the part that must not be 0.
+        pos = lead + m.start(group)
+        v = _parse_int(m.group(group), pos)
+        if nonzero and v == 0:
+            raise ParseError(f"zero {nonzero} in density {text!r}", pos)
         return v
 
     m = _RAT_RE.match(t)
     if m:
-        return Fraction(int(m.group(1)), 1 if m.group(2) is None else nonzero(m, 2, "denominator"))
+        return Fraction(number(m, 1), 1 if m.group(2) is None else number(m, 2, "denominator"))
     m = _SQRT_RE.match(t)
     if m:
-        return Surd.make(0, 1, nonzero(m, 1, "radicand"), 1)
+        return Surd.make(0, 1, number(m, 1, "radicand"), 1)
     m = _SURD_RE.match(t)
     if m:
-        return Surd.make(int(m.group(1)), int(m.group(2)), nonzero(m, 3, "radicand"), nonzero(m, 4, "denominator"))
+        return Surd.make(number(m, 1), number(m, 2), number(m, 3, "radicand"), number(m, 4, "denominator"))
     raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", 0)
 
 
 def format_density(r: Density) -> str:
     if r is INFINITY:
         return "inf"
-    if isinstance(r, Surd):
-        return f"({r.x}+{r.y}*sqrt({r.d}))/{r.z}"
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    x, y, d, z = _parts(r)
+    if y:
+        return f"({x}+{y}*sqrt({d}))/{z}"
+    return str(x) if z == 1 else f"{x}/{z}"

@@ -37,6 +37,7 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
+    _parse_int,
     canonical_ratio,
     divide_by,
     enumerate_omega,
@@ -179,31 +180,38 @@ def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
     return rebase(S, t)[0]
 
 
-def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | type(INFINITY):
-    """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form.
+def _floor_count(r: Density, strict: bool, b: int) -> int | type(INFINITY):
+    """max { i : i/b <= r }, or i/b < r when strict: the floor dichotomy.
 
-    Infinite densities (S(inf, s) and N) give infinity.  Finite densities,
-    segments [1..n] = S(n, 1) included, use the floor dichotomy at the
-    density r rebased to t: floor(r*b) when r is irrational or its reduced
-    denominator v does not divide b; exactly r*b (closed) or r*b - 1
-    (strict) when v divides b.
+    floor(r*b) when r is irrational or its reduced denominator does not
+    divide b; exactly r*b (closed) or r*b - 1 (strict) when it does.
+    Infinite densities give infinity.
     """
+    if r is INFINITY:
+        return INFINITY
+    k = floor_times(r, b)
+    return k - 1 if strict and times_is_integer(r, b) else k
+
+
+def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | type(INFINITY):
+    """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form: the floor
+    dichotomy at the density r rebased to the member t.  Segments
+    [1..n] = S(n, 1) and N = S(inf, 1) included."""
     r = _rebased(S, t)
     if not omega_contains(t, b):
         raise ValueError(f"{b} is not in Omega({t})")
-    if r is INFINITY:
-        return INFINITY
-    if times_is_integer(r, b):
-        exact = r.numerator * b // r.denominator
-        return exact - 1 if S.strict else exact
-    return floor_times(r, b)
+    return _floor_count(r, S.strict, b)
+
+
+def _has_max(S: SaturatedSet) -> bool:
+    """Whether the bound is attained: closed, r rational and its reduced
+    denominator in Omega(base).  Builds no element, so factors nothing."""
+    return not S.strict and isinstance(S.r, Fraction) and omega_contains(S.base, S.r.denominator)
 
 
 def max_element(S: SaturatedSet) -> SteinitzNumber | None:
     """The largest member, when one exists (segments and attained closed bounds)."""
-    if not S.strict and isinstance(S.r, Fraction) and omega_contains(S.base, S.r.denominator):
-        return scale(S.base, S.r)
-    return None
+    return scale(S.base, S.r) if _has_max(S) else None
 
 
 class Inclusion(Enum):
@@ -231,12 +239,9 @@ def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
 
 
 def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
-    """Descriptor-level equality after normalization.
-
-    Finite types are compared by rebasing S2's density to S1's base and
-    matching (density, strictness) exactly; infinite types by rational
-    connectivity of bases.
-    """
+    """Descriptor-level equality after normalization: the EQUAL verdict of
+    :func:`compare_inclusion`, which needs rationally connected bases, equal
+    densities once S2's is rebased to S1's base, and equal strictness."""
     return compare_inclusion(S1, S2) is Inclusion.EQUAL
 
 
@@ -441,7 +446,7 @@ def parse_set(text: str) -> SaturatedSet:
         return ALL_NATURALS
     m = _SEGMENT_RE.match(t)
     if m:
-        return mk_segment(int(m.group(1)))
+        return mk_segment(_parse_int(m.group(1), m.start(1)))
     strict = t.startswith("S+(")
     if not (strict or t.startswith("S(")) or not t.endswith(")"):
         raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", 0)

@@ -36,6 +36,18 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def _parse_int(text: str, pos: int) -> int:
+    """int(text), or a ParseError at ``pos`` for a malformed literal or one
+    past the interpreter's int-string limit (4300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        if digits.isdecimal():
+            raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+        raise ParseError(f"malformed integer {text!r}", pos) from None
+
+
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
@@ -335,14 +347,14 @@ def parse(text: str) -> SteinitzNumber:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"malformed term {term!r}, expected p^e or P^e", pos)
-        exp_text = m.group("exp")
-        e: Exponent = 1 if exp_text is None else (INF if exp_text == "inf" else int(exp_text))
+        exp_text, exp_pos = m.group("exp"), pos + m.start("exp")
+        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, exp_pos)
         if m.group("all"):
             if default is not None:
                 raise ParseError("duplicate P term", pos)
             default, default_pos = e, pos
             continue
-        p = int(m.group("prime"))
+        p = _parse_int(m.group("prime"), pos)
         spend(p.bit_length(), e, pos)
         top = max(top, p.bit_length())
         if not _is_prime(p):
@@ -370,7 +382,8 @@ def parse_scaled(text: str) -> SteinitzNumber:
     m = _SCALED_RE.match(text.strip())
     if m is None:
         return parse(text)
-    u, v = int(m.group(1)), int(m.group(2))
+    lead = len(text) - len(text.lstrip())
+    u, v = (_parse_int(m.group(i), lead + m.start(i)) for i in (1, 2))
     if u < 1 or v < 1:
         raise ParseError("scale factor must be a positive rational", 1)
     return scale(parse(m.group(3)), Fraction(u, v))

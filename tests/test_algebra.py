@@ -142,6 +142,13 @@ class TestRealize:
         assert chain.quotients == (3,)
         assert chain.stages[0].k * chain.quotients[0] <= chain.stages[1].k
 
+    def test_strict_density_one(self):
+        # S+(1, P) is the one canonical set whose base is not a member.
+        S = mk_finite_type(Fraction(1), P, True)
+        chain = realize(S)
+        assert chain.stages[0] == Stage(1, parse_scaled("(1/2)*P"))
+        assert equals_formal(spectrum_of_chain(chain), S)
+
     def test_segment(self):
         chain = realize(mk_segment(5))
         assert chain.stages == (Stage(5, ONE),)

@@ -215,3 +215,55 @@ def test_oversized_input_exits_2_quickly(argv):
     code, out, seconds = _run_bounded(argv)
     assert code == 2 and out.startswith("error: ") and "Traceback" not in out
     assert seconds < 1
+
+
+def test_unital_segment_factors_nothing():
+    # Deciding that [1..n] is unital needs no factors of n; listing its
+    # largest element in product form still does.
+    p, q = 1000000000000037, 1000000000000091
+    start = time.perf_counter()
+    assert cli.run(["alg", "unital", f"alg([1..{p * q}])"]) == (0, "true")
+    assert time.perf_counter() - start < 1
+
+
+_LONG = "1" * 5000  # past the interpreter's int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["num", "eval", f"2^{_LONG}"],
+        ["set", "member", f"[1..{_LONG}]", "2"],
+        ["set", "member", f"S({_LONG}/2, P)", "P"],
+        ["set", "member", "S(3/2,P)", f"({_LONG}/1)*P"],
+        ["alg", "corner", "alg([1..4])", f"1/{_LONG}"],
+        ["alg", "realize", "S(3/2,P)", "--chain", f"2,{_LONG}"],
+    ],
+    ids=["exponent", "segment", "density", "scale-prefix", "rank", "chain"],
+)
+def test_overlong_integer_literal_is_a_parse_error(argv):
+    code, out = cli.run(argv)
+    assert code == 2 and "(at position" in out and "Exceeds the limit" not in out
+
+
+@pytest.mark.parametrize(
+    "arg,chain", [("S+(1,P)", []), ("S+(1,2^0*P)", ["--chain", "3,15"])], ids=["default-chain", "explicit-chain"]
+)
+def test_realize_strict_density_one(arg, chain):
+    code, chain_json = cli.run(["alg", "realize", arg, *chain])
+    assert code == 0
+    code, spectrum = cli.run(["alg", "spectrum", chain_json])
+    assert code == 0
+    assert cli.run(["set", "eq", spectrum, arg]) == (0, "true")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["S+(1,2^0*P)"], "error: stage size must be positive, got 0"),
+        (["S(3/2,P)", "--chain", "0,3"], "error: cannot factor non-positive integer 0"),
+    ],
+    ids=["zero-first-stage", "zero-divisor"],
+)
+def test_realize_degenerate_chain_exits_2(argv, expected):
+    assert cli.run(["alg", "realize", *argv]) == (2, expected)

@@ -153,3 +153,13 @@ def test_scale_density_order_preserving(r, q):
 def test_cmp_transitive(a, b, c):
     if cmp_density(a, b) <= 0 and cmp_density(b, c) <= 0:
         assert cmp_density(a, c) <= 0
+
+
+operands = st.one_of(st.integers(min_value=-20, max_value=60), rationals, surds)
+
+
+@given(surds, operands)
+def test_surd_operators_agree_with_cmp_density(s, other):
+    c = cmp_density(s, other)
+    assert (s < other, s <= other, s > other, s >= other, s == other) == (c < 0, c <= 0, c > 0, c >= 0, c == 0)
+    assert (other < s, other <= s, other > s, other >= s, other == s) == (c > 0, c >= 0, c < 0, c <= 0, c == 0)
