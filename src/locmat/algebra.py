@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -41,6 +42,7 @@ from .steinitz import (
     ParseError,
     SteinitzNumber,
     _is_prime,
+    _parse_int,
     canonical_ratio,
     divide_by,
     mul_natural,
@@ -163,13 +165,24 @@ class Stage:
         return mul_natural(self.s, self.k)
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+#: A JSON string or number token, so that a number inside a string never matches.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
 def _json_field(obj: dict, key: str, kind: type):
     # Exact type match: JSON true is a Python int and 1.5 would truncate.
     value = obj[key]
     if type(value) is not kind:
-        expected = "an integer" if kind is int else "a string"
-        raise ParseError(f"chain field {key!r} must be {expected}, got {value!r}")
+        raise ParseError(f"chain field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _json_stage(e, i: int) -> dict:
+    if type(e) is not dict:
+        raise ParseError(f"chain stage {i} must be an object, got {e!r}")
+    return e
 
 
 @dataclass(frozen=True)
@@ -224,15 +237,16 @@ class ChainPresentation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChainPresentation":
+        if type(d) is not dict:
+            raise ParseError(f"chain JSON must be an object, got {d!r}")
         try:
-            stages = tuple(
-                Stage(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in d["stages"]
-            )
-            quotients = tuple(_json_field(e, "q", int) for e in d["stages"][:-1])
+            entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
+            stages = tuple(Stage(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries)
+            quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
             tail_d = d.get("tail")
             if tail_d is None:
                 tail = None
-            elif tail_d["kind"] == "unbounded":
+            elif _json_field(d, "tail", dict)["kind"] == "unbounded":
                 tail = TailRule.unbounded()
             else:
                 tail = TailRule(tail_d["kind"], parse_density(_json_field(tail_d, "r", str)))
@@ -247,8 +261,16 @@ class ChainPresentation:
 
     @classmethod
     def from_json(cls, text: str) -> "ChainPresentation":
+        def parse_int(literal: str) -> int:
+            # Only a literal that int() refuses (past the interpreter's
+            # int-string limit) is looked up, for the offset of its error.
+            try:
+                return int(literal)
+            except ValueError:
+                return _parse_int(literal, next(m.start() for m in _JSON_TOKEN.finditer(text) if m[0] == literal))
+
         try:
-            d = json.loads(text)
+            d = json.loads(text, parse_int=parse_int)
         except json.JSONDecodeError as e:
             raise ParseError(f"malformed chain JSON: {e.msg}", e.pos) from e
         return cls.from_json_dict(d)

@@ -121,7 +121,7 @@ def _dispatch(args) -> tuple[object, int]:
             arg = args.arg.strip()
             S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
             chain = None
-            if args.chain:
+            if args.chain is not None:
                 pieces = args.chain.split(",")
                 starts = accumulate((len(x) + 1 for x in pieces), initial=0)
                 chain = [_parse_int(x, pos) for x, pos in zip(pieces, starts)]

@@ -238,6 +238,8 @@ def saturation_fuzz(S, trials: int = 1000, seed: int = 0) -> Report:
     ``S`` may also be a literal member collection; those get the axiom check
     only (there is no closed form to cross-check).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     report = Report()
     is_canonical = isinstance(S, SaturatedSet)
     label = format_set(S) if is_canonical else f"literal:{len(list(S))}-members"

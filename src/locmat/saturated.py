@@ -38,6 +38,7 @@ from .steinitz import (
     ParseError,
     SteinitzNumber,
     _parse_int,
+    _ratio_pair,
     canonical_ratio,
     divide_by,
     enumerate_omega,
@@ -139,16 +140,22 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
     return FiniteType(r, s, strict)
 
 
-def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> Fraction | None:
-    """The canonical q with t = q*base when t is a member of S, else None.
+def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> tuple[int, int] | None:
+    """(qn, qd), not reduced, with t = (qn/qd)*base when t is a member of S,
+    else None.  A rational bound is decided by integer cross-multiplication.
 
     The reduced denominator of q always divides the base: the exponents of
     t are nonnegative, so no Omega check is needed.
     """
-    q = ratio_if_connected(S.base, t)
-    if q is None:
-        return None
-    c = cmp_density(q, S.r)  # a <= r*b  iff  a/b <= r
+    q = _ratio_pair(S.base, t)
+    r = S.r
+    if q is None or r is INFINITY:
+        return q
+    qn, qd = q
+    if type(r) is Fraction:
+        c = qn * r.denominator - r.numerator * qd  # the sign of q - r, as qd > 0
+    else:
+        c = cmp_density(Fraction(qn, qd), r)  # a <= r*b  iff  a/b <= r
     return q if c < 0 or (c == 0 and not S.strict) else None
 
 
@@ -162,7 +169,8 @@ def _rebased(S: SaturatedSet, t: SteinitzNumber) -> Density:
     q = _member_ratio(S, t)
     if q is None:
         raise ValueError(f"{t} is not a member of {format_set(S)}")
-    return scale_density(S.r, 1 / q)
+    qn, qd = q
+    return scale_density(S.r, Fraction(qd, qn))
 
 
 def rebase(S: SaturatedSet, t: SteinitzNumber) -> tuple[Density, bool]:

@@ -1,12 +1,20 @@
 """Exact arithmetic of Steinitz (supernatural) numbers.
 
 A Steinitz number is a formal product over all primes p of p^e(p) with
-exponents in {0, 1, 2, ...} or infinity.  Values here use the cofinite
-presentation: a *default* exponent shared by every prime not listed, plus a
-finite map of exceptional primes.  That class is closed under every
-operation this package needs (lcm, finite multiplication/division, rational
-scaling) and covers shapes like the product of all primes (default 1) or a
-single p^inf.
+exponents in {0, 1, 2, ...} or infinity.  Values here are cofinite: a
+*default* exponent shared by all but finitely many primes.  That class is
+closed under every operation this package needs (lcm, finite
+multiplication/division, rational scaling) and covers shapes like the
+product of all primes (default 1) or a single p^inf.
+
+A value is stored as its connectivity class plus a rational offset (see
+:class:`SteinitzNumber`), because every question the saturated sets ask is
+asked inside one class: two numbers are rationally connected iff their
+classes are equal, and then their ratio is the quotient of the offsets.
+Multiplying by a natural, dividing by one against a default of 0 or INF,
+ratios and connectivity therefore factor nothing.  Factoring is left to the
+``exceptions`` view (and ``str``, which reads it), to Omega membership and
+division against a default of 1 or more, and to ``lcm`` and ``divides``.
 
 All values are immutable; all operations are pure functions.
 """
@@ -15,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -207,6 +214,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+#: factorize without its cache, for the exceptions view of a SteinitzNumber:
+#: each instance keeps its own result, and the offsets that arithmetic makes
+#: rarely repeat, so caching them globally only grows the cache.
+_factorize_once = factorize.__wrapped__
+
+
 def _check_exponent(e: Exponent) -> Exponent:
     if e is INF or e == INF:
         return INF
@@ -215,25 +228,83 @@ def _check_exponent(e: Exponent) -> Exponent:
     raise ValueError(f"exponent must be a nonnegative integer or INF, got {e!r}")
 
 
-@dataclass(frozen=True)
-class SteinitzNumber:
-    """A Steinitz number in minimal cofinite presentation.
+def _split(n: int, radical: int) -> tuple[int, int]:
+    """(a, b) with n = a*b, where a has only prime factors of radical and b
+    is coprime to it: one gcd per distinct exponent level, no factoring."""
+    a = 1
+    g = math.gcd(n, radical)
+    while g > 1:
+        n //= g
+        a *= g
+        g = math.gcd(n, g)
+    return a, n
 
-    ``default`` is the exponent of every prime not listed in ``exceptions``,
-    given as (p, e) pairs or a dict in any order and stored sorted by prime,
-    without entries equal to the default, so instances compare and hash equal
-    iff they denote the same number.  Only :meth:`of` checks keys and exponents.
+
+def _vp(n: int, p: int) -> int:
+    """The exponent of the prime p in the positive integer n."""
+    if p < 2:
+        raise ValueError(f"{p} is not a prime")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+#: Size limit of an offset built from exponents, in bits.  A value whose
+#: listed exponents lie far from its default, such as 2^0 against P^(10^12),
+#: would need an int of that many bits, so the constructor refuses it.
+#: Parsed literals stay far below it (see ``_LITERAL_BITS``).
+_OFFSET_BITS = 1 << 20
+
+
+class SteinitzNumber:
+    """A Steinitz number as its connectivity class plus a rational offset.
+
+    The core ``(default, primes)`` is the class of the number under rational
+    connectivity (s1 and s2 are connected iff s2 = q*s1 for a positive
+    rational q, iff their cores are equal).  For a finite default d,
+    ``primes`` are the primes with infinite exponent, and the number is
+    P^d * prod(p^inf for p in primes) * m.  For the default INF, ``primes``
+    are the finitely many primes with a finite exponent, and the number is
+    P^inf * m with m supported on them.  The offset m = num/den is kept as
+    two coprime ints, free of the primes that INF absorbs, so instances
+    compare and hash equal iff they denote the same number.
+
+    ``SteinitzNumber(default, exceptions)`` builds a value from the cofinite
+    presentation: ``exceptions`` are (p, e) pairs or a dict, in any order,
+    possibly with entries equal to the default.  Only :meth:`of` checks keys
+    and exponents; both refuse an offset past ``_OFFSET_BITS``.
+    ``default``, ``exceptions`` (sorted, without default-valued entries) and
+    ``str`` are views of the pair; the exceptions view factorizes the offset
+    once and is cached.
     """
 
-    default: Exponent
-    exceptions: tuple[tuple[int, Exponent], ...]
+    __slots__ = ("_core", "_radical", "_num", "_den", "_exc")  # _exc fills on first use
 
-    def __post_init__(self):
-        exc = dict(self.exceptions)
-        if len(exc) != len(self.exceptions):
-            raise ValueError(f"duplicate prime in exceptions {self.exceptions!r}")
-        d = self.default
-        object.__setattr__(self, "exceptions", tuple(sorted((p, e) for p, e in exc.items() if e != d)))
+    def __init__(self, default: Exponent, exceptions: dict[int, Exponent] | tuple[tuple[int, Exponent], ...]):
+        exc = dict(exceptions)
+        if len(exc) != len(exceptions):
+            raise ValueError(f"duplicate prime in exceptions {exceptions!r}")
+        view = tuple(sorted((p, e) for p, e in exc.items() if e != default))
+        # The core lists the primes whose exponent is finite exactly when the
+        # default is not; the offset is taken from P^default, or from P^0 at INF.
+        primes = tuple(p for p, e in view if (e == INF) != (default == INF))
+        base = 0 if default == INF else default
+        bits = sum(abs(e - base) * p.bit_length() for p, e in view if e != INF)
+        if bits > _OFFSET_BITS:
+            raise ValueError(f"offset of about {bits} bits from P^{default} exceeds {_OFFSET_BITS} bits")
+        num = den = 1
+        for p, e in view:
+            if e == INF:
+                continue
+            if e > base:
+                num *= p ** (e - base)
+            else:
+                den *= p ** (base - e)
+        self._core, self._radical = (default, primes), math.prod(primes)
+        self._num, self._den = num, den
+        self._exc = view
 
     @classmethod
     def of(cls, default: Exponent = 0, exceptions: dict[int, Exponent] | None = None) -> "SteinitzNumber":
@@ -247,20 +318,42 @@ class SteinitzNumber:
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":
         """The natural number n viewed as a Steinitz number."""
-        return cls(0, factorize(n))
+        if n < 1:
+            raise ValueError(f"cannot factor non-positive integer {n}")
+        return _coset(ONE, n, 1)
+
+    @property
+    def default(self) -> Exponent:
+        return self._core[0]
+
+    @property
+    def exceptions(self) -> tuple[tuple[int, Exponent], ...]:
+        try:
+            return self._exc
+        except AttributeError:
+            pass
+        d, primes = self._core
+        if d == INF:
+            self._exc = tuple((p, _vp(self._num, p)) for p in primes)
+        else:
+            exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
+            exc.update((p, d + e) for p, e in _factorize_once(self._num))
+            exc.update((p, d - e) for p, e in _factorize_once(self._den))
+            self._exc = tuple(sorted(exc.items()))
+        return self._exc
 
     def valuation(self, p: int) -> Exponent:
-        """Exponent of the prime p (exception value if listed, else default)."""
-        for q, e in self.exceptions:
-            if q == p:
-                return e
-            if q > p:
-                break
-        return self.default
+        """Exponent of the prime p."""
+        d, primes = self._core
+        if d == INF:
+            return _vp(self._num, p) if p in primes else INF
+        if p in primes:
+            return INF
+        return d + _vp(self._num, p) - _vp(self._den, p)
 
     @property
     def is_natural(self) -> bool:
-        return self.default == 0 and all(e != INF for _, e in self.exceptions)
+        return self._core == (0, ())
 
     @property
     def is_infinite(self) -> bool:
@@ -268,16 +361,22 @@ class SteinitzNumber:
 
     @property
     def is_infinity_free(self) -> bool:
-        return self.default != INF and all(e != INF for _, e in self.exceptions)
+        d, primes = self._core
+        return d != INF and not primes
 
     def as_int(self) -> int:
         """The value as a Python int; only defined for natural numbers."""
         if not self.is_natural:
             raise ValueError(f"{self} is not a natural number")
-        n = 1
-        for p, e in self.exceptions:
-            n *= p ** e
-        return n
+        return self._num
+
+    def __eq__(self, other):
+        if not isinstance(other, SteinitzNumber):
+            return NotImplemented
+        return self._core == other._core and self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._core, self._num, self._den))
 
     def __str__(self) -> str:
         terms = []
@@ -288,16 +387,26 @@ class SteinitzNumber:
                 terms.append(f"{p}^inf")
             else:
                 terms.append(f"{p}^{e}")
-        if self.default == 1:
+        d = self.default
+        if d == 1:
             terms.append("P")
-        elif self.default == INF:
+        elif d == INF:
             terms.append("P^inf")
-        elif self.default != 0:
-            terms.append(f"P^{self.default}")
+        elif d != 0:
+            terms.append(f"P^{d}")
         return "*".join(terms) if terms else "1"
 
     def __repr__(self) -> str:
         return f'SteinitzNumber("{self}")'
+
+
+def _coset(like: SteinitzNumber, num: int, den: int) -> SteinitzNumber:
+    """The number with the core of ``like`` and the offset num/den, which
+    must be coprime and free of the primes the core absorbs."""
+    s = object.__new__(SteinitzNumber)
+    s._core, s._radical = like._core, like._radical
+    s._num, s._den = num, den
+    return s
 
 
 ONE = SteinitzNumber.of(0, {})
@@ -389,15 +498,33 @@ def parse_scaled(text: str) -> SteinitzNumber:
     return scale(parse(m.group(3)), Fraction(u, v))
 
 
+def _quotient(s: SteinitzNumber, n: int) -> tuple[int, int] | None:
+    """The offset (num, den) of s/n, or None when n is not in Omega(s).
+
+    n's part on the primes the core absorbs drops out.  A finite default d
+    admits n exactly when no prime ends up with more than d in the
+    denominator, so only d >= 1 factors the new part of it."""
+    d = s._core[0]
+    on, off = _split(n, s._radical)
+    if d == INF:
+        return (s._num // on, 1) if s._num % on == 0 else None
+    g = math.gcd(s._num, off)
+    k = off // g
+    den = s._den * k
+    if k > 1 and (d == 0 or any(_vp(den, p) > d for p, _ in factorize(k))):
+        return None
+    return s._num // g, den
+
+
 def omega_contains(s: SteinitzNumber, n: int) -> bool:
     """True iff the natural number n divides s (n is in Omega(s))."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return all(e <= s.valuation(p) for p, e in factorize(n))
+    return _quotient(s, n) is not None
 
 
 def _aligned(s1: SteinitzNumber, s2: SteinitzNumber):
-    """(p, e1, e2) for each prime listed in either operand, in no order."""
+    """(p, e1, e2) for each prime listed in either exceptions view, in no order."""
     d1, d2 = dict(s1.exceptions), dict(s2.exceptions)
     for p in d1.keys() | d2.keys():
         yield p, d1.get(p, s1.default), d2.get(p, s2.default)
@@ -408,29 +535,26 @@ def divides(s1: SteinitzNumber, s2: SteinitzNumber) -> bool:
     return s1.default <= s2.default and all(e1 <= e2 for _, e1, e2 in _aligned(s1, s2))
 
 
-def _shift(s: SteinitzNumber, n: int, sign: int) -> SteinitzNumber:
-    # s * n**sign exponentwise; INF absorbs, and below 0 n is not in Omega(s).
-    exc = dict(s.exceptions)
-    for p, e in factorize(n):
-        e = exc.get(p, s.default) + sign * e
-        if e < 0:
-            raise ValueError(f"{n} is not in Omega({s})")
-        exc[p] = e
-    return SteinitzNumber(s.default, exc)
-
-
 def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
     """Multiply by a natural number (exponentwise add; INF absorbs)."""
     if n < 1:
         raise ValueError(f"multiplier must be positive, got {n}")
-    if n == 1:
+    on, off = _split(n, s._radical)
+    k = on if s._core[0] == INF else off
+    if k == 1:
         return s
-    return _shift(s, n, 1)
+    g = math.gcd(k, s._den)
+    return _coset(s, s._num * (k // g), s._den // g)
 
 
 def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
     """Divide by b in Omega(s) (exponentwise subtract; INF absorbs)."""
-    return _shift(s, b, -1)
+    if b < 1:
+        raise ValueError(f"cannot factor non-positive integer {b}")
+    m = _quotient(s, b)
+    if m is None:
+        raise ValueError(f"{b} is not in Omega({s})")
+    return _coset(s, *m)
 
 
 def scale(s: SteinitzNumber, q: Fraction | int) -> SteinitzNumber:
@@ -453,27 +577,24 @@ def finitely_divides(s1: SteinitzNumber, s2: SteinitzNumber) -> int | None:
     return q.denominator if q is not None and q.numerator == 1 else None
 
 
+def _ratio_pair(s1: SteinitzNumber, s2: SteinitzNumber) -> tuple[int, int] | None:
+    """(n, d) with s2 = (n/d)*s1, not reduced, or None when not rationally
+    connected: one core comparison, then the quotient of the offsets."""
+    if s1._core != s2._core:
+        return None
+    return s2._num * s1._den, s2._den * s1._num
+
+
 def ratio_if_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction | None:
     """The canonical ratio q with s2 = q*s1, or None when not rationally
-    connected.  One sweep over the primes listed in either operand."""
-    if s1.default != s2.default:
-        return None
-    num = den = 1
-    for p, e1, e2 in _aligned(s1, s2):
-        if e1 == INF or e2 == INF:
-            if e1 != e2:
-                return None
-            continue
-        if e2 > e1:
-            num *= p ** (e2 - e1)
-        elif e1 > e2:
-            den *= p ** (e1 - e2)
-    return Fraction(num, den)
+    connected."""
+    q = _ratio_pair(s1, s2)
+    return None if q is None else Fraction(*q)
 
 
 def rationally_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> bool:
     """True iff s2 = q*s1 for some positive rational q."""
-    return ratio_if_connected(s1, s2) is not None
+    return _ratio_pair(s1, s2) is not None
 
 
 def canonical_ratio(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction:

@@ -1,5 +1,6 @@
 """Algebra descriptors, decision procedures, and chain realization."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,35 @@ class TestChainJson:
         obj[key] = value
         with pytest.raises(ParseError, match=repr(key)):
             ChainPresentation.from_json_dict(d)
+
+    def test_overlong_integer_has_a_position(self):
+        text = '{"stages":[{"k":' + "1" * 5000 + ',"s":"P","q":null}],"tail":null}'
+        with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as e:
+            ChainPresentation.from_json(text)
+        assert e.value.pos == text.index("1")
+
+    def test_overlong_integer_position_skips_strings(self):
+        # The same digits inside an earlier string are not the literal.
+        digits = "7" * 4400
+        text = '{"note":"' + digits + '","stages":[{"k":' + digits + ',"s":"P","q":null}],"tail":null}'
+        with pytest.raises(ParseError) as e:
+            ChainPresentation.from_json(text)
+        assert e.value.pos == text.index(digits, text.index("k"))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"stages":"ab","tail":null}', "chain field 'stages' must be a list, got 'ab'"),
+            ('{"stages":{"k":1},"tail":null}', "chain field 'stages' must be a list"),
+            ('{"stages":[{"k":1,"s":"P","q":null}],"tail":"x"}', "chain field 'tail' must be an object, got 'x'"),
+            ('{"stages":[{"k":1,"s":"P","q":null}],"tail":[]}', "chain field 'tail' must be an object"),
+            ('{"stages":["ab"],"tail":null}', "chain stage 0 must be an object, got 'ab'"),
+            ("[1, 2]", "chain JSON must be an object"),
+        ],
+    )
+    def test_wrong_shape_names_the_field(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            ChainPresentation.from_json(text)
 
 
 class TestMatchCorner:

@@ -20,6 +20,8 @@ GOLDEN = [
     (["num", "eval", "(1/2)*P^1"], 0, "2^0*P"),
     (["set", "member", "S(3/2, P^1)", "(1/2)*P^1"], 0, "true"),
     (["set", "member", "S(3/2, P)", "(2/1)*P"], 1, "false"),
+    # pq*P, p and q the first primes above 10^15: decided without their factors.
+    (["set", "member", "S(3/2,P)", "(1000000000000128000000000003367/1)*P"], 1, "false"),
     (["set", "rsub", "S(3/2,P^1)", "P^1", "3"], 0, "4"),
     (["set", "rsub", "S+(3/2,P)", "P", "2"], 0, "2"),
     (["set", "rsub", "S(inf, 2^inf)", "2^inf", "4"], 0, "inf"),
@@ -159,9 +161,15 @@ def test_unfactorable_size_exits_2_quickly():
     # about 3*10^7 steps, past the factorization budget.
     p, q = 1000000000000037, 1000000000000091
     start = time.perf_counter()
-    code, out = cli.run(["alg", "matover", "alg([1..2])", str(p * q)])
+    code, out = cli.run(["alg", "matover", "alg(S(1,P))", str(p * q)])
     assert time.perf_counter() - start < 2
     assert code == 2 and out == f"error: {p * q} is too large to factor"
+
+
+def test_matover_segment_factors_nothing():
+    # M_pq(M_2) is the segment [1..2pq], printed in decimal: no factors needed.
+    p, q = 1000000000000037, 1000000000000091
+    assert cli.run(["alg", "matover", "alg([1..2])", str(p * q)]) == (0, f"alg([1..{2 * p * q}])")
 
 
 @pytest.mark.parametrize("arg", ["S(inf, P)", "N", "[1..3]", "S(3/2, P)"])
@@ -217,6 +225,12 @@ def test_oversized_input_exits_2_quickly(argv):
     assert seconds < 1
 
 
+def test_huge_default_member_answers_quickly():
+    # Halving P^(10^12) subtracts from the exponent of 2; it never builds 2^(10^12).
+    code, out, seconds = _run_bounded(["set", "member", "S(1,P^1000000000000)", "(1/2)*P^1000000000000"])
+    assert (code, out) == (0, "true") and seconds < 1
+
+
 def test_unital_segment_factors_nothing():
     # Deciding that [1..n] is unital needs no factors of n; listing its
     # largest element in product form still does.
@@ -238,8 +252,9 @@ _LONG = "1" * 5000  # past the interpreter's int-string limit of 4300 digits
         ["set", "member", "S(3/2,P)", f"({_LONG}/1)*P"],
         ["alg", "corner", "alg([1..4])", f"1/{_LONG}"],
         ["alg", "realize", "S(3/2,P)", "--chain", f"2,{_LONG}"],
+        ["alg", "spectrum", '{"stages":[{"k":' + _LONG + ',"s":"P","q":null}],"tail":null}'],
     ],
-    ids=["exponent", "segment", "density", "scale-prefix", "rank", "chain"],
+    ids=["exponent", "segment", "density", "scale-prefix", "rank", "chain", "chain-json"],
 )
 def test_overlong_integer_literal_is_a_parse_error(argv):
     code, out = cli.run(argv)
@@ -267,3 +282,13 @@ def test_realize_strict_density_one(arg, chain):
 )
 def test_realize_degenerate_chain_exits_2(argv, expected):
     assert cli.run(["alg", "realize", *argv]) == (2, expected)
+
+
+@pytest.mark.parametrize("suite", ["saturation", "all"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_rejects_trials_below_one(suite, trials):
+    assert cli.run(["check", suite, "--trials", trials]) == (2, f"error: trials must be positive, got {trials}")
+
+
+def test_realize_rejects_empty_chain():
+    assert cli.run(["alg", "realize", "S(3/2,P)", "--chain", ""]) == (2, "error: malformed integer '' (at position 0)")

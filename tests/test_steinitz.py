@@ -456,3 +456,139 @@ class TestLiteralBudget:
         with pytest.raises(ParseError, match="size budget") as e:
             parse(f"2*{2**2100 + 1}^inf")
         assert e.value.pos == 2
+
+
+class TestHugeDefault:
+    # A bare P^e is weightless in the literal budget, so its e can be huge.
+    # The offset of a value is an int, so no operation may build p^e from it.
+    HUGE = 10**12
+
+    def test_divide_and_omega_test_exponents_not_powers(self):
+        s = parse(f"P^{self.HUGE}")
+        t = divide_by(s, 12)
+        assert (t.valuation(2), t.valuation(3), t.valuation(5)) == (self.HUGE - 2, self.HUGE - 1, self.HUGE)
+        assert scale(s, Fraction(1, 2)) == divide_by(s, 2)
+        assert omega_contains(s, 2**40 * 3**5)
+        assert enumerate_omega(s, 30) == list(range(1, 31))
+
+    def test_offset_past_limit_refused(self):
+        with pytest.raises(ValueError, match="offset"):
+            SteinitzNumber.of(self.HUGE, {2: 0})
+        with pytest.raises(ValueError, match="offset"):
+            SteinitzNumber(0, {3: self.HUGE})
+        with pytest.raises(ValueError, match="offset"):
+            lcm(parse("P^inf*2^0"), parse(f"P^{self.HUGE}"))
+
+
+# An independent model of the coset representation: a Steinitz number as a
+# default exponent and a dict of exceptional exponents over the primes below,
+# factored by trial division, with every operation walking that map.
+_MODEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_MODEL_DEFAULTS = st.sampled_from((0, 1, 2, INF))
+model_numbers = st.tuples(
+    _MODEL_DEFAULTS,
+    st.dictionaries(st.sampled_from(_MODEL_PRIMES[:5]), _EXPONENTS, max_size=4),
+)
+# Naturals over the model primes, 13 included: no test number lists it.
+model_naturals = st.lists(st.sampled_from(_MODEL_PRIMES), max_size=5).map(math.prod)
+
+
+def model_factor(n):
+    out = {}
+    for p in _MODEL_PRIMES:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    assert n == 1
+    return out
+
+
+def model_valuation(m, p):
+    d, exc = m
+    return exc.get(p, d)
+
+
+def model_canon(m):
+    d, exc = m
+    return d, tuple(sorted((p, e) for p, e in exc.items() if e != d))
+
+
+def model_shift(m, n, sign):
+    # m * n**sign, or None when an exponent would go negative.
+    d, exc = m
+    exc = dict(exc)
+    for p, e in model_factor(n).items():
+        v = model_valuation((d, exc), p) + sign * e
+        if v < 0:
+            return None
+        exc[p] = v
+    return d, exc
+
+
+def model_ratio(m1, m2):
+    if m1[0] != m2[0]:
+        return None
+    q = Fraction(1)
+    for p in set(m1[1]) | set(m2[1]):
+        a, b = model_valuation(m1, p), model_valuation(m2, p)
+        if (a == INF) != (b == INF):
+            return None
+        if a != INF:
+            q *= Fraction(p) ** (b - a)
+    return q
+
+
+def model_lcm(m1, m2):
+    primes = set(m1[1]) | set(m2[1])
+    return max(m1[0], m2[0]), {p: max(model_valuation(m1, p), model_valuation(m2, p)) for p in primes}
+
+
+def model_str(m):
+    d, exc = model_canon(m)
+    terms = [str(p) if e == 1 else f"{p}^inf" if e == INF else f"{p}^{e}" for p, e in exc]
+    if d != 0:
+        terms.append("P" if d == 1 else "P^inf" if d == INF else f"P^{d}")
+    return "*".join(terms) or "1"
+
+
+def model_steps(s, m, steps):
+    # Apply mul_natural/divide_by steps to the number and to its model.
+    for grow, n in steps:
+        after = model_shift(m, n, 1 if grow else -1)
+        if after is None:
+            with pytest.raises(ValueError, match="is not in Omega"):
+                divide_by(s, n)
+            continue
+        s, m = (mul_natural(s, n) if grow else divide_by(s, n)), after
+    return s, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model_numbers,
+    model_numbers,
+    st.lists(st.tuples(st.booleans(), model_naturals), max_size=4),
+    model_naturals,
+    model_naturals,
+)
+def test_coset_representation_matches_exponent_walk(m1, m2, steps, n, k):
+    s1, m1 = model_steps(SteinitzNumber.of(*m1), m1, steps)
+    s2 = SteinitzNumber.of(*m2)
+    if s1.default == s2.default and s1.valuation(2) != INF:
+        # Also a number connected to s1: same core, other finite exponents.
+        s2, m2 = model_steps(s1, m1, [(True, n), (False, k)])
+    assert (s1.default, s1.exceptions) == model_canon(m1)
+    assert str(s1) == model_str(m1) and parse(str(s1)) == s1
+    rebuilt = SteinitzNumber(*model_canon(m1))
+    assert rebuilt == s1 and hash(rebuilt) == hash(s1)
+    assert (s1 == s2) == (model_canon(m1) == model_canon(m2))
+    assert [s1.valuation(p) for p in _MODEL_PRIMES + (17,)] == [model_valuation(m1, p) for p in _MODEL_PRIMES + (17,)]
+    assert mul_natural(s1, n) == SteinitzNumber(*model_shift(m1, n, 1))
+    assert omega_contains(s1, n) == (model_shift(m1, n, -1) is not None)
+    if model_shift(m1, k, -1) is not None:
+        assert divide_by(s1, k) == SteinitzNumber(*model_shift(m1, k, -1))
+        assert scale(s1, Fraction(n, k)) == SteinitzNumber(*model_shift(model_shift(m1, k, -1), n, 1))
+    assert ratio_if_connected(s1, s2) == model_ratio(m1, m2)
+    assert ratio_if_connected(s2, s1) == model_ratio(m2, m1)
+    assert lcm(s1, s2) == SteinitzNumber(*model_lcm(m1, m2))
+    assert (lcm(s1, s2).default, lcm(s1, s2).exceptions) == model_canon(model_lcm(m1, m2))
