@@ -19,14 +19,13 @@ from itertools import count
 
 from .density import INFINITY, format_density, parse_density, scale_density
 from .saturated import (
-    Inclusion,
     InfType,
     SaturatedSet,
     Segment,
     TailRule,
     _floor_count,
     _has_max,
-    compare_inclusion,
+    _included,
     contains,
     equals_formal,
     format_set,
@@ -48,7 +47,7 @@ from .steinitz import (
     mul_natural,
     omega_contains,
     parse as parse_steinitz,
-    rationally_connected,
+    ratio_if_connected,
     scale,
 )
 
@@ -137,8 +136,9 @@ def corner(A: AlgebraDescriptor, q: Fraction) -> AlgebraDescriptor:
 
 def is_unital(A: AlgebraDescriptor) -> bool:
     """Unital iff the spectrum has a largest element (segment, or closed
-    rational bound attained at the base)."""
-    return _has_max(A.spectrum)
+    rational bound attained at the base), or normalization collapsed the
+    spectrum of a unital algebra: the two facts ``st`` reads."""
+    return A.collapsed or _has_max(A.spectrum)
 
 
 def isomorphic(A: AlgebraDescriptor, B: AlgebraDescriptor) -> bool:
@@ -149,7 +149,7 @@ def isomorphic(A: AlgebraDescriptor, B: AlgebraDescriptor) -> bool:
 def embeds_as_approximative_corner(B: AlgebraDescriptor, A: AlgebraDescriptor) -> bool:
     """B embeds in A as a union of an increasing chain of corners iff
     Spec(B) is contained in Spec(A)."""
-    return compare_inclusion(B.spectrum, A.spectrum) in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT)
+    return _included(B.spectrum, A.spectrum)
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,6 @@ class ChainPresentation:
                 raise ValueError(f"stage {i}: {a.s} != {q} * {b.s}")
             if a.k * q > b.k:
                 raise ValueError(f"stage {i}: corner inequality {a.k}*{q} <= {b.k} fails")
-        if self.tail is not None and self.tail.kind in ("attained", "approached") and self.tail.r is None:
-            raise ValueError("density tail needs a density")
 
     def stage_numbers(self) -> list[SteinitzNumber]:
         return [st.number for st in self.stages]
@@ -273,6 +271,8 @@ class ChainPresentation:
             d = json.loads(text, parse_int=parse_int)
         except json.JSONDecodeError as e:
             raise ParseError(f"malformed chain JSON: {e.msg}", e.pos) from e
+        except RecursionError:
+            raise ParseError("chain JSON nests too deeply") from None
         return cls.from_json_dict(d)
 
 
@@ -379,9 +379,8 @@ def match_corner(
     ``target`` inside A; None when the preconditions fail."""
     if not contains(A.spectrum, current) or not contains(A.spectrum, target):
         return None
-    if not rationally_connected(current, target):
-        return None
-    if canonical_ratio(current, target) <= 1:
+    q = ratio_if_connected(current, target)
+    if q is None or q <= 1:
         return None
     ref = A.st
     if ref is None:

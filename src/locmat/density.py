@@ -3,7 +3,9 @@
 Densities of saturated sets are rationals, numbers (x + y*sqrt(d))/z with d
 squarefree, or infinite.  Every comparison here is decided by integer
 arithmetic (sign analysis and math.isqrt), never by floating point, so the
-order predicates a <= r*b used in membership tests are exact.
+order predicates a <= r*b used in membership tests are exact.  The infinite
+density ``INFINITY`` is ``steinitz.INF``, the one infinity of the package,
+which also stands for an infinite prime exponent.
 """
 
 from __future__ import annotations
@@ -14,24 +16,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .steinitz import ParseError, _parse_int, factorize
+from .steinitz import INF, ParseError, _parse_int, factorize
 
-
-class InfiniteDensity:
-    """Singleton for the infinite density (infinite-type sets)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INFINITY = InfiniteDensity()
+#: The infinite density of the infinite-type sets.
+INFINITY = INF
 
 
 def _sign(n) -> int:
@@ -113,8 +101,8 @@ class Surd:
         return format_density(self)
 
 
-#: A density value: exact rational, exact quadratic surd, or infinity.
-Density = Fraction | Surd | InfiniteDensity
+#: A density value: exact rational, exact quadratic surd, or INFINITY.
+Density = Fraction | Surd | float
 
 
 def _parts(r: int | Fraction | Surd) -> tuple[int, int, int, int]:

@@ -43,13 +43,6 @@ class AboveBound:
     """Result of a brute-force maximum that hit its scan bound (the finite
     answer, if any, lies beyond; expected only for infinite type)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "AboveBound"
 
@@ -84,6 +77,11 @@ class Report:
 
     def add(self, ok: bool, name: str, witness: str = "") -> None:
         self.results.append(CheckResult(ok, name, witness))
+
+    def extend(self, prefix: str, other: "Report") -> None:
+        """Append the results of ``other``, each name prefixed."""
+        for r in other.results:
+            self.add(r.ok, prefix + r.name, r.witness)
 
     @property
     def passed(self) -> bool:
@@ -182,26 +180,20 @@ def check_inequality_suite(
             cache[b] = v
         return cache[b]
 
-    fails = {1: None, 2: None, 3: None, 4: None}
+    fails: dict[str, str] = {}  # the first failure witness of each check, by name
     for b, c in pairs:
         rb, rc = brute(b), brute(c)
         if not Fraction(rb, b) <= Fraction(rc, c):
-            fails[1] = fails[1] or f"b={b} c={c} r(b)={rb} r(c)={rc}"
+            fails.setdefault("eq1-monotone-ratio", f"b={b} c={c} r(b)={rb} r(c)={rc}")
         floored = rc // (c // b)
         if not floored <= rb:
-            fails[2] = fails[2] or f"b={b} c={c} floor={floored} r(b)={rb}"
+            fails.setdefault("eq2-floor-lower", f"b={b} c={c} floor={floored} r(b)={rb}")
         if floored != rb:
-            fails[3] = fails[3] or f"b={b} c={c} floor={floored} r(b)={rb}"
+            fails.setdefault("eq3-floor-recurrence", f"b={b} c={c} floor={floored} r(b)={rb}")
         if not Fraction(rc, c) < Fraction(rb, b) + Fraction(1, b):
-            fails[4] = fails[4] or f"b={b} c={c} r(b)={rb} r(c)={rc}"
-    names = {
-        1: "eq1-monotone-ratio",
-        2: "eq2-floor-lower",
-        3: "eq3-floor-recurrence",
-        4: "eq4-strict-upper",
-    }
-    for k in (1, 2, 3, 4):
-        report.add(fails[k] is None, f"{names[k]}[{format_set(S)}]", fails[k] or f"{len(pairs)} pairs")
+            fails.setdefault("eq4-strict-upper", f"b={b} c={c} r(b)={rb} r(c)={rc}")
+    for name in ("eq1-monotone-ratio", "eq2-floor-lower", "eq3-floor-recurrence", "eq4-strict-upper"):
+        report.add(name not in fails, f"{name}[{format_set(S)}]", fails.get(name, f"{len(pairs)} pairs"))
     return report
 
 

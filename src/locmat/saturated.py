@@ -39,7 +39,6 @@ from .steinitz import (
     SteinitzNumber,
     _parse_int,
     _ratio_pair,
-    canonical_ratio,
     divide_by,
     enumerate_omega,
     finitely_divides,
@@ -188,7 +187,7 @@ def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
     return rebase(S, t)[0]
 
 
-def _floor_count(r: Density, strict: bool, b: int) -> int | type(INFINITY):
+def _floor_count(r: Density, strict: bool, b: int) -> int | float:
     """max { i : i/b <= r }, or i/b < r when strict: the floor dichotomy.
 
     floor(r*b) when r is irrational or its reduced denominator does not
@@ -201,7 +200,7 @@ def _floor_count(r: Density, strict: bool, b: int) -> int | type(INFINITY):
     return k - 1 if strict and times_is_integer(r, b) else k
 
 
-def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | type(INFINITY):
+def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
     """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form: the floor
     dichotomy at the density r rebased to the member t.  Segments
     [1..n] = S(n, 1) and N = S(inf, 1) included."""
@@ -246,6 +245,11 @@ def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     return Inclusion.LEFT_IN_RIGHT if S1.strict else Inclusion.RIGHT_IN_LEFT
 
 
+def _included(S1: SaturatedSet, S2: SaturatedSet) -> bool:
+    """S1 is a subset of S2: the EQUAL or LEFT_IN_RIGHT verdict."""
+    return compare_inclusion(S1, S2) in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT)
+
+
 def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
     """Descriptor-level equality after normalization: the EQUAL verdict of
     :func:`compare_inclusion`, which needs rationally connected bases, equal
@@ -279,11 +283,14 @@ class TailRule:
 
 
 def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> SaturatedSet:
-    """Union of an ascending chain given a finite prefix and a declared tail."""
+    """Union of an ascending chain given a finite prefix and a declared tail.
+
+    Under a density tail no prefix set may be of infinite type, and each
+    must lie in the raw limit the tail declares."""
     if not prefix:
         raise ValueError("empty chain prefix")
     for a, b in zip(prefix, prefix[1:]):
-        if compare_inclusion(a, b) not in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT):
+        if not _included(a, b):
             raise ValueError(f"chain prefix is not ascending at {format_set(a)} vs {format_set(b)}")
     if tail is None:
         return prefix[-1]
@@ -292,18 +299,17 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
         return mk_inf_type(base)
     if tail.kind not in ("attained", "approached"):
         raise ValueError(f"unknown tail kind {tail.kind!r}")
+    if tail.r is None:
+        raise ValueError("a density tail needs a density")
     if base.is_natural:
         raise ValueError("a density tail needs a chain of based sets")
+    if any(S.r is INFINITY for S in prefix):
+        raise ValueError("a density tail is inconsistent with an infinite-type prefix")
+    limit = FiniteType(tail.r, base, tail.kind == "approached")
     for S in prefix:
-        if S.r is INFINITY:
-            raise ValueError("a density tail is inconsistent with an infinite-type prefix")
-        d_here = scale_density(S.r, 1 / canonical_ratio(S.base, base))
-        c = cmp_density(tail.r, d_here)
-        if c < 0 or (c == 0 and tail.kind == "approached" and not S.strict):
-            raise ValueError(
-                f"tail density {format_density(tail.r)} is below the prefix density {format_density(d_here)}"
-            )
-    return mk_finite_type(tail.r, base, strict=(tail.kind == "approached"))
+        if not _included(S, limit):
+            raise ValueError(f"prefix set {format_set(S)} is not inside the tail limit {format_set(limit)}")
+    return mk_finite_type(limit.r, base, limit.strict)
 
 
 _INF_CAP = 3  # sample_members takes a <= _INF_CAP*b + 1 on infinite types

@@ -5,7 +5,9 @@ exponents in {0, 1, 2, ...} or infinity.  Values here are cofinite: a
 *default* exponent shared by all but finitely many primes.  That class is
 closed under every operation this package needs (lcm, finite
 multiplication/division, rational scaling) and covers shapes like the
-product of all primes (default 1) or a single p^inf.
+product of all primes (default 1) or a single p^inf.  The infinite exponent
+``INF`` is also the infinite density, ``density.INFINITY``.  The constructor
+checks its keys and exponents; arithmetic, which keeps the invariant, skips it.
 
 A value is stored as its connectivity class plus a rational offset (see
 :class:`SteinitzNumber`), because every question the saturated sets ask is
@@ -69,6 +71,10 @@ _MR_BASES = (
     (3317044064679887385961981, _SMALL_PRIMES[:13]),
 )
 
+
+#: Size of the ``_is_prime`` and ``factorize`` caches.  A long-running
+#: process meets fresh naturals without end, so the caches are LRU-bounded.
+_CACHE_ENTRIES = 1 << 14
 
 #: Pollard-Brent step budget per composite cofactor.  Rho finds a prime
 #: factor p after a small multiple of sqrt(p) steps, so this splits off
@@ -137,7 +143,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _is_prime(n: int) -> bool:
     """Exact primality: trial division, then deterministic Miller-Rabin,
     then Baillie-PSW past the largest proven base set."""
@@ -186,7 +192,7 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError(f"no factor found for {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as sorted (p, e) pairs."""
     if n < 1:
@@ -273,8 +279,9 @@ class SteinitzNumber:
 
     ``SteinitzNumber(default, exceptions)`` builds a value from the cofinite
     presentation: ``exceptions`` are (p, e) pairs or a dict, in any order,
-    possibly with entries equal to the default.  Only :meth:`of` checks keys
-    and exponents; both refuse an offset past ``_OFFSET_BITS``.
+    possibly with entries equal to the default.  It checks that every key is
+    a prime and every exponent a nonnegative int or INF, and refuses an
+    offset past ``_OFFSET_BITS``.
     ``default``, ``exceptions`` (sorted, without default-valued entries) and
     ``str`` are views of the pair; the exceptions view factorizes the offset
     once and is cached.
@@ -286,6 +293,11 @@ class SteinitzNumber:
         exc = dict(exceptions)
         if len(exc) != len(exceptions):
             raise ValueError(f"duplicate prime in exceptions {exceptions!r}")
+        for p, e in exc.items():
+            if not (isinstance(p, int) and _is_prime(p)):
+                raise ValueError(f"exception key {p!r} is not a prime")
+            exc[p] = _check_exponent(e)
+        default = _check_exponent(default)
         view = tuple(sorted((p, e) for p, e in exc.items() if e != default))
         # The core lists the primes whose exponent is finite exactly when the
         # default is not; the offset is taken from P^default, or from P^0 at INF.
@@ -308,12 +320,7 @@ class SteinitzNumber:
 
     @classmethod
     def of(cls, default: Exponent = 0, exceptions: dict[int, Exponent] | None = None) -> "SteinitzNumber":
-        checked: dict[int, Exponent] = {}
-        for p, e in (exceptions or {}).items():
-            if not (isinstance(p, int) and _is_prime(p)):
-                raise ValueError(f"exception key {p!r} is not a prime")
-            checked[p] = _check_exponent(e)
-        return cls(_check_exponent(default), checked)
+        return cls(default, exceptions or {})
 
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":

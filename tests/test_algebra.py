@@ -115,6 +115,14 @@ class TestDecisions:
         assert not is_unital(AlgebraDescriptor(mk_finite_type(Fraction(3, 2), P, True)))
         assert not is_unital(AlgebraDescriptor(mk_inf_type(parse("2^inf"))))
 
+    def test_collapsed_unital_agrees_with_st(self):
+        # S(1, 2^inf) collapses to S(inf, 2^inf); the descriptor keeps st.
+        A = spec_unital(parse("2^inf"))
+        assert A.collapsed and A.st == parse("2^inf")
+        assert is_unital(A)
+        assert is_unital(matrix_over(A, 3))
+        assert not is_unital(m_infinity(A))
+
     def test_unital_matches_max_element_on_closed(self):
         assert is_unital(AlgebraDescriptor(mk_finite_type(Fraction(3, 2), P, False)))
         assert not is_unital(AlgebraDescriptor(mk_finite_type(SQRT2, P, False)))

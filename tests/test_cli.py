@@ -292,3 +292,25 @@ def test_check_rejects_trials_below_one(suite, trials):
 
 def test_realize_rejects_empty_chain():
     assert cli.run(["alg", "realize", "S(3/2,P)", "--chain", ""]) == (2, "error: malformed integer '' (at position 0)")
+
+
+def test_deeply_nested_chain_json_exits_2():
+    deep = '{"stages":' + "[" * 100000 + "]" * 100000 + "}"
+    code, out = cli.run(["alg", "spectrum", deep])
+    assert code == 2 and out.startswith("error: ")
+
+
+def test_check_inequalities_passes():
+    code, out = cli.run(["check", "inequalities", "--bound", "30"])
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == 53 and lines[-1] == "PASS total 52 checks"
+    assert all(line.startswith("PASS inequalities:") for line in lines[:-1])
+
+
+def test_check_all_passes():
+    code, out = cli.run(["check", "all", "--trials", "40", "--bound", "30"])
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "PASS total 103 checks"
+    groups = [line.split()[1].split(":")[0] for line in lines[:-1]]
+    assert groups == sorted(groups, key=["saturation", "inequalities", "roundtrip"].index)

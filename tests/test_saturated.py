@@ -1,6 +1,7 @@
 """Saturated sets: normalization, membership, trichotomy, closed forms."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -400,3 +401,79 @@ def test_natural_sets_match_integer_arithmetic(Sa, Sb, m, b):
         want = Inclusion.RIGHT_IN_LEFT
     assert compare_inclusion(Sa, Sb) is want
     assert compare_inclusion(Sa, S32) is Inclusion.DISJOINT
+
+
+# union_chain against the rule it has always applied to a density tail: each
+# prefix set's density, rebased to the base of the first set, must lie below
+# the declared density (or equal it, unless a closed set meets an approached
+# tail), and an infinite-type prefix admits no density tail.
+CHAIN_BASES = [P, parse("2^3*P"), HALF_P, parse("2^inf*3")]
+CHAIN_DENSITIES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3), SQRT2, SQRT5]
+
+
+@st.composite
+def chain_sets(draw):
+    shape = draw(st.sampled_from(["segment", "inf-type", "normalized", "raw", "normalized", "raw"]))
+    if shape == "segment":
+        return mk_segment(draw(st.integers(min_value=1, max_value=6)))
+    base = draw(st.sampled_from(CHAIN_BASES))
+    if shape == "inf-type":
+        return mk_inf_type(base)
+    make = mk_finite_type if shape == "normalized" else FiniteType
+    return make(draw(st.sampled_from(CHAIN_DENSITIES)), base, draw(st.booleans()))
+
+
+chain_tails = st.builds(
+    lambda kind, r: None if kind is None else TailRule(kind, r),
+    st.sampled_from([None, "attained", "approached", "attained", "approached", "unbounded", "spiral"]),
+    st.sampled_from(CHAIN_DENSITIES + [INFINITY]),
+)
+
+
+def _inclusion_order(a, b):
+    return {Inclusion.LEFT_IN_RIGHT: -1, Inclusion.RIGHT_IN_LEFT: 1}.get(compare_inclusion(a, b), 0)
+
+
+# Half the prefixes are sorted by inclusion, so that many chains ascend.
+_chain_lists = st.lists(chain_sets(), min_size=1, max_size=3)
+chain_prefixes = st.one_of(_chain_lists, _chain_lists.map(lambda xs: sorted(xs, key=cmp_to_key(_inclusion_order))))
+
+
+def union_by_rebased_densities(prefix, tail):
+    """The union the chain declares, or None when it is rejected."""
+    for a, b in zip(prefix, prefix[1:]):
+        if compare_inclusion(a, b) not in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT):
+            return None
+    if tail is None:
+        return prefix[-1]
+    base = prefix[0].base
+    if tail.kind == "unbounded":
+        return mk_inf_type(base)
+    if tail.kind not in ("attained", "approached") or base.is_natural:
+        return None
+    for S in prefix:
+        if S.r is INFINITY:
+            return None
+        here = scale_density(S.r, 1 / canonical_ratio(S.base, base))
+        c = cmp_density(tail.r, here)
+        if c < 0 or (c == 0 and tail.kind == "approached" and not S.strict):
+            return None
+    return mk_finite_type(tail.r, base, tail.kind == "approached")
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_prefixes, chain_tails)
+def test_union_chain_matches_rebased_density_rule(prefix, tail):
+    want = union_by_rebased_densities(prefix, tail)
+    if want is None:
+        with pytest.raises(ValueError):
+            union_chain(prefix, tail)
+    else:
+        assert union_chain(prefix, tail) == want
+
+
+@pytest.mark.parametrize("kind", ["attained", "approached"])
+@pytest.mark.parametrize("prefix", [[S1], [S1, S32], [mk_inf_type(P)]], ids=["one", "two", "inf-type"])
+def test_union_chain_density_tail_without_density(kind, prefix):
+    with pytest.raises(ValueError, match="density"):
+        union_chain(prefix, TailRule(kind))

@@ -304,6 +304,11 @@ def prime_sieve(bound: int) -> bytearray:
 
 
 class TestPrimeKernel:
+    def test_caches_are_bounded(self):
+        # A long-running process factors fresh naturals without end.
+        for f in (_is_prime, factorize):
+            assert f.cache_info().maxsize is not None
+
     def test_is_prime_matches_sieve(self):
         bound = 200_000
         sieve = prime_sieve(bound)
@@ -377,6 +382,17 @@ class TestCanonicalConstructor:
             SteinitzNumber.of(0, {2: -1})
         with pytest.raises(ValueError):
             SteinitzNumber.of(1.5, {})
+
+    # Unchecked, these would print as 4, 2^-1 and P^1.5, and the first would
+    # compare equal to from_int(4).
+    @pytest.mark.parametrize(
+        "default,exceptions,message",
+        [(0, {4: 1}, "not a prime"), (0, {2: -1}, "exponent"), (1.5, {}, "exponent")],
+        ids=["composite-key", "negative-exponent", "fractional-default"],
+    )
+    def test_raw_constructor_validates(self, default, exceptions, message):
+        with pytest.raises(ValueError, match=message):
+            SteinitzNumber(default, exceptions)
 
 
 @given(steinitz_numbers, st.data())
