@@ -60,10 +60,23 @@ class AlgebraDescriptor:
     form (a finite-type spectrum over a base with an infinite prime
     collapses to the infinite type): it records the Steinitz number of the
     modeled unital algebra, which the spectrum alone no longer determines.
+    The constructor accepts exactly what ``spec_unital`` produces: a
+    ``unit_st`` with an infinite prime exponent whose collapsed spectrum
+    S(inf, unit_st) equals ``spectrum``.
     """
 
     spectrum: SaturatedSet
     unit_st: SteinitzNumber | None = None
+
+    def __post_init__(self):
+        s = self.unit_st
+        if s is None:
+            return
+        if s.is_infinity_free or not equals_formal(self.spectrum, mk_inf_type(s)):
+            raise ValueError(
+                f"unit_st {s} is not the Steinitz number of a unital algebra "
+                f"whose spectrum collapsed to {format_set(self.spectrum)}"
+            )
 
     @property
     def collapsed(self) -> bool:

@@ -133,6 +133,16 @@ def cmp_density(a: Density, b: Density) -> int:
     return s_t * _sign_single(p * p * d1 + q * q * d2 - r * r, -2 * p * q * g, (d1 // g) * (d2 // g))
 
 
+def cmp_ratio(n: int, d: int, r: Fraction | Surd) -> int:
+    """Sign of n/d - r for d > 0, without building a Fraction.
+
+    With r = (x + y*sqrt(D))/z, n/d - r has the sign of
+    (n*z - x*d) - y*d*sqrt(D), as d*z > 0.
+    """
+    x, y, D, z = _parts(r)
+    return _sign_single(n * z - x * d, -y * d, D)
+
+
 def scale_density(r: Density, q: Fraction) -> Density:
     """r * q for a positive rational q."""
     if q <= 0:

@@ -1,10 +1,11 @@
 """Brute-force oracles for the closed forms.
 
 Everything here recomputes quantities from raw definitions: members by
-sweeping representations (a/b)*base, r_s(b) by scanning memberships up to a
-bound, the inequality ladder from those brute values, and matrix-chain rank
-evolution by stepwise recursion.  Results are reported as PASS/FAIL lines
-with a JSON mirror.
+sweeping representations (a/b)*base, r_s(b) by scanning memberships down
+from a bound (the first member met is the maximum, whatever the set), the
+inequality ladder from those brute values, and matrix-chain rank evolution
+by stepwise recursion.  Results are reported as PASS/FAIL lines with a JSON
+mirror.
 """
 
 from __future__ import annotations
@@ -125,23 +126,25 @@ def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, St
 
 
 def r_sub_brute(S: SaturatedSet, t: SteinitzNumber, b: int, i_bound: int = 1000):
-    """max { i <= i_bound : i * t/b in S } by full membership scan.
+    """max { i <= i_bound : i * t/b in S } by membership scan.
 
-    Returns ABOVE_BOUND when membership still holds at i_bound, 0 when no i
-    is a member (impossible for canonical sets with t in S).
+    The scan runs from i_bound down and stops at the first member.  For any
+    membership predicate that first hit is the maximum a full scan would
+    find, so the value assumes nothing about S (not even saturation) and
+    each i is still decided by ``contains`` on i * t/b.
+
+    Returns ABOVE_BOUND when membership holds at i_bound, 0 when no i is a
+    member (impossible for canonical sets with t in S).
     """
     if not contains(S, t):
         raise ValueError(f"{t} is not a member of {format_set(S)}")
     if not omega_contains(t, b):
         raise ValueError(f"{b} is not in Omega({t})")
     u = divide_by(t, b)
-    best = 0
-    for i in range(1, i_bound + 1):
+    for i in range(i_bound, 0, -1):
         if contains(S, mul_natural(u, i)):
-            best = i
-    if best == i_bound:
-        return ABOVE_BOUND
-    return best
+            return ABOVE_BOUND if i == i_bound else i
+    return 0
 
 
 def divisor_pairs(t: SteinitzNumber, bound: int = 210) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ from .density import (
     Density,
     Surd,
     cmp_density,
+    cmp_ratio,
     floor_times,
     format_density,
     parse_density,
@@ -141,7 +142,8 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
 
 def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> tuple[int, int] | None:
     """(qn, qd), not reduced, with t = (qn/qd)*base when t is a member of S,
-    else None.  A rational bound is decided by integer cross-multiplication.
+    else None.  A rational bound is decided by integer cross-multiplication
+    inline, a surd bound by ``cmp_ratio``; neither builds a Fraction.
 
     The reduced denominator of q always divides the base: the exponents of
     t are nonnegative, so no Omega check is needed.
@@ -154,7 +156,7 @@ def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> tuple[int, int] | None:
     if type(r) is Fraction:
         c = qn * r.denominator - r.numerator * qd  # the sign of q - r, as qd > 0
     else:
-        c = cmp_density(Fraction(qn, qd), r)  # a <= r*b  iff  a/b <= r
+        c = cmp_ratio(qn, qd, r)  # a <= r*b  iff  a/b <= r
     return q if c < 0 or (c == 0 and not S.strict) else None
 
 

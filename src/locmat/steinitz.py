@@ -326,7 +326,7 @@ class SteinitzNumber:
     def from_int(cls, n: int) -> "SteinitzNumber":
         """The natural number n viewed as a Steinitz number."""
         if n < 1:
-            raise ValueError(f"cannot factor non-positive integer {n}")
+            raise ValueError(f"n must be positive, got {n}")
         return _coset(ONE, n, 1)
 
     @property
@@ -557,7 +557,7 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
 def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
     """Divide by b in Omega(s) (exponentwise subtract; INF absorbs)."""
     if b < 1:
-        raise ValueError(f"cannot factor non-positive integer {b}")
+        raise ValueError(f"divisor must be positive, got {b}")
     m = _quotient(s, b)
     if m is None:
         raise ValueError(f"{b} is not in Omega({s})")

@@ -46,9 +46,11 @@ from locmat.steinitz import (
     ParseError,
     SteinitzNumber,
     canonical_ratio,
+    mul_natural,
     parse,
     parse_scaled,
     rationally_connected,
+    scale,
 )
 
 P = parse("P")
@@ -80,6 +82,31 @@ class TestConstructors:
         A = spec_unital(parse("2^inf"))
         assert A.spectrum == InfType(parse("2^inf"))
         assert A.collapsed and A.unit_st == parse("2^inf")
+
+    @pytest.mark.parametrize(
+        "spectrum,unit_st",
+        [
+            (mk_inf_type(P), P),  # spec_unital(P) is S(1, P), not S(inf, P)
+            (mk_segment(3), parse("3")),  # a segment has its own largest element
+            (mk_segment(3), parse("2^inf")),
+            (mk_inf_type(parse("2^inf")), parse("3^inf")),  # spec_unital(3^inf) is S(inf, 3^inf)
+            (mk_finite_type(Fraction(1), P, False), parse("2^inf")),
+        ],
+    )
+    def test_raw_unit_st_is_checked(self, spectrum, unit_st):
+        with pytest.raises(ValueError, match="unit_st"):
+            AlgebraDescriptor(spectrum, unit_st=unit_st)
+
+    @pytest.mark.parametrize("text", ["2^inf", "2^inf*3", "2^inf*3^inf*5"])
+    def test_collapsed_constructions_still_build(self, text):
+        s = parse(text)
+        A = spec_unital(s)
+        assert A.collapsed and A.unit_st == s
+        assert AlgebraDescriptor(A.spectrum, unit_st=s) == A
+        M = matrix_over(A, 6)
+        assert M.collapsed and M.st == mul_natural(s, 6)
+        C = corner(A, Fraction(1, 2))
+        assert C.collapsed and C.st == scale(s, Fraction(1, 2))
 
     def test_m_infinity(self):
         assert m_infinity(spec_matrix(1)).spectrum == ALL_NATURALS

@@ -276,7 +276,7 @@ def test_realize_strict_density_one(arg, chain):
     "argv,expected",
     [
         (["S+(1,2^0*P)"], "error: stage size must be positive, got 0"),
-        (["S(3/2,P)", "--chain", "0,3"], "error: cannot factor non-positive integer 0"),
+        (["S(3/2,P)", "--chain", "0,3"], "error: divisor must be positive, got 0"),
     ],
     ids=["zero-first-stage", "zero-divisor"],
 )

@@ -11,6 +11,7 @@ from locmat.density import (
     INFINITY,
     Surd,
     cmp_density,
+    cmp_ratio,
     floor_times,
     format_density,
     parse_density,
@@ -147,6 +148,27 @@ def test_scale_density_order_preserving(r, q):
     # r*q compared against any rational m matches r against m/q.
     m = Fraction(3, 2)
     assert cmp_density(scaled, m) == cmp_density(r, m / q)
+
+
+named_surds = st.sampled_from([Surd.make(0, 1, 2, 1), Surd.make(0, 1, 5, 1), Surd.make(1, 3, 7, 2)])
+
+
+@given(
+    st.one_of(values, named_surds),
+    st.integers(min_value=-20, max_value=400),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["free", "at-r", "floor", "floor+1"]),
+)
+def test_cmp_ratio_matches_cmp_density(r, n, d, k, pin):
+    # n/d is drawn freely, set equal to r (for a rational r), or put at the
+    # integers floor(r*d) and floor(r*d) + 1 around r*d; then unreduced by k.
+    if pin == "at-r" and isinstance(r, Fraction):
+        n, d = r.numerator, r.denominator
+    elif pin.startswith("floor"):
+        n = floor_times(r, d) + (pin == "floor+1")
+    n, d = n * k, d * k
+    assert cmp_ratio(n, d, r) == cmp_density(Fraction(n, d), r)
 
 
 @given(values, values, values)

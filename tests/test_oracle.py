@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from locmat import oracle
 from locmat.algebra import FiniteMatrixChain
 from locmat.density import INFINITY, Surd
 from locmat.oracle import (
@@ -30,7 +34,7 @@ from locmat.saturated import (
     r_sub,
     sample_members,
 )
-from locmat.steinitz import SteinitzNumber, canonical_ratio, enumerate_omega, parse, scale
+from locmat.steinitz import SteinitzNumber, canonical_ratio, divide_by, enumerate_omega, mul_natural, parse, scale
 
 P = parse("P")
 S32 = mk_finite_type(Fraction(3, 2), P, False)
@@ -82,6 +86,37 @@ class TestRSubBrute:
             t = reference_member(S)
             for b in rng.sample(enumerate_omega(t, 100), 8):
                 assert r_sub_brute(S, t, b, 3 * b + 80) == r_sub(S, t, b)
+
+    @given(
+        st.sampled_from(enumerate_omega(P, 30)),
+        st.integers(min_value=1, max_value=40),
+        st.sets(st.integers(min_value=1, max_value=45)),
+    )
+    @example(b=2, i_bound=10, members={1, 5, 10})  # a member at the bound
+    @example(b=30, i_bound=20, members=set())  # no member at all
+    @example(b=3, i_bound=12, members={1, 7})  # the largest member lies below the bound, past gaps
+    def test_matches_full_scan_on_any_membership(self, b, i_bound, members):
+        # Membership is replaced by an arbitrary set of multipliers i (t itself,
+        # i = b, always in), so nothing saturated or monotone can be assumed.
+        u = divide_by(P, b)
+        hits = members | {b}
+        inside = {mul_natural(u, i) for i in hits}
+        best = max((i for i in range(1, i_bound + 1) if i in hits), default=0)
+        want = ABOVE_BOUND if best == i_bound else best
+        with mock.patch.object(oracle, "contains", lambda S, x: x in inside):
+            assert r_sub_brute(S32, P, b, i_bound) == want
+
+    def test_stops_at_the_first_member_from_the_top(self):
+        calls = []
+
+        def counted(S, x):
+            calls.append(x)
+            return contains(S, x)
+
+        S = mk_inf_type(parse("2^inf"))
+        with mock.patch.object(oracle, "contains", counted):
+            assert r_sub_brute(S, parse("2^inf"), 2, 40) is ABOVE_BOUND
+        assert len(calls) == 2  # the guard on t, then i = 40
 
 
 class TestInequalitySuite:
