@@ -147,6 +147,12 @@ def r_sub_brute(S: SaturatedSet, t: SteinitzNumber, b: int, i_bound: int = 1000)
     return 0
 
 
+def _scan_bound(b: int) -> int:
+    """The finite-type scan bound of r_sub_brute at b: 3b+80, above r*b for
+    every corpus density (all below 3)."""
+    return 3 * b + 80
+
+
 def divisor_pairs(t: SteinitzNumber, bound: int = 210) -> list[tuple[int, int]]:
     """All pairs (b, c) with b | c, b < c, both dividing t and <= bound."""
     omega = enumerate_omega(t, bound)
@@ -158,7 +164,6 @@ def check_inequality_suite(
     t: SteinitzNumber,
     pairs: list[tuple[int, int]] | None = None,
     bound: int = 210,
-    i_bound: int = 1000,
     brute_values: dict[int, int] | None = None,
 ) -> Report:
     """Verify the divisor-pair inequality ladder with brute-force values.
@@ -166,7 +171,8 @@ def check_inequality_suite(
     For b | c: (1) r(b)/b <= r(c)/c; (2) floor(r(c)/(c/b)) <= r(b);
     (3) that floor equals r(b); (4) r(c)/c < r(b)/b + 1/b.  Finite type
     only; all comparisons are exact rationals.  ``brute_values`` may carry a
-    precomputed r_sub_brute table keyed by b.
+    precomputed r_sub_brute table keyed by b; any other b is scanned from
+    ``_scan_bound(b)`` down, and a scan that hits that bound raises ValueError.
     """
     if S.r is INFINITY:
         raise ValueError("inequality ladder applies to finite-type sets only")
@@ -177,9 +183,9 @@ def check_inequality_suite(
 
     def brute(b: int) -> int:
         if b not in cache:
-            v = r_sub_brute(S, t, b, i_bound)
+            v = r_sub_brute(S, t, b, i_bound=_scan_bound(b))
             if v is ABOVE_BOUND:
-                raise ValueError(f"brute r_sub hit the bound at b={b}; raise i_bound")
+                raise ValueError(f"brute r_sub hit its scan bound {_scan_bound(b)} at b={b}")
             cache[b] = v
         return cache[b]
 
@@ -254,7 +260,7 @@ def saturation_fuzz(S, trials: int = 1000, seed: int = 0) -> Report:
             brute = r_sub_brute(S, t, b, i_bound=60)
             ok = closed is INFINITY and brute is ABOVE_BOUND
         else:
-            brute = r_sub_brute(S, t, b, i_bound=3 * b + 80)
+            brute = r_sub_brute(S, t, b, i_bound=_scan_bound(b))
             ok = closed == brute
         if not ok:
             mismatch = f"b={b} closed={closed} brute={brute}"

@@ -16,6 +16,7 @@ same ``base``, ``r`` and ``strict``, and each decision reads those alone.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .steinitz import (
     divide_by,
     enumerate_omega,
     finitely_divides,
+    iter_omega,
     mul_natural,
     omega_contains,
     parse_scaled,
@@ -326,6 +328,13 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
     den_bound and a up to the density bound (plus one, to probe the
     boundary), filtering by the defining inequality; infinite types cap a at
     _INF_CAP*b+1.  Natural sets are initial segments of the integers.
+
+    The sweep is lazy: Omega(base) is tested one b at a time, so it stops
+    at ``limit`` without testing the b it never reaches.  It visits each
+    ratio once, in lowest terms: Omega is divisor-closed and b ascends, so
+    a/b with gcd(a, b) = g > 1 was met as (a/g)/(b/g) at a smaller b.  The
+    ``seen`` set stays because distinct ratios can still name one number
+    when the base has an infinite prime (1/2 and 1 over 2^inf).
     """
     out: list[SteinitzNumber] = []
     seen: set[SteinitzNumber] = set()
@@ -334,13 +343,18 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
         if limit is not None:
             top = min(top, limit)
         return [SteinitzNumber.from_int(i) for i in range(1, top + 1)]
-    for b in enumerate_omega(S.base, den_bound):
-        hi = _INF_CAP * b + 1 if S.r is INFINITY else floor_times(S.r, b) + 1
+    r = S.r
+    for b in iter_omega(S.base, den_bound):
+        u = divide_by(S.base, b)
+        hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b) + 1
         for a in range(1, hi + 1):
-            c = cmp_density(Fraction(a, b), S.r)
-            if c > 0 or (c == 0 and S.strict):
+            if math.gcd(a, b) > 1:
                 continue
-            t = scale(S.base, Fraction(a, b))
+            if r is not INFINITY:
+                c = cmp_ratio(a, b, r)
+                if c > 0 or (c == 0 and S.strict):
+                    continue
+            t = mul_natural(u, a)
             if t not in seen:
                 seen.add(t)
                 out.append(t)
@@ -355,15 +369,17 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
 
     Needed for raw finite-type descriptors whose base has an infinite prime
     exponent, where the canonical ratio does not range over all
-    representations (the collapse phenomenon).
+    representations (the collapse phenomenon).  Omega(base) is swept
+    lazily, so the search tests no b past the first representation it
+    accepts; only a non-member costs the whole sweep to _SEARCH_DEN_BOUND.
     """
     if not rationally_connected(S.base, t):
         return False
-    for b in enumerate_omega(S.base, _SEARCH_DEN_BOUND):
+    for b in iter_omega(S.base, _SEARCH_DEN_BOUND):
         a = finitely_divides(divide_by(S.base, b), t)
         if a is None:
             continue
-        c = cmp_density(Fraction(a, b), S.r)
+        c = cmp_ratio(a, b, S.r)
         if c < 0 or (c == 0 and not S.strict):
             return True
     return False

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -622,8 +623,15 @@ def lcm(s1: SteinitzNumber, s2: SteinitzNumber) -> SteinitzNumber:
     return SteinitzNumber(max(s1.default, s2.default), {p: max(e1, e2) for p, e1, e2 in _aligned(s1, s2)})
 
 
-def enumerate_omega(s: SteinitzNumber, bound: int) -> list[int]:
-    """All n <= bound dividing s, ascending."""
+def iter_omega(s: SteinitzNumber, bound: int) -> Iterator[int]:
+    """The n <= bound dividing s, ascending and lazily: each n is tested
+    only when the caller asks for the next one, so a sweep that stops early
+    tests no n past where it stopped.  The bound is checked at the call."""
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    return [n for n in range(1, bound + 1) if omega_contains(s, n)]
+    return (n for n in range(1, bound + 1) if omega_contains(s, n))
+
+
+def enumerate_omega(s: SteinitzNumber, bound: int) -> list[int]:
+    """All n <= bound dividing s, ascending."""
+    return list(iter_omega(s, bound))

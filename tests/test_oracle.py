@@ -144,6 +144,24 @@ class TestInequalitySuite:
         rep_bad = check_inequality_suite(S32, P, pairs=[(2, 6)], brute_values={2: 4, 6: 9})
         assert not rep_bad.passed
 
+    def test_scan_starts_at_three_b_plus_80(self):
+        # b = 1 scans 83 down to r(1) = 1, b = 2 scans 86 down to r(2) = 3,
+        # each after the guard on t.
+        calls = []
+
+        def counted(S, x):
+            calls.append(x)
+            return contains(S, x)
+
+        with mock.patch.object(oracle, "contains", counted):
+            assert check_inequality_suite(S32, P, pairs=[(1, 2)]).passed
+        assert len(calls) <= 83 + 86 + 2
+
+    def test_scan_bound_hit_raises(self):
+        # r(1) = 100 lies above the scan bound 83 at b = 1.
+        with pytest.raises(ValueError, match="scan bound 83 at b=1"):
+            check_inequality_suite(mk_finite_type(Fraction(100), P, False), P, pairs=[(1, 2)])
+
     def test_divisor_pairs(self):
         t = SteinitzNumber.from_int(12)
         pairs = divisor_pairs(t, 12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locmat import steinitz
 from locmat.density import INFINITY, Surd, cmp_density, floor_times, scale_density
 from locmat.saturated import (
     ALL_NATURALS,
@@ -16,6 +17,7 @@ from locmat.saturated import (
     InfType,
     Segment,
     TailRule,
+    _existential_contains,
     check_saturation_axioms,
     compare_inclusion,
     contains,
@@ -477,3 +479,80 @@ def test_union_chain_matches_rebased_density_rule(prefix, tail):
 def test_union_chain_density_tail_without_density(kind, prefix):
     with pytest.raises(ValueError, match="density"):
         union_chain(prefix, TailRule(kind))
+
+
+# sample_members against the sweep it has always defined: Omega(base) listed
+# up front, every a/b built as a Fraction, filtered with cmp_density, scaled
+# onto the base and deduplicated by the number it names.
+SAMPLE_BASES = [P, parse("P^1*2^3"), parse("P^2"), HALF_P, parse("2^inf"), parse("2^inf*3"), parse("P*7^inf")]
+RAW_BASES = [parse("2^inf"), parse("2^inf*3"), parse("P*7^inf")]
+
+
+def sample_by_definition(S, den_bound, limit):
+    if isinstance(S, (Segment, AllNaturals)):
+        top = S.n if isinstance(S, Segment) else (limit or 200)
+        if limit is not None:
+            top = min(top, limit)
+        return [SteinitzNumber.from_int(i) for i in range(1, top + 1)]
+    out, seen = [], set()
+    for b in enumerate_omega(S.base, den_bound):
+        hi = 3 * b + 1 if S.r is INFINITY else floor_times(S.r, b) + 1
+        for a in range(1, hi + 1):
+            c = cmp_density(Fraction(a, b), S.r)
+            if c > 0 or (c == 0 and S.strict):
+                continue
+            t = scale(S.base, Fraction(a, b))
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
+                if limit is not None and len(out) >= limit:
+                    return out
+    return out
+
+
+sampled_sets = st.one_of(
+    st.builds(mk_segment, st.integers(min_value=1, max_value=60)),
+    st.just(ALL_NATURALS),
+    st.builds(mk_inf_type, st.sampled_from(SAMPLE_BASES)),
+    st.builds(mk_finite_type, st.sampled_from(DENSITIES), st.sampled_from(SAMPLE_BASES), st.booleans()),
+    st.builds(FiniteType, st.sampled_from(DENSITIES), st.sampled_from(RAW_BASES), st.booleans()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sampled_sets,
+    st.integers(min_value=1, max_value=256),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=150)),
+)
+def test_sample_members_matches_definition_sweep(S, den_bound, limit):
+    assert sample_members(S, den_bound=den_bound, limit=limit) == sample_by_definition(S, den_bound, limit)
+
+
+@pytest.fixture
+def omega_tests(monkeypatch):
+    """Counts Omega membership tests: every omega_contains and divide_by
+    goes through steinitz._quotient."""
+    calls = []
+    quotient = steinitz._quotient
+
+    def counted(s, n):
+        calls.append(n)
+        return quotient(s, n)
+
+    monkeypatch.setattr(steinitz, "_quotient", counted)
+    return calls
+
+
+def test_sample_members_stops_testing_omega_at_its_limit(omega_tests):
+    # The 100th member lies at b = 17: each n <= 17 is tested once, and each
+    # of the 12 squarefree b among them once more by divide_by, 29 in all.
+    assert len(sample_members(S32, den_bound=256, limit=100)) == 100
+    assert len(omega_tests) <= 40
+
+
+def test_representation_search_stops_at_the_first_representation(omega_tests):
+    # t = (1/1)*base is found at b = 1: one Omega test and one divide_by.
+    raw = FiniteType(1, parse("2^inf"), False)
+    assert _existential_contains(raw, parse("2^inf"))
+    assert len(omega_tests) <= 4

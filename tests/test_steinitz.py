@@ -24,6 +24,7 @@ from locmat.steinitz import (
     enumerate_omega,
     factorize,
     finitely_divides,
+    iter_omega,
     lcm,
     mul_natural,
     omega_contains,
@@ -135,6 +136,13 @@ class TestOmega:
 
     def test_enumerate_one(self):
         assert enumerate_omega(ONE, 10) == [1]
+
+    def test_iter_omega_is_lazy_and_checks_its_bound_at_the_call(self):
+        with pytest.raises(ValueError):
+            iter_omega(P_ALL, 0)
+        it = iter_omega(P_ALL, 10**12)  # a list would never finish
+        assert [next(it) for _ in range(7)] == [1, 2, 3, 5, 6, 7, 10]
+        assert list(iter_omega(parse("2^inf*3"), 40)) == enumerate_omega(parse("2^inf*3"), 40)
 
 
 class TestDivides:
