@@ -3,6 +3,9 @@
 Exit codes: 0 success / affirmative decision, 1 negative decision, 2 input
 error, 3 verification-suite failure.  With --json the same decision is
 wrapped as a JSON object.
+
+Each subcommand's parser carries its answering function as ``args.run``;
+``_exit_code`` alone maps the answer to the exit code, ``_render`` to text.
 """
 
 from __future__ import annotations
@@ -16,14 +19,15 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import algebra, oracle, saturated
-from .algebra import parse_descriptor
+from .algebra import embeds_as_approximative_corner, parse_descriptor
 from .density import INFINITY, format_density
 from .saturated import contains, format_set, parse_set
 from .steinitz import ParseError, _parse_int, parse_scaled
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="locmat", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is for readers of the source.
+    p = argparse.ArgumentParser(prog="locmat", description=__doc__.rsplit("\n\n", 1)[0])
     p.add_argument("--json", action="store_true", help="emit the decision as JSON")
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -31,119 +35,101 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("eval", "format"):
         c = num.add_parser(name, help="parse and print the canonical form")
         c.add_argument("expr")
+        c.set_defaults(run=lambda a: str(parse_scaled(a.expr)))
 
     st = sub.add_parser("set", help="saturated set operations").add_subparsers(dest="cmd", required=True)
     c = st.add_parser("member", help="membership test")
     c.add_argument("set"), c.add_argument("num")
+    c.set_defaults(run=lambda a: contains(parse_set(a.set), parse_scaled(a.num)))
     c = st.add_parser("eq", help="formal equality")
     c.add_argument("set1"), c.add_argument("set2")
+    c.set_defaults(run=lambda a: saturated.equals_formal(parse_set(a.set1), parse_set(a.set2)))
     c = st.add_parser("subset", help="is the first set contained in the second")
     c.add_argument("set1"), c.add_argument("set2")
+    c.set_defaults(run=lambda a: saturated._included(parse_set(a.set1), parse_set(a.set2)))
     c = st.add_parser("rsub", help="r_t(b) closed form")
     c.add_argument("set"), c.add_argument("num"), c.add_argument("b", type=int)
+    c.set_defaults(run=lambda a: saturated.r_sub(parse_set(a.set), parse_scaled(a.num), a.b))
     c = st.add_parser("density", help="density at a member")
     c.add_argument("set"), c.add_argument("num")
+    c.set_defaults(run=lambda a: format_density(saturated.density(parse_set(a.set), parse_scaled(a.num))))
     c = st.add_parser("max", help="largest member, if any")
     c.add_argument("set")
+    c.set_defaults(run=_max)
     c = st.add_parser("classify", help="canonical (normalized) form")
     c.add_argument("set")
+    c.set_defaults(run=lambda a: format_set(parse_set(a.set)))
 
     alg = sub.add_parser("alg", help="locally matrix algebra decisions").add_subparsers(dest="cmd", required=True)
     c = alg.add_parser("unital", help="is the algebra unital")
     c.add_argument("alg")
+    c.set_defaults(run=lambda a: algebra.is_unital(parse_descriptor(a.alg)))
     c = alg.add_parser("iso", help="are two algebras isomorphic")
     c.add_argument("alg1"), c.add_argument("alg2")
+    c.set_defaults(run=lambda a: algebra.isomorphic(parse_descriptor(a.alg1), parse_descriptor(a.alg2)))
     c = alg.add_parser("embed", help="does the first embed in the second as an approximative corner")
     c.add_argument("alg1"), c.add_argument("alg2")
+    c.set_defaults(run=lambda a: embeds_as_approximative_corner(parse_descriptor(a.alg1), parse_descriptor(a.alg2)))
     c = alg.add_parser("spectrum", help="spectrum of a descriptor or chain JSON")
     c.add_argument("arg")
+    c.set_defaults(run=_spectrum)
     c = alg.add_parser("realize", help="chain of corners realizing a spectrum")
     c.add_argument("arg")
     c.add_argument("--chain", help="comma-separated ascending divisors of the base")
     c.add_argument("--depth", type=int, default=4)
+    c.set_defaults(run=_realize)
     c = alg.add_parser("minf", help="finitary infinite matrices over a unital algebra")
     c.add_argument("alg")
+    c.set_defaults(run=lambda a: str(algebra.m_infinity(parse_descriptor(a.alg))))
     c = alg.add_parser("matover", help="n-by-n matrices over a unital algebra")
     c.add_argument("alg"), c.add_argument("n", type=int)
+    c.set_defaults(run=lambda a: str(algebra.matrix_over(parse_descriptor(a.alg), a.n)))
     c = alg.add_parser("corner", help="corner of relative rank a/b")
     c.add_argument("alg"), c.add_argument("rank")
+    c.set_defaults(run=_corner)
 
     chk = sub.add_parser("check", help="verification suites over the built-in corpus")
     chk.add_argument("suite", choices=["all", "saturation", "inequalities", "roundtrip"])
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--bound", type=int, default=60, help="divisor bound, read by the inequalities suite only")
     chk.add_argument("--trials", type=int, default=200)
+    chk.set_defaults(run=lambda a: _run_checks(a.suite, seed=a.seed, bound=a.bound, trials=a.trials))
     return p
 
 
-def _bool_result(flag: bool) -> tuple[object, int]:
-    return flag, 0 if flag else 1
+def _max(args) -> str | None:
+    m = saturated.max_element(parse_set(args.set))
+    return None if m is None else str(m)
 
 
-def _dispatch(args) -> tuple[object, int]:
-    if args.group == "num":
-        return str(parse_scaled(args.expr)), 0
-
-    if args.group == "set":
-        if args.cmd == "member":
-            return _bool_result(contains(parse_set(args.set), parse_scaled(args.num)))
-        if args.cmd == "eq":
-            return _bool_result(saturated.equals_formal(parse_set(args.set1), parse_set(args.set2)))
-        if args.cmd == "subset":
-            return _bool_result(saturated._included(parse_set(args.set1), parse_set(args.set2)))
-        if args.cmd == "rsub":
-            v = saturated.r_sub(parse_set(args.set), parse_scaled(args.num), args.b)
-            return ("inf" if v is INFINITY else v), 0
-        if args.cmd == "density":
-            return format_density(saturated.density(parse_set(args.set), parse_scaled(args.num))), 0
-        if args.cmd == "max":
-            m = saturated.max_element(parse_set(args.set))
-            return ("none", 1) if m is None else (str(m), 0)
-        if args.cmd == "classify":
-            return format_set(parse_set(args.set)), 0
-
-    if args.group == "alg":
-        if args.cmd == "unital":
-            return _bool_result(algebra.is_unital(parse_descriptor(args.alg)))
-        if args.cmd == "iso":
-            return _bool_result(algebra.isomorphic(parse_descriptor(args.alg1), parse_descriptor(args.alg2)))
-        if args.cmd == "embed":
-            return _bool_result(
-                algebra.embeds_as_approximative_corner(parse_descriptor(args.alg1), parse_descriptor(args.alg2))
-            )
-        if args.cmd == "spectrum":
-            arg = args.arg.strip()
-            if arg.startswith("{"):
-                return format_set(algebra.spectrum_of_chain(algebra.ChainPresentation.from_json(arg))), 0
-            return format_set(parse_descriptor(arg).spectrum), 0
-        if args.cmd == "realize":
-            arg = args.arg.strip()
-            S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
-            chain = None
-            if args.chain is not None:
-                pieces = args.chain.split(",")
-                starts = accumulate((len(x) + 1 for x in pieces), initial=0)
-                chain = [_parse_int(x, pos) for x, pos in zip(pieces, starts)]
-            return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict(), 0
-        if args.cmd == "minf":
-            return str(algebra.m_infinity(parse_descriptor(args.alg))), 0
-        if args.cmd == "matover":
-            return str(algebra.matrix_over(parse_descriptor(args.alg), args.n)), 0
-        if args.cmd == "corner":
-            num, _, den = args.rank.partition("/")
-            d = _parse_int(den, len(num) + 1) if den else 1
-            if d == 0:
-                raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
-            q = Fraction(_parse_int(num, 0), d)
-            return str(algebra.corner(parse_descriptor(args.alg), q)), 0
-
-    if args.group == "check":
-        return _run_checks(args.suite, seed=args.seed, bound=args.bound, trials=args.trials)
-
-    raise AssertionError("unhandled command")
+def _spectrum(args) -> str:
+    arg = args.arg.strip()
+    if arg.startswith("{"):
+        return format_set(algebra.spectrum_of_chain(algebra.ChainPresentation.from_json(arg)))
+    return format_set(parse_descriptor(arg).spectrum)
 
 
-def _run_checks(suite: str, seed: int, bound: int, trials: int) -> tuple[object, int]:
+def _realize(args) -> dict:
+    arg = args.arg.strip()
+    S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
+    chain = None
+    if args.chain is not None:
+        pieces = args.chain.split(",")
+        starts = accumulate((len(x) + 1 for x in pieces), initial=0)
+        chain = [_parse_int(x, pos) for x, pos in zip(pieces, starts)]
+    return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict()
+
+
+def _corner(args) -> str:
+    num, _, den = args.rank.partition("/")
+    d = _parse_int(den, len(num) + 1) if den else 1
+    if d == 0:
+        raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
+    q = Fraction(_parse_int(num, 0), d)
+    return str(algebra.corner(parse_descriptor(args.alg), q))
+
+
+def _run_checks(suite: str, seed: int, bound: int, trials: int) -> oracle.Report:
     report = oracle.Report()
     corpus = oracle.acceptance_corpus()
     if suite in ("all", "saturation"):
@@ -160,10 +146,23 @@ def _run_checks(suite: str, seed: int, bound: int, trials: int) -> tuple[object,
             chain = algebra.realize(S)
             ok = saturated.equals_formal(algebra.spectrum_of_chain(chain), S)
             report.add(ok, f"roundtrip:{name}", format_set(S))
-    return report, 0 if report.passed else 3
+    return report
+
+
+def _exit_code(answer: object) -> int:
+    """1 for False or None (no largest member), 3 for a failed report, else 0."""
+    if answer is False or answer is None:
+        return 1
+    if isinstance(answer, oracle.Report) and not answer.passed:
+        return 3
+    return 0
 
 
 def _render(value: object, as_json: bool) -> str:
+    if value is None:
+        value = "none"
+    elif value is INFINITY:
+        value = "inf"
     if as_json:
         if isinstance(value, oracle.Report):
             return json.dumps({"result": value.to_json_dict()}, separators=(",", ":"))
@@ -190,12 +189,12 @@ def run(argv: list[str]) -> tuple[int, str]:
         code = 0 if e.code in (0, None) else 2
         return code, buf.getvalue().rstrip("\n")
     try:
-        value, code = _dispatch(args)
+        answer = args.run(args)
     except (ParseError, ValueError, OverflowError) as e:
         if args.json:
             return 2, json.dumps({"error": str(e)}, separators=(",", ":"))
         return 2, f"error: {e}"
-    return code, _render(value, args.json)
+    return _exit_code(answer), _render(answer, args.json)
 
 
 def main() -> None:

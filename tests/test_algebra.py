@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locmat import algebra
 from locmat.algebra import (
     AlgebraDescriptor,
     ChainPresentation,
@@ -359,6 +360,25 @@ class TestInterleave:
         cA = realize(mk_finite_type(Fraction(1), P, False))
         cB = realize(mk_finite_type(Fraction(3, 2), P, True))
         assert interleave(cA, cB) is None
+
+    def test_check_certificate_rejects_empty_before_any_spectrum(self, monkeypatch):
+        c = realize(mk_segment(3))
+        monkeypatch.setattr(algebra, "spectrum_of_chain", None)  # a call would raise TypeError
+        assert check_certificate([], c, c) is False
+
+    @pytest.mark.parametrize(
+        "broken",
+        [lambda cert: cert[::-1], lambda cert: cert[1:], lambda cert: cert + [mul_natural(cert[-1], 2)]],
+        ids=["descending", "missing-stage", "outside-spectrum"],
+    )
+    def test_check_certificate_rejects(self, broken):
+        # Two realizations of S(7/3, P) certified by [2^2*P, 3^0*7^2*P]; the
+        # first number is a stage of cA only, and (98/3)*P lies above 7/3.
+        S = mk_finite_type(Fraction(7, 3), P, False)
+        cA, cB = realize(S), realize(S, divisor_chain=[6, 30])
+        cert = interleave(cA, cB)
+        assert [str(t) for t in cert] == ["2^2*P", "3^0*7^2*P"] and check_certificate(cert, cA, cB)
+        assert check_certificate(broken(cert), cA, cB) is False
 
 
 class TestText:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -64,6 +65,15 @@ GOLDEN = [
         "error: zero denominator in density '(1+1*sqrt(2))/0' (at position 14)",
     ),
     (["set", "member", "S(sqrt(0),P)", "P"], 2, "error: zero radicand in density 'sqrt(0)' (at position 5)"),
+    (["--json", "set", "max", "S+(3/2,P)"], 1, '{"result":"none"}'),
+    (["--json", "set", "max", "[1..3]"], 0, '{"result":"3"}'),
+    (["--json", "set", "rsub", "S(inf, 2^inf)", "2^inf", "4"], 0, '{"result":"inf"}'),
+    (
+        ["--json", "alg", "realize", "S(3/2,P)", "--chain", "2,6"],
+        0,
+        '{"result":{"stages":[{"k":3,"s":"2^0*P","q":3},{"k":9,"s":"2^0*3^0*P","q":null}],'
+        '"tail":{"kind":"attained","r":"1"}}}',
+    ),
 ]
 
 
@@ -139,6 +149,28 @@ def test_check_failure_exit_code(monkeypatch):
     code, out = cli.run(["check", "saturation", "--trials", "50"])
     assert code == 3
     assert "FAIL" in out
+
+
+def test_json_check_failure_exit_code(monkeypatch):
+    # The broken literal corpus of test_check_failure_exit_code, under --json.
+    one = SteinitzNumber.from_int(1)
+    three = SteinitzNumber.from_int(3)
+    monkeypatch.setattr(oracle, "acceptance_corpus", lambda: [("broken", [one, three])])
+
+    def fuzz(S, trials, seed):
+        from locmat.saturated import check_saturation_axioms
+
+        rep = oracle.Report()
+        v = check_saturation_axioms(S, samples=trials, seed=seed)
+        rep.add(v is None, "axioms", v.witness if v else "")
+        return rep
+
+    monkeypatch.setattr(oracle, "saturation_fuzz", fuzz)
+    code, out = cli.run(["--json", "check", "saturation", "--trials", "50"])
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    assert [(c["ok"], c["name"]) for c in result["checks"]] == [(False, "saturation:broken:axioms")]
 
 
 def test_usage_error_exit_code():
@@ -314,3 +346,59 @@ def test_check_all_passes():
     assert code == 0 and lines[-1] == "PASS total 103 checks"
     groups = [line.split()[1].split(":")[0] for line in lines[:-1]]
     assert groups == sorted(groups, key=["saturation", "inequalities", "roundtrip"].index)
+
+
+# The seven decision commands: the only ones whose answer may be negative.
+_DECISIONS = {
+    ("set", "member"), ("set", "eq"), ("set", "subset"), ("set", "max"),
+    ("alg", "unital"), ("alg", "iso"), ("alg", "embed"),
+}
+_EXTRA_ARGS = ["--json", "--chain", "--depth", "2", "0", "-1", "", "x", "inf", "P", "N", "alg(N)", "S(1,P)", "2,6"]
+_CHARS = "0123456789()[]*/^+-,. PSNalginfsqrt"
+
+
+def _mutant(rng: random.Random, argv: list[str], pool: list[str]) -> list[str]:
+    """argv with one argument dropped, one inserted, or one character of an
+    operand (an argument after the command words) edited."""
+    argv = list(argv)
+    kind = rng.randrange(3)
+    operands = 3 if argv[:1] == ["--json"] else 2
+    if kind == 0 and argv:
+        del argv[rng.randrange(len(argv))]
+    elif kind == 1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(pool))
+    elif len(argv) > operands:
+        i = rng.randrange(operands, len(argv))
+        s, j = argv[i], rng.randrange(len(argv[i]) + 1)
+        # Insert a character at j, replace the one at j, or delete it.
+        new, skip = rng.choice([(rng.choice(_CHARS), 0), (rng.choice(_CHARS), 1), ("", 1)])
+        argv[i] = s[:j] + new + s[j + skip :]
+    return argv
+
+
+def test_mutated_golden_argv_keep_the_exit_code_protocol():
+    # No exception escapes, the exit code is 0, 1 or 2, and 1 is a negative
+    # decision: it comes from a decision command only.
+    rng = random.Random(20261018)
+    goldens = [argv for argv, _, _ in GOLDEN if "check" not in argv]
+    pool = sorted({a for argv in goldens for a in argv}) + _EXTRA_ARGS
+    seen, violations = set(), []
+    for argv in goldens:
+        for _ in range(12):
+            mutant = argv
+            for _ in range(rng.randint(1, 3)):
+                mutant = _mutant(rng, mutant, pool)
+            try:
+                code, out = cli.run(mutant)
+            except Exception as e:  # reported with the argv that raised it
+                violations.append((mutant, repr(e)))
+                continue
+            seen.add(code)
+            if code == 1:
+                args = cli._build_parser().parse_args(mutant)
+                if (args.group, getattr(args, "cmd", None)) not in _DECISIONS:
+                    violations.append((mutant, code, out))
+            elif code not in (0, 2):
+                violations.append((mutant, code, out))
+    assert violations == []
+    assert seen == {0, 1, 2}

@@ -1,6 +1,7 @@
 """Brute-force oracles: definition sweeps, rank simulation, fuzz reports."""
 
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -162,6 +163,16 @@ class TestInequalitySuite:
         with pytest.raises(ValueError, match="scan bound 83 at b=1"):
             check_inequality_suite(mk_finite_type(Fraction(100), P, False), P, pairs=[(1, 2)])
 
+    def test_failure_witnesses(self):
+        # r(1) = 1 and r(2) = 5: floor(5/2) = 2 exceeds r(1), and 5/2 >= 1/1 + 1/1.
+        rep = check_inequality_suite(S32, P, pairs=[(1, 2)], brute_values={1: 1, 2: 5})
+        assert rep.lines() == [
+            "PASS eq1-monotone-ratio[S(3/2, P)] 1 pairs",
+            "FAIL eq2-floor-lower[S(3/2, P)] b=1 c=2 floor=2 r(b)=1",
+            "FAIL eq3-floor-recurrence[S(3/2, P)] b=1 c=2 floor=2 r(b)=1",
+            "FAIL eq4-strict-upper[S(3/2, P)] b=1 c=2 r(b)=1 r(c)=5",
+        ]
+
     def test_divisor_pairs(self):
         t = SteinitzNumber.from_int(12)
         pairs = divisor_pairs(t, 12)
@@ -268,6 +279,16 @@ class TestSaturationFuzz:
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
         d = rep.to_json_dict()
         assert d["passed"] is True and len(d["checks"]) == len(lines)
+
+    def test_closed_form_mismatch_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(oracle, "r_sub", lambda S, t, b: r_sub(S, t, b) + 1)
+        rep = saturation_fuzz(S32, trials=100, seed=0)
+        axioms, mismatch = rep.results
+        assert axioms.ok and not mismatch.ok and not rep.passed
+        assert mismatch.name == "rsub-closed-vs-brute[S(3/2, P)]"
+        b, closed, brute = map(int, re.fullmatch(r"b=(\d+) closed=(\d+) brute=(\d+)", mismatch.witness).groups())
+        assert closed == brute + 1 == r_sub(S32, P, b) + 1
+        assert mismatch.line() == f"FAIL rsub-closed-vs-brute[S(3/2, P)] b={b} closed={closed} brute={brute}"
 
 
 class TestCorpus:

@@ -285,6 +285,10 @@ class TestSaturationAxioms:
         v = check_saturation_axioms([P], samples=200, seed=0)
         assert v is not None and v.axiom == 2
 
+    def test_literal_violating_axiom_1(self):
+        v = check_saturation_axioms([SteinitzNumber.from_int(1), parse("2^inf")], seed=1)
+        assert (v.axiom, v.witness) == (1, "1 and 2^inf are not rationally connected")
+
 
 class TestCollapseProbe:
     def test_extensional_equality_under_collapse(self):
@@ -556,3 +560,10 @@ def test_representation_search_stops_at_the_first_representation(omega_tests):
     raw = FiniteType(1, parse("2^inf"), False)
     assert _existential_contains(raw, parse("2^inf"))
     assert len(omega_tests) <= 4
+
+
+def test_representation_search_rejects_an_unconnected_number(omega_tests):
+    # 3^inf is not rationally connected to 2^inf: no b in Omega(2^inf) is tried.
+    raw = FiniteType(1, parse("2^inf"), False)
+    assert _existential_contains(raw, parse("3^inf")) is False
+    assert omega_tests == []
