@@ -289,27 +289,6 @@ class ChainPresentation:
         return cls.from_json_dict(d)
 
 
-@dataclass(frozen=True)
-class FiniteMatrixChain:
-    """Concrete finite chain of matrix algebras with unital embeddings
-    n_{i+1} = m_i * n_i + z_i (multiplicity m_i, padding z_i)."""
-
-    sizes: tuple[int, ...]
-    mults: tuple[int, ...]
-    pads: tuple[int, ...]
-
-    def validate(self) -> None:
-        if not self.sizes:
-            raise ValueError("chain needs at least one stage")
-        if len(self.mults) != len(self.sizes) - 1 or len(self.pads) != len(self.sizes) - 1:
-            raise ValueError("need one multiplicity and one padding per step")
-        for i, (m, z) in enumerate(zip(self.mults, self.pads)):
-            if self.sizes[i] < 1 or m < 1 or z < 0:
-                raise ValueError(f"step {i}: need n >= 1, m >= 1, z >= 0")
-            if self.sizes[i + 1] != m * self.sizes[i] + z:
-                raise ValueError(f"step {i}: {self.sizes[i + 1]} != {m}*{self.sizes[i]}+{z}")
-
-
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a
 #: product over the first i primes, so the cost of one call grows steeply with
 #: the depth: for S(3/2, P) on a 2-core Xeon, about 13 ms at depth 64, 2 s at

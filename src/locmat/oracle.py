@@ -1,27 +1,27 @@
-"""Brute-force oracles for the closed forms.
+"""Brute-force oracles and sampling checks; the closed forms never import them.
 
 Everything here recomputes quantities from raw definitions: members by
-sweeping representations (a/b)*base, r_s(b) by scanning memberships down
-from a bound (the first member met is the maximum, whatever the set), the
-inequality ladder from those brute values, and matrix-chain rank evolution
-by stepwise recursion.  Results are reported as PASS/FAIL lines with a JSON
-mirror.
+sweeping representations (a/b)*base, and through them extensional equality
+and the saturation axioms; r_s(b) by scanning memberships down from a bound
+(the first member met is the maximum, whatever the set) and the inequality
+ladder from those values; matrix-chain rank evolution by stepwise recursion.
+Results are reported as PASS/FAIL lines with a JSON mirror.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FiniteMatrixChain
-from .density import INFINITY, Surd, cmp_density
+from .density import INFINITY, Surd, cmp_density, cmp_ratio, floor_times
 from .saturated import (
     ALL_NATURALS,
     AllNaturals,
+    FiniteType,
     SaturatedSet,
     Segment,
-    check_saturation_axioms,
     contains,
     format_set,
     mk_finite_type,
@@ -30,12 +30,17 @@ from .saturated import (
     r_sub,
 )
 from .steinitz import (
+    INF,
     SteinitzNumber,
+    _split,
     divide_by,
     enumerate_omega,
+    finitely_divides,
+    iter_omega,
     mul_natural,
     omega_contains,
     parse,
+    rationally_connected,
     scale,
 )
 
@@ -96,6 +101,147 @@ class Report:
             "passed": self.passed,
             "checks": [{"ok": r.ok, "name": r.name, "witness": r.witness} for r in self.results],
         }
+
+
+_INF_CAP = 3  # sample_members takes a <= _INF_CAP*b + 1 on infinite types
+_SEARCH_DEN_BOUND = 4096  # largest denominator of the representation search
+_AXIOM_DEN_BOUND = 30  # denominators of the axiom checker's pool and divisors
+
+
+def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = None) -> list[SteinitzNumber]:
+    """Deterministic member sample.
+
+    Sets are swept as (a/b)*base with b from Omega(base) up to den_bound
+    and a up to the density bound (plus one, to probe the boundary),
+    filtering by the defining inequality; infinite types cap a at
+    _INF_CAP*b+1.  A segment [1..n] = S(n, 1) is the sweep at b = 1, as
+    Omega(1) = {1}; all naturals are the first ``limit`` (or 200) integers.
+
+    The sweep is lazy: Omega(base) is tested one b at a time, so it stops
+    at ``limit`` without testing the b it never reaches.  It visits each
+    ratio once, in lowest terms: Omega is divisor-closed and b ascends, so
+    a/b with gcd(a, b) = g > 1 was met as (a/g)/(b/g) at a smaller b.  Over
+    a base with an infinite prime it skips each a with a factor the base
+    absorbs: the rest k < a of a names the same number at the same b.  The
+    ``seen`` set stays because distinct ratios can still name one number
+    (1/2 and 1 over 2^inf).
+    """
+    if isinstance(S, AllNaturals):
+        return [SteinitzNumber.from_int(i) for i in range(1, (200 if limit is None else limit) + 1)]
+    out: list[SteinitzNumber] = []
+    seen: set[SteinitzNumber] = set()
+    base, r = S.base, S.r
+    # The index in _split(a, radical) = (on, off) of the part the base absorbs.
+    absorbed = None if base.is_infinity_free else (1 if base.default == INF else 0)
+    for b in iter_omega(base, den_bound):
+        u = divide_by(base, b)
+        hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b) + 1
+        for a in range(1, hi + 1):
+            if math.gcd(a, b) > 1:
+                continue
+            if absorbed is not None and _split(a, base._radical)[absorbed] > 1:
+                continue
+            if r is not INFINITY:
+                c = cmp_ratio(a, b, r)
+                if c > 0 or (c == 0 and S.strict):
+                    continue
+            t = mul_natural(u, a)
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
+                if limit is not None and len(out) >= limit:
+                    return out
+    return out
+
+
+def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
+    """Membership by representation search: some b in Omega(base) with
+    t = (a/b)*base and a within the bound.
+
+    Needed for raw finite-type descriptors whose base has an infinite prime
+    exponent, where the canonical ratio does not range over all
+    representations (the collapse phenomenon).  Omega(base) is swept
+    lazily, so the search tests no b past the first representation it
+    accepts; only a non-member costs the whole sweep to _SEARCH_DEN_BOUND.
+    """
+    if not rationally_connected(S.base, t):
+        return False
+    for b in iter_omega(S.base, _SEARCH_DEN_BOUND):
+        a = finitely_divides(divide_by(S.base, b), t)
+        if a is None:
+            continue
+        c = cmp_ratio(a, b, S.r)
+        if c < 0 or (c == 0 and not S.strict):
+            return True
+    return False
+
+
+def _probe_contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
+    if isinstance(S, FiniteType) and not S.base.is_infinity_free:
+        return _existential_contains(S, t)
+    return contains(S, t)
+
+
+def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) -> bool:
+    """Semi-decision of set equality by bidirectional membership sampling.
+
+    Samples up to ``budget`` members of each set and checks them against the
+    other; membership of raw infinite-prime finite types is decided by
+    representation search.  True means no disagreement was found.
+    """
+    for left, right in ((S1, S2), (S2, S1)):
+        for t in sample_members(left, den_bound=256, limit=budget):
+            if not _probe_contains(right, t):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class AxiomViolation:
+    axiom: int
+    witness: str
+
+
+def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
+    """Check the three saturation axioms on sampled members.
+
+    ``S`` may be a canonical SaturatedSet or a literal collection of
+    SteinitzNumbers (membership by equality).  Returns the first
+    AxiomViolation found, or None.  Deterministic for a fixed seed.
+    """
+    if isinstance(S, SaturatedSet):
+        pool = sample_members(S, den_bound=_AXIOM_DEN_BOUND, limit=max(40, samples // 10))
+        member = lambda t: _probe_contains(S, t)
+    else:
+        pool = list(S)
+        literal = set(pool)
+        member = lambda t: t in literal
+    if not pool:
+        return None
+    rng = random.Random(seed)
+    omegas: dict[SteinitzNumber, list[int]] = {}
+    spent = 0
+    while spent < samples:
+        t1, t2 = rng.choice(pool), rng.choice(pool)
+        spent += 1
+        if not rationally_connected(t1, t2):
+            return AxiomViolation(1, f"{t1} and {t2} are not rationally connected")
+        t = rng.choice(pool)
+        if t not in omegas:
+            omegas[t] = enumerate_omega(t, _AXIOM_DEN_BOUND)
+        b = rng.choice(omegas[t])
+        spent += 1
+        if not member(divide_by(t, b)):
+            return AxiomViolation(2, f"{t} is a member but {t}/{b} is not")
+        t = rng.choice(pool)
+        n = rng.randint(2, 12)
+        spent += 1
+        if member(mul_natural(t, n)):
+            for i in range(2, n):
+                spent += 1
+                if not member(mul_natural(t, i)):
+                    return AxiomViolation(3, f"{t} and {n}*{t} are members but {i}*{t} is not")
+    return None
 
 
 def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, SteinitzNumber]]:
@@ -204,6 +350,27 @@ def check_inequality_suite(
     for name in ("eq1-monotone-ratio", "eq2-floor-lower", "eq3-floor-recurrence", "eq4-strict-upper"):
         report.add(name not in fails, f"{name}[{format_set(S)}]", fails.get(name, f"{len(pairs)} pairs"))
     return report
+
+
+@dataclass(frozen=True)
+class FiniteMatrixChain:
+    """Concrete finite chain of matrix algebras with unital embeddings
+    n_{i+1} = m_i * n_i + z_i (multiplicity m_i, padding z_i)."""
+
+    sizes: tuple[int, ...]
+    mults: tuple[int, ...]
+    pads: tuple[int, ...]
+
+    def validate(self) -> None:
+        if not self.sizes:
+            raise ValueError("chain needs at least one stage")
+        if len(self.mults) != len(self.sizes) - 1 or len(self.pads) != len(self.sizes) - 1:
+            raise ValueError("need one multiplicity and one padding per step")
+        for i, (m, z) in enumerate(zip(self.mults, self.pads)):
+            if self.sizes[i] < 1 or m < 1 or z < 0:
+                raise ValueError(f"step {i}: need n >= 1, m >= 1, z >= 0")
+            if self.sizes[i + 1] != m * self.sizes[i] + z:
+                raise ValueError(f"step {i}: {self.sizes[i + 1]} != {m}*{self.sizes[i]}+{z}")
 
 
 def simulate_finite_chain(

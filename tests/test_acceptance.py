@@ -17,7 +17,6 @@ from locmat import cli
 from locmat import oracle as oracle_mod
 from locmat.algebra import (
     AlgebraDescriptor,
-    FiniteMatrixChain,
     corner,
     embeds_as_approximative_corner,
     is_unital,
@@ -31,12 +30,16 @@ from locmat.density import INFINITY, cmp_density, scale_density
 from locmat.oracle import (
     ABOVE_BOUND,
     EnumWindow,
+    FiniteMatrixChain,
     acceptance_corpus,
     check_inequality_suite,
+    check_saturation_axioms,
     divisor_pairs,
     enumerate_members,
+    equals_extensional,
     r_sub_brute,
     reference_member,
+    sample_members,
     simulate_finite_chain,
 )
 from locmat.saturated import (
@@ -45,15 +48,12 @@ from locmat.saturated import (
     Inclusion,
     InfType,
     Segment,
-    check_saturation_axioms,
     compare_inclusion,
     contains,
-    equals_extensional,
     equals_formal,
     max_element,
     mk_inf_type,
     r_sub,
-    sample_members,
 )
 from locmat.steinitz import SteinitzNumber, enumerate_omega, mul_natural, parse
 

@@ -11,7 +11,6 @@ from locmat import algebra
 from locmat.algebra import (
     AlgebraDescriptor,
     ChainPresentation,
-    FiniteMatrixChain,
     Stage,
     check_certificate,
     corner,
@@ -29,6 +28,7 @@ from locmat.algebra import (
     spectrum_of_chain,
 )
 from locmat.density import Surd
+from locmat.oracle import FiniteMatrixChain, sample_members
 from locmat.saturated import (
     ALL_NATURALS,
     FiniteType,
@@ -40,7 +40,6 @@ from locmat.saturated import (
     mk_finite_type,
     mk_inf_type,
     mk_segment,
-    sample_members,
 )
 from locmat.steinitz import (
     ONE,

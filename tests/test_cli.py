@@ -131,21 +131,20 @@ def test_check_seed_determinism():
     assert a == b
 
 
+def _axioms_fuzz(S, trials, seed):
+    """``oracle.saturation_fuzz`` cut down to its axiom check."""
+    rep = oracle.Report()
+    v = oracle.check_saturation_axioms(S, samples=trials, seed=seed)
+    rep.add(v is None, "axioms", v.witness if v else "")
+    return rep
+
+
 def test_check_failure_exit_code(monkeypatch):
     # A corpus with a broken literal member list must drive exit code 3.
     one = SteinitzNumber.from_int(1)
     three = SteinitzNumber.from_int(3)
     monkeypatch.setattr(oracle, "acceptance_corpus", lambda: [("broken", [one, three])])
-
-    def fuzz(S, trials, seed):
-        from locmat.saturated import check_saturation_axioms
-
-        rep = oracle.Report()
-        v = check_saturation_axioms(S, samples=trials, seed=seed)
-        rep.add(v is None, "axioms", v.witness if v else "")
-        return rep
-
-    monkeypatch.setattr(oracle, "saturation_fuzz", fuzz)
+    monkeypatch.setattr(oracle, "saturation_fuzz", _axioms_fuzz)
     code, out = cli.run(["check", "saturation", "--trials", "50"])
     assert code == 3
     assert "FAIL" in out
@@ -156,16 +155,7 @@ def test_json_check_failure_exit_code(monkeypatch):
     one = SteinitzNumber.from_int(1)
     three = SteinitzNumber.from_int(3)
     monkeypatch.setattr(oracle, "acceptance_corpus", lambda: [("broken", [one, three])])
-
-    def fuzz(S, trials, seed):
-        from locmat.saturated import check_saturation_axioms
-
-        rep = oracle.Report()
-        v = check_saturation_axioms(S, samples=trials, seed=seed)
-        rep.add(v is None, "axioms", v.witness if v else "")
-        return rep
-
-    monkeypatch.setattr(oracle, "saturation_fuzz", fuzz)
+    monkeypatch.setattr(oracle, "saturation_fuzz", _axioms_fuzz)
     code, out = cli.run(["--json", "check", "saturation", "--trials", "50"])
     assert code == 3
     result = json.loads(out)["result"]

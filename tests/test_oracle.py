@@ -10,11 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from locmat import oracle
-from locmat.algebra import FiniteMatrixChain
 from locmat.density import INFINITY, Surd
 from locmat.oracle import (
     ABOVE_BOUND,
     EnumWindow,
+    FiniteMatrixChain,
     Report,
     acceptance_corpus,
     check_inequality_suite,
@@ -22,6 +22,7 @@ from locmat.oracle import (
     enumerate_members,
     r_sub_brute,
     reference_member,
+    sample_members,
     saturation_fuzz,
     simulate_finite_chain,
 )
@@ -33,7 +34,6 @@ from locmat.saturated import (
     mk_inf_type,
     mk_segment,
     r_sub,
-    sample_members,
 )
 from locmat.steinitz import SteinitzNumber, canonical_ratio, divide_by, enumerate_omega, mul_natural, parse, scale
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locmat import steinitz
+from locmat import oracle, steinitz
 from locmat.density import INFINITY, Surd, cmp_density, floor_times, scale_density
+from locmat.oracle import _existential_contains, check_saturation_axioms, equals_extensional, sample_members
 from locmat.saturated import (
     ALL_NATURALS,
     AllNaturals,
@@ -17,12 +18,9 @@ from locmat.saturated import (
     InfType,
     Segment,
     TailRule,
-    _existential_contains,
-    check_saturation_axioms,
     compare_inclusion,
     contains,
     density,
-    equals_extensional,
     equals_formal,
     format_set,
     max_element,
@@ -32,10 +30,10 @@ from locmat.saturated import (
     parse_set,
     r_sub,
     rebase,
-    sample_members,
     union_chain,
 )
 from locmat.steinitz import (
+    INF,
     ONE,
     SteinitzNumber,
     canonical_ratio,
@@ -488,7 +486,10 @@ def test_union_chain_density_tail_without_density(kind, prefix):
 # sample_members against the sweep it has always defined: Omega(base) listed
 # up front, every a/b built as a Fraction, filtered with cmp_density, scaled
 # onto the base and deduplicated by the number it names.
-SAMPLE_BASES = [P, parse("P^1*2^3"), parse("P^2"), HALF_P, parse("2^inf"), parse("2^inf*3"), parse("P*7^inf")]
+SAMPLE_BASES = [
+    P, parse("P^1*2^3"), parse("P^2"), HALF_P, parse("2^inf"), parse("2^inf*3"), parse("P*7^inf"),
+    parse("P^inf"), parse("P^inf*3"),
+]
 RAW_BASES = [parse("2^inf"), parse("2^inf*3"), parse("P*7^inf")]
 
 
@@ -529,7 +530,13 @@ sampled_sets = st.one_of(
     st.integers(min_value=1, max_value=256),
     st.one_of(st.none(), st.integers(min_value=1, max_value=150)),
 )
+@example(mk_inf_type(parse("P^inf*3")), 64, None)
 def test_sample_members_matches_definition_sweep(S, den_bound, limit):
+    if S.base.default == INF:
+        # Every a/b names one of a few numbers, so the definition sweep builds
+        # about 1.5*den_bound^2 of them without reaching its limit (0.9 s at 256
+        # on a 2-core Xeon).
+        den_bound = min(den_bound, 64)
     assert sample_members(S, den_bound=den_bound, limit=limit) == sample_by_definition(S, den_bound, limit)
 
 
@@ -553,6 +560,20 @@ def test_sample_members_stops_testing_omega_at_its_limit(omega_tests):
     # of the 12 squarefree b among them once more by divide_by, 29 in all.
     assert len(sample_members(S32, den_bound=256, limit=100)) == 100
     assert len(omega_tests) <= 40
+
+
+def test_sample_members_skips_numbers_an_absorbed_prime_makes_equal(monkeypatch):
+    # Over P^inf every a/b names P^inf; only a = 1 is built at each b <= 256.
+    calls = []
+
+    def counted(s, n):
+        calls.append(n)
+        return mul_natural(s, n)
+
+    monkeypatch.setattr(oracle, "mul_natural", counted)
+    p_inf = parse("P^inf")
+    assert sample_members(mk_inf_type(p_inf), 256, 100) == [p_inf]
+    assert len(calls) <= 256
 
 
 def test_representation_search_stops_at_the_first_representation(omega_tests):

@@ -22,9 +22,9 @@ import random
 import sys
 from fractions import Fraction
 
-from locmat import saturated
+import locmat
+from locmat import FiniteType
 from locmat.density import INFINITY, Surd, format_density, scale_density
-from locmat.saturated import FiniteType
 from locmat.steinitz import INF, SteinitzNumber, divide_by, enumerate_omega, parse
 
 _PRIMES = (2, 3, 5, 7, 11)
@@ -54,68 +54,68 @@ def _density(rng: random.Random):
     return Fraction(rng.randint(v, 6 * v), v)
 
 
-def _set(rng: random.Random) -> tuple[str, saturated.SaturatedSet]:
+def _set(rng: random.Random) -> tuple[str, locmat.SaturatedSet]:
     pick = rng.random()
     if pick < 0.05:
-        return "segment", saturated.mk_segment(rng.randint(1, 60))
+        return "segment", locmat.mk_segment(rng.randint(1, 60))
     if pick < 0.08:
-        return "naturals", saturated.mk_all_naturals()
+        return "naturals", locmat.mk_all_naturals()
     if pick < 0.25:
-        return "inf", saturated.mk_inf_type(_base(rng, infinity_free=rng.random() < 0.5))
+        return "inf", locmat.mk_inf_type(_base(rng, infinity_free=rng.random() < 0.5))
     if pick < 0.4:
         base = parse(rng.choice(_RAW_BASES))
         if rng.random() < 0.5:
             base = _base(rng, infinity_free=False)
         return "raw", FiniteType(_density(rng), base, rng.random() < 0.4)
-    return "finite", saturated.mk_finite_type(_density(rng), _base(rng, infinity_free=True), rng.random() < 0.4)
+    return "finite", locmat.mk_finite_type(_density(rng), _base(rng, infinity_free=True), rng.random() < 0.4)
 
 
 def _plus_two(r):
     return Surd.make(r.x + 2 * r.z, r.y, r.d, r.z) if isinstance(r, Surd) else r + 2
 
 
-def _rebased(S: saturated.SaturatedSet, b: int) -> saturated.SaturatedSet:
+def _rebased(S: locmat.SaturatedSet, b: int) -> locmat.SaturatedSet:
     """The same set written over the base divided by b, b in Omega(base)."""
     base, r = divide_by(S.base, b), scale_density(S.r, Fraction(b))
     if isinstance(S, FiniteType) and not S.base.is_infinity_free:
         return FiniteType(r, base, S.strict)
     if r is INFINITY:
-        return saturated.mk_inf_type(base)
-    return saturated.mk_finite_type(r, base, S.strict)
+        return locmat.mk_inf_type(base)
+    return locmat.mk_finite_type(r, base, S.strict)
 
 
-def _partners(rng: random.Random, kind: str, S: saturated.SaturatedSet):
+def _partners(rng: random.Random, kind: str, S: locmat.SaturatedSet):
     """An equal set and a different one (larger, or over another class)."""
     if kind == "segment":
-        return saturated.mk_segment(S.n), saturated.mk_segment(S.n + rng.randint(1, 3))
+        return locmat.mk_segment(S.n), locmat.mk_segment(S.n + rng.randint(1, 3))
     if kind == "naturals":
-        return S, saturated.mk_segment(rng.randint(1, 60))
+        return S, locmat.mk_segment(rng.randint(1, 60))
     b = rng.choice(enumerate_omega(S.base, 12))
-    equal = saturated.mk_inf_type(S.base) if kind == "raw" and rng.random() < 0.5 else _rebased(S, b)
+    equal = locmat.mk_inf_type(S.base) if kind == "raw" and rng.random() < 0.5 else _rebased(S, b)
     if rng.random() < 0.5:
-        other = saturated.mk_inf_type(_base(rng, infinity_free=True))
+        other = locmat.mk_inf_type(_base(rng, infinity_free=True))
     elif S.r is INFINITY:
-        other = saturated.mk_finite_type(Fraction(rng.randint(1, 5)), _base(rng, infinity_free=True))
+        other = locmat.mk_finite_type(Fraction(rng.randint(1, 5)), _base(rng, infinity_free=True))
     else:
         r = _plus_two(S.r)
-        other = FiniteType(r, S.base, False) if kind == "raw" else saturated.mk_finite_type(r, S.base)
+        other = FiniteType(r, S.base, False) if kind == "raw" else locmat.mk_finite_type(r, S.base)
     return equal, other
 
 
-def _label(kind: str, S: saturated.SaturatedSet) -> str:
+def _label(kind: str, S: locmat.SaturatedSet) -> str:
     if kind == "raw":
         return f"raw S{'+' if S.strict else ''}({format_density(S.r)}, {S.base})"
-    return saturated.format_set(S)
+    return locmat.format_set(S)
 
 
 def sweep_line(rng: random.Random) -> str:
     kind, S = _set(rng)
     out = [_label(kind, S)]
     for den_bound, limit in _SAMPLES:
-        members = saturated.sample_members(S, den_bound=den_bound, limit=limit)
+        members = locmat.sample_members(S, den_bound=den_bound, limit=limit)
         out.append(f"{den_bound}/{limit}:{len(members)}:" + ",".join(map(str, members)))
     for T in _partners(rng, kind, S):
-        out.append(f"eq {saturated.format_set(T)} {saturated.equals_extensional(S, T)}")
+        out.append(f"eq {locmat.format_set(T)} {locmat.equals_extensional(S, T)}")
     return " | ".join(out)
 
 
