@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -42,6 +41,7 @@ from .steinitz import (
     SteinitzNumber,
     _is_prime,
     _parse_int,
+    _Value,
     canonical_ratio,
     divide_by,
     mul_natural,
@@ -52,8 +52,7 @@ from .steinitz import (
 )
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
+class AlgebraDescriptor(_Value):
     """A locally matrix algebra, known through its spectrum.
 
     ``unit_st`` is set when constructor normalization changed the canonical
@@ -65,18 +64,16 @@ class AlgebraDescriptor:
     S(inf, unit_st) equals ``spectrum``.
     """
 
-    spectrum: SaturatedSet
-    unit_st: SteinitzNumber | None = None
+    __slots__ = __match_args__ = ("spectrum", "unit_st")
 
-    def __post_init__(self):
-        s = self.unit_st
-        if s is None:
-            return
-        if s.is_infinity_free or not equals_formal(self.spectrum, mk_inf_type(s)):
+    def __init__(self, spectrum: SaturatedSet, unit_st: SteinitzNumber | None = None):
+        if unit_st is not None and (unit_st.is_infinity_free or not equals_formal(spectrum, mk_inf_type(unit_st))):
             raise ValueError(
-                f"unit_st {s} is not the Steinitz number of a unital algebra "
-                f"whose spectrum collapsed to {format_set(self.spectrum)}"
+                f"unit_st {unit_st} is not the Steinitz number of a unital algebra "
+                f"whose spectrum collapsed to {format_set(spectrum)}"
             )
+        self._set("spectrum", spectrum)
+        self._set("unit_st", unit_st)
 
     @property
     def collapsed(self) -> bool:
@@ -165,13 +162,15 @@ def embeds_as_approximative_corner(B: AlgebraDescriptor, A: AlgebraDescriptor) -
     return _included(B.spectrum, A.spectrum)
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(_Value):
     """One chain stage M_k(A_s): outer matrix size k over the algebra with
     Steinitz number s."""
 
-    k: int
-    s: SteinitzNumber
+    __slots__ = __match_args__ = ("k", "s")
+
+    def __init__(self, k: int, s: SteinitzNumber):
+        self._set("k", k)
+        self._set("s", s)
 
     @property
     def number(self) -> SteinitzNumber:
@@ -198,8 +197,7 @@ def _json_stage(e, i: int) -> dict:
     return e
 
 
-@dataclass(frozen=True)
-class ChainPresentation:
+class ChainPresentation(_Value):
     """Finitely presented ascending chain of corners M_{k_i}(A_{s_i}).
 
     ``quotients[i]`` is the integer q with s_i = q * s_{i+1}; consecutive
@@ -207,9 +205,12 @@ class ChainPresentation:
     ``tail`` declares the limit of the infinite continuation, if any.
     """
 
-    stages: tuple[Stage, ...]
-    quotients: tuple[int, ...]
-    tail: TailRule | None = None
+    __slots__ = __match_args__ = ("stages", "quotients", "tail")
+
+    def __init__(self, stages: tuple[Stage, ...], quotients: tuple[int, ...], tail: TailRule | None = None):
+        self._set("stages", stages)
+        self._set("quotients", quotients)
+        self._set("tail", tail)
 
     def validate(self) -> None:
         if not self.stages:
@@ -354,14 +355,16 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     return union_chain(prefix, chain.tail)
 
 
-@dataclass(frozen=True)
-class CornerWitness:
+class CornerWitness(_Value):
     """Rank witness for growing one corner into another at a common stage:
     sizes current = (r1/n)*ref and target = (r2/n)*ref with r1 < r2."""
 
-    n: int
-    r1: int
-    r2: int
+    __slots__ = __match_args__ = ("n", "r1", "r2")
+
+    def __init__(self, n: int, r1: int, r2: int):
+        self._set("n", n)
+        self._set("r1", r1)
+        self._set("r2", r2)
 
 
 def match_corner(

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .steinitz import INF, ParseError, _parse_int, factorize
+from .steinitz import INF, ParseError, _parse_int, _Value, factorize
 
 #: The infinite density of the infinite-type sets.
 INFINITY = INF
@@ -61,8 +60,7 @@ def _order(test):
     return method
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(_Value):
     """(x + y*sqrt(d))/z with y > 0, z > 0, d squarefree > 1, gcd(x,y,z) = 1.
 
     Always irrational under those invariants; construct via :meth:`make`,
@@ -70,10 +68,13 @@ class Surd:
     an int or a Fraction.
     """
 
-    x: int
-    y: int
-    d: int
-    z: int
+    __slots__ = __match_args__ = ("x", "y", "d", "z")
+
+    def __init__(self, x: int, y: int, d: int, z: int):
+        self._set("x", x)
+        self._set("y", y)
+        self._set("d", d)
+        self._set("z", z)
 
     @classmethod
     def make(cls, x: int, y: int, d: int, z: int) -> "Surd | Fraction":

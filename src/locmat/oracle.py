@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .density import INFINITY, Surd, cmp_density, cmp_ratio, floor_times
@@ -32,7 +31,7 @@ from .saturated import (
 from .steinitz import (
     INF,
     SteinitzNumber,
-    _split,
+    _Value,
     divide_by,
     enumerate_omega,
     finitely_divides,
@@ -56,30 +55,35 @@ class AboveBound:
 ABOVE_BOUND = AboveBound()
 
 
-@dataclass(frozen=True)
-class EnumWindow:
-    numerator_bound: int = 64
-    denominator_bound: int = 30
+class EnumWindow(_Value):
+    __slots__ = __match_args__ = ("numerator_bound", "denominator_bound")
 
-    def __post_init__(self):
-        if min(self.numerator_bound, self.denominator_bound) < 1:
+    def __init__(self, numerator_bound: int = 64, denominator_bound: int = 30):
+        if min(numerator_bound, denominator_bound) < 1:
             raise ValueError("window bounds must be positive")
+        self._set("numerator_bound", numerator_bound)
+        self._set("denominator_bound", denominator_bound)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    name: str
-    witness: str = ""
+class CheckResult(_Value):
+    __slots__ = __match_args__ = ("ok", "name", "witness")
+
+    def __init__(self, ok: bool, name: str, witness: str = ""):
+        self._set("ok", ok)
+        self._set("name", name)
+        self._set("witness", witness)
 
     def line(self) -> str:
         head = "PASS" if self.ok else "FAIL"
         return f"{head} {self.name}" + (f" {self.witness}" if self.witness else "")
 
 
-@dataclass
-class Report:
-    results: list[CheckResult] = field(default_factory=list)
+class Report(_Value):
+    __slots__ = __match_args__ = ("results",)
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, results: list[CheckResult] | None = None):
+        self.results = [] if results is None else results
 
     def add(self, ok: bool, name: str, witness: str = "") -> None:
         self.results.append(CheckResult(ok, name, witness))
@@ -108,6 +112,14 @@ _SEARCH_DEN_BOUND = 4096  # largest denominator of the representation search
 _AXIOM_DEN_BOUND = 30  # denominators of the axiom checker's pool and divisors
 
 
+def _products(primes: tuple[int, ...], hi: int) -> list[int]:
+    """The n <= hi with no prime factor outside ``primes``, ascending."""
+    out = [1]
+    for p in primes:
+        out += [m * p**k for m in out for k in range(1, hi.bit_length()) if m * p**k <= hi]
+    return sorted(out)
+
+
 def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = None) -> list[SteinitzNumber]:
     """Deterministic member sample.
 
@@ -122,24 +134,22 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
     ratio once, in lowest terms: Omega is divisor-closed and b ascends, so
     a/b with gcd(a, b) = g > 1 was met as (a/g)/(b/g) at a smaller b.  Over
     a base with an infinite prime it skips each a with a factor the base
-    absorbs: the rest k < a of a names the same number at the same b.  The
-    ``seen`` set stays because distinct ratios can still name one number
-    (1/2 and 1 over 2^inf).
+    absorbs (at default INF, only products of the finite primes are built):
+    the rest k < a of a names the same number at the same b.  ``seen`` stays
+    as distinct ratios can still name one number (1/2 and 1 over 2^inf).
     """
     if isinstance(S, AllNaturals):
         return [SteinitzNumber.from_int(i) for i in range(1, (200 if limit is None else limit) + 1)]
     out: list[SteinitzNumber] = []
     seen: set[SteinitzNumber] = set()
     base, r = S.base, S.r
-    # The index in _split(a, radical) = (on, off) of the part the base absorbs.
-    absorbed = None if base.is_infinity_free else (1 if base.default == INF else 0)
+    inf_default = base.default == INF
+    absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
     for b in iter_omega(base, den_bound):
         u = divide_by(base, b)
         hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b) + 1
-        for a in range(1, hi + 1):
-            if math.gcd(a, b) > 1:
-                continue
-            if absorbed is not None and _split(a, base._radical)[absorbed] > 1:
+        for a in _products(base._core[1], hi) if inf_default else range(1, hi + 1):
+            if math.gcd(a, b * absorbed) > 1:
                 continue
             if r is not INFINITY:
                 c = cmp_ratio(a, b, r)
@@ -196,10 +206,12 @@ def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) ->
     return True
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    axiom: int
-    witness: str
+class AxiomViolation(_Value):
+    __slots__ = __match_args__ = ("axiom", "witness")
+
+    def __init__(self, axiom: int, witness: str):
+        self._set("axiom", axiom)
+        self._set("witness", witness)
 
 
 def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
@@ -352,14 +364,16 @@ def check_inequality_suite(
     return report
 
 
-@dataclass(frozen=True)
-class FiniteMatrixChain:
+class FiniteMatrixChain(_Value):
     """Concrete finite chain of matrix algebras with unital embeddings
     n_{i+1} = m_i * n_i + z_i (multiplicity m_i, padding z_i)."""
 
-    sizes: tuple[int, ...]
-    mults: tuple[int, ...]
-    pads: tuple[int, ...]
+    __slots__ = __match_args__ = ("sizes", "mults", "pads")
+
+    def __init__(self, sizes: tuple[int, ...], mults: tuple[int, ...], pads: tuple[int, ...]):
+        self._set("sizes", sizes)
+        self._set("mults", mults)
+        self._set("pads", pads)
 
     def validate(self) -> None:
         if not self.sizes:

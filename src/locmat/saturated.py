@@ -18,7 +18,6 @@ Sampling, representation search and axiom checks live in ``oracle``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -40,6 +39,7 @@ from .steinitz import (
     SteinitzNumber,
     _parse_int,
     _ratio_pair,
+    _Value,
     omega_contains,
     parse_scaled,
     ratio_if_connected,
@@ -47,50 +47,56 @@ from .steinitz import (
 )
 
 
-class SaturatedSet:
+class SaturatedSet(_Value):
     """Marker base class; instances are one of the four canonical forms."""
 
-    __slots__ = ()
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
 class Segment(SaturatedSet):
     """{1, 2, ..., n} = S(n, 1)."""
 
-    n: int
+    __slots__ = __match_args__ = ("n",)
     base = ONE
     strict = False
+
+    def __init__(self, n: int):
+        self._set("n", n)
 
     @property
     def r(self) -> Fraction:
         return Fraction(self.n)
 
 
-@dataclass(frozen=True)
 class AllNaturals(SaturatedSet):
     """All positive integers: S(inf, 1)."""
 
+    __slots__ = __match_args__ = ()
     base = ONE
     r = INFINITY
     strict = False
 
 
-@dataclass(frozen=True)
 class InfType(SaturatedSet):
     """S(inf, base) = {(a/b)*base : a natural, b in Omega(base)}."""
 
-    base: SteinitzNumber
+    __slots__ = __match_args__ = ("base",)
     r = INFINITY
     strict = False
 
+    def __init__(self, base: SteinitzNumber):
+        self._set("base", base)
 
-@dataclass(frozen=True)
+
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b."""
 
-    r: Fraction | Surd
-    base: SteinitzNumber
-    strict: bool
+    __slots__ = __match_args__ = ("r", "base", "strict")
+
+    def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
+        self._set("r", r)
+        self._set("base", base)
+        self._set("strict", strict)
 
 
 ALL_NATURALS = AllNaturals()
@@ -254,8 +260,7 @@ def equals_formal(S1: SaturatedSet, S2: SaturatedSet) -> bool:
     return compare_inclusion(S1, S2) is Inclusion.EQUAL
 
 
-@dataclass(frozen=True)
-class TailRule:
+class TailRule(_Value):
     """Declared limit of an ascending chain of saturated sets.
 
     The density of an ``attained``/``approached`` tail is expressed at the
@@ -263,8 +268,11 @@ class TailRule:
     so the construction declares it).
     """
 
-    kind: str  # "attained" | "approached" | "unbounded"
-    r: Density | None = None
+    __slots__ = __match_args__ = ("kind", "r")
+
+    def __init__(self, kind: str, r: Density | None = None):
+        self._set("kind", kind)  # "attained" | "approached" | "unbounded"
+        self._set("r", r)
 
     @classmethod
     def attained(cls, r: Density) -> "TailRule":
@@ -282,8 +290,8 @@ class TailRule:
 def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> SaturatedSet:
     """Union of an ascending chain given a finite prefix and a declared tail.
 
-    Under a density tail no prefix set may be of infinite type, and each
-    must lie in the raw limit the tail declares."""
+    A density tail of inf declares S(inf, base); under a finite one no prefix
+    set may be of infinite type, and each must lie in the raw limit."""
     if not prefix:
         raise ValueError("empty chain prefix")
     for a, b in zip(prefix, prefix[1:]):
@@ -300,6 +308,8 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
         raise ValueError("a density tail needs a density")
     if base.is_natural:
         raise ValueError("a density tail needs a chain of based sets")
+    if tail.r is INFINITY:
+        return mk_inf_type(base)
     if any(S.r is INFINITY for S in prefix):
         raise ValueError("a density tail is inconsistent with an infinite-type prefix")
     limit = FiniteType(tail.r, base, tail.kind == "approached")

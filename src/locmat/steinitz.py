@@ -28,12 +28,44 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import attrgetter
 
 #: Exponent value standing for an infinite prime exponent.  Finite exponents
 #: stay arbitrary-precision ints; only this one value is a float.
 INF = math.inf
 
 Exponent = int | float
+
+
+class _Value:
+    """An immutable value whose fields ``__match_args__`` lists and ``__init__`` sets with
+    ``_set``; it equals only its own class's instances, on the tuple of its fields."""
+
+    __slots__ = ()
+    _set = object.__setattr__  # bound to the instance, it writes past the refusal below
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__  # attrgetter builds the tuple in C, but not of one name
+        cls._values = property(attrgetter(*names) if len(names) > 1 else lambda s: tuple(map(s.__getattribute__, names)))
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ParseError(ValueError):
@@ -59,7 +91,11 @@ def _parse_int(text: str, pos: int) -> int:
 
 
 _TRIAL_LIMIT = 1000
-_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_sieve = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_LIMIT - 2)  # Eratosthenes: 1 marks a prime
+for _p in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
+    _sieve[_p * _p :: _p] = bytes(len(range(_p * _p, _TRIAL_LIMIT, _p)))
+_SMALL_PRIMES = tuple(compress(range(_TRIAL_LIMIT), _sieve))
+del _sieve, _p
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # (bound, bases): being a strong probable prime to every base is exact for

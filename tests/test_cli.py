@@ -294,6 +294,15 @@ def test_realize_strict_density_one(arg, chain):
     assert cli.run(["set", "eq", spectrum, arg]) == (0, "true")
 
 
+@pytest.mark.parametrize("kind", ["attained", "approached", "unbounded"])
+def test_inf_density_tail_over_an_infinite_type_prefix(kind):
+    # One stage over 2^inf has the collapsed spectrum S(inf, 2^inf); a tail of
+    # density inf declares that same set, whatever its kind.
+    tail = '{"kind":"unbounded"}' if kind == "unbounded" else '{"kind":"%s","r":"inf"}' % kind
+    chain = '{"stages":[{"k":1,"s":"2^inf","q":null}],"tail":%s}' % tail
+    assert cli.run(["alg", "spectrum", chain]) == (0, "S(inf, 2^inf)")
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

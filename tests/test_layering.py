@@ -1,6 +1,10 @@
-"""Imports run one way: the core modules never import the oracle."""
+"""Imports run one way: the core modules never import the oracle, and no
+module pays for ``dataclasses`` at start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,37 @@ def test_core_module_imports_neither_oracle_nor_random(module):
 def test_module_level_imports_skip_function_bodies():
     tree = ast.parse("import re\nfrom . import oracle\ndef f():\n    import random\n")
     assert module_level_imports(tree) == {"re", ".", ".oracle"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import statement anywhere in the tree names."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    imports = imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    assert "dataclasses" not in {name.split(".")[0] for name in imports}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running ``code`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Against a bare interpreter, so that whatever site preloads is not counted.
+    extra = loaded_modules("import locmat.cli") - loaded_modules("pass")
+    assert "locmat.cli" in extra
+    assert not extra & {"dataclasses", "inspect"}

@@ -1,12 +1,34 @@
-"""The public surface: the names ``locmat`` exports, and the shape shared by
-the four saturated-set classes."""
+"""The public surface: the names ``locmat`` exports, the shape shared by the
+four saturated-set classes, and what every value class keeps: equality,
+hashing, immutability, constructors and reprs."""
 
+import copy
 import inspect
-from dataclasses import fields
+import pickle
 from fractions import Fraction
 
+import pytest
+
 import locmat
-from locmat import ALL_NATURALS, INFINITY, ONE, AllNaturals, FiniteType, InfType, Segment, parse
+from locmat import (
+    ALL_NATURALS,
+    INFINITY,
+    ONE,
+    AlgebraDescriptor,
+    AllNaturals,
+    AxiomViolation,
+    ChainPresentation,
+    CornerWitness,
+    FiniteMatrixChain,
+    FiniteType,
+    InfType,
+    Segment,
+    Stage,
+    Surd,
+    TailRule,
+    parse,
+)
+from locmat.oracle import CheckResult, EnumWindow, Report
 
 PUBLIC_NAMES = {
     "ALL_NATURALS", "AlgebraDescriptor", "AllNaturals", "AxiomViolation", "ChainPresentation",
@@ -43,13 +65,68 @@ def test_every_set_class_has_base_r_strict():
 
 def test_set_classes_keep_their_fields_repr_and_equality():
     P = parse("P")
-    assert [f.name for f in fields(Segment)] == ["n"]
-    assert [f.name for f in fields(AllNaturals)] == []
-    assert [f.name for f in fields(InfType)] == ["base"]
-    assert [f.name for f in fields(FiniteType)] == ["r", "base", "strict"]
+    assert Segment.__match_args__ == ("n",)
+    assert AllNaturals.__match_args__ == ()
+    assert InfType.__match_args__ == ("base",)
+    assert FiniteType.__match_args__ == ("r", "base", "strict")
     assert repr(Segment(3)) == "Segment(n=3)"
     assert repr(ALL_NATURALS) == "AllNaturals()"
     assert repr(InfType(P)) == 'InfType(base=SteinitzNumber("P"))'
     assert Segment(3) == Segment(3) and hash(Segment(3)) == hash(Segment(3))
     assert AllNaturals() == ALL_NATURALS and hash(AllNaturals()) == hash(ALL_NATURALS)
     assert Segment(3) != Segment(4)
+
+
+def _values():
+    P = parse("P")
+    return [
+        Surd.make(0, 1, 2, 1), Segment(3), ALL_NATURALS, InfType(P), FiniteType(Fraction(3, 2), P, True),
+        TailRule("attained", Fraction(2)), AlgebraDescriptor(Segment(3)), Stage(2, P),
+        ChainPresentation((Stage(1, P),), ()), CornerWitness(6, 1, 5), EnumWindow(),
+        CheckResult(True, "x"), AxiomViolation(1, "w"), FiniteMatrixChain((1, 2), (2,), (0,)),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_classes_are_immutable_and_compare_within_their_class(value):
+    names = type(value).__match_args__
+    same = type(value)(*(getattr(value, n) for n in names))
+    assert same == value and hash(same) == hash(value) and same is not value
+    assert value != tuple(getattr(value, n) for n in names)
+    assert bool(value)
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    for name in names or ("base",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_value_class_defaults_checks_and_reprs():
+    P = parse("P")
+    assert TailRule("unbounded").r is None and ChainPresentation((), ()).tail is None
+    assert AlgebraDescriptor(Segment(3)).unit_st is None and CheckResult(True, "x").witness == ""
+    assert (EnumWindow().numerator_bound, EnumWindow().denominator_bound) == (64, 30)
+    with pytest.raises(ValueError, match="window bounds"):
+        EnumWindow(0, 30)
+    with pytest.raises(ValueError, match="unit_st"):
+        AlgebraDescriptor(Segment(3), P)
+    assert repr(Stage(2, P)) == 'Stage(k=2, s=SteinitzNumber("P"))'
+    assert repr(Surd.make(1, 1, 5, 2)) == "(1+1*sqrt(5))/2"
+    assert Surd.make(0, 1, 2, 1) != Fraction(1) and Surd.make(0, 1, 2, 1) > 1
+    match FiniteType(Fraction(3, 2), P, True):
+        case FiniteType(r, base, strict):
+            assert (r, base, strict) == (Fraction(3, 2), P, True)
+        case _:
+            pytest.fail("FiniteType does not match its own fields")
+
+
+def test_report_is_mutable_and_unhashable():
+    a, b = Report(), Report()
+    assert a.results is not b.results and a == b
+    a.add(True, "x")
+    assert a != b and a.results == [CheckResult(True, "x")]
+    b.results = list(a.results)
+    assert a == b and repr(a) == "Report(results=[CheckResult(ok=True, name='x', witness='')])"
+    with pytest.raises(TypeError):
+        hash(a)

@@ -455,6 +455,8 @@ def union_by_rebased_densities(prefix, tail):
         return mk_inf_type(base)
     if tail.kind not in ("attained", "approached") or base.is_natural:
         return None
+    if tail.r is INFINITY:
+        return mk_inf_type(base)
     for S in prefix:
         if S.r is INFINITY:
             return None
@@ -574,6 +576,23 @@ def test_sample_members_skips_numbers_an_absorbed_prime_makes_equal(monkeypatch)
     p_inf = parse("P^inf")
     assert sample_members(mk_inf_type(p_inf), 256, 100) == [p_inf]
     assert len(calls) <= 256
+
+
+def test_sample_members_at_default_inf_builds_only_unabsorbed_numerators(monkeypatch):
+    # Over P^inf every prime is absorbed, so only a = 1 is built: the 256 b each
+    # cost an Omega test, a division and a product, one _split apiece.
+    calls = []
+
+    def counted(n, radical):
+        calls.append(n)
+        return split(n, radical)
+
+    split = steinitz._split
+    monkeypatch.setattr(steinitz, "_split", counted)
+    monkeypatch.setattr(oracle, "_split", counted, raising=False)  # for a sampler that splits each a itself
+    p_inf = parse("P^inf")
+    assert sample_members(mk_inf_type(p_inf), 256, 100) == [p_inf]
+    assert len(calls) <= 1000
 
 
 def test_representation_search_stops_at_the_first_representation(omega_tests):

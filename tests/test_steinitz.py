@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locmat import steinitz
 from locmat.steinitz import (
     INF,
     ONE,
@@ -34,6 +35,14 @@ from locmat.steinitz import (
     rationally_connected,
     scale,
 )
+
+
+def test_small_primes_are_the_primes_below_the_trial_limit():
+    # Reference: trial division by every smaller candidate.
+    want = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, n)))
+    assert len(want) == 168 and want[-1] == 997
+    assert steinitz._SMALL_PRIMES == want
+    assert steinitz._PRIMORIAL == math.prod(want)
 
 
 def trial_valuation(n: int, p: int) -> int:
