@@ -6,38 +6,66 @@ wrapped as a JSON object.
 
 Each subcommand's parser carries its answering function as ``args.run``;
 ``_exit_code`` alone maps the answer to the exit code, ``_render`` to text.
+A call builds the parsers of its own command group only, and loads
+``algebra``, ``oracle`` and ``json`` only where its answer needs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 
-from . import algebra, oracle, saturated
-from .algebra import embeds_as_approximative_corner, parse_descriptor
+from . import saturated
 from .density import INFINITY, format_density
 from .saturated import contains, format_set, parse_set
 from .steinitz import ParseError, _parse_int, parse_scaled
+
+
+class _Group(argparse.ArgumentParser):
+    """A command group's parser, which adds its subcommands the first time it
+    parses: argparse descends only into the group that argv names."""
+
+    def __init__(self, *args, commands=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._commands = commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._commands is not None:
+            self._commands(self.add_subparsers(dest="cmd", required=True))
+            self._commands = None
+        return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # --help shows the docstring up to its last paragraph, which is for readers of the source.
     p = argparse.ArgumentParser(prog="locmat", description=__doc__.rsplit("\n\n", 1)[0])
     p.add_argument("--json", action="store_true", help="emit the decision as JSON")
-    sub = p.add_subparsers(dest="group", required=True)
+    sub = p.add_subparsers(dest="group", required=True, parser_class=_Group)
+    sub.add_parser("num", help="Steinitz number operations", commands=_num_commands)
+    sub.add_parser("set", help="saturated set operations", commands=_set_commands)
+    sub.add_parser("alg", help="locally matrix algebra decisions", commands=_alg_commands)
 
-    num = sub.add_parser("num", help="Steinitz number operations").add_subparsers(dest="cmd", required=True)
+    chk = sub.add_parser("check", help="verification suites over the built-in corpus")
+    chk.add_argument("suite", choices=["all", "saturation", "inequalities", "roundtrip"])
+    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--bound", type=int, default=60, help="divisor bound, read by the inequalities suite only")
+    chk.add_argument("--trials", type=int, default=200)
+    chk.set_defaults(run=lambda a: _run_checks(a.suite, seed=a.seed, bound=a.bound, trials=a.trials))
+    return p
+
+
+def _num_commands(num) -> None:
     for name in ("eval", "format"):
         c = num.add_parser(name, help="parse and print the canonical form")
         c.add_argument("expr")
         c.set_defaults(run=lambda a: str(parse_scaled(a.expr)))
 
-    st = sub.add_parser("set", help="saturated set operations").add_subparsers(dest="cmd", required=True)
+
+def _set_commands(st) -> None:
     c = st.add_parser("member", help="membership test")
     c.add_argument("set"), c.add_argument("num")
     c.set_defaults(run=lambda a: contains(parse_set(a.set), parse_scaled(a.num)))
@@ -60,41 +88,47 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("set")
     c.set_defaults(run=lambda a: format_set(parse_set(a.set)))
 
-    alg = sub.add_parser("alg", help="locally matrix algebra decisions").add_subparsers(dest="cmd", required=True)
+
+def _alg(answer):
+    """An alg command's answering function: ``answer(m, args)``, m the algebra
+    module, which loads on first use."""
+
+    def run(args):
+        from . import algebra
+        return answer(algebra, args)
+
+    return run
+
+
+def _alg_commands(alg) -> None:
     c = alg.add_parser("unital", help="is the algebra unital")
     c.add_argument("alg")
-    c.set_defaults(run=lambda a: algebra.is_unital(parse_descriptor(a.alg)))
+    c.set_defaults(run=_alg(lambda m, a: m.is_unital(m.parse_descriptor(a.alg))))
     c = alg.add_parser("iso", help="are two algebras isomorphic")
     c.add_argument("alg1"), c.add_argument("alg2")
-    c.set_defaults(run=lambda a: algebra.isomorphic(parse_descriptor(a.alg1), parse_descriptor(a.alg2)))
+    c.set_defaults(run=_alg(lambda m, a: m.isomorphic(m.parse_descriptor(a.alg1), m.parse_descriptor(a.alg2))))
     c = alg.add_parser("embed", help="does the first embed in the second as an approximative corner")
     c.add_argument("alg1"), c.add_argument("alg2")
-    c.set_defaults(run=lambda a: embeds_as_approximative_corner(parse_descriptor(a.alg1), parse_descriptor(a.alg2)))
+    c.set_defaults(
+        run=_alg(lambda m, a: m.embeds_as_approximative_corner(m.parse_descriptor(a.alg1), m.parse_descriptor(a.alg2)))
+    )
     c = alg.add_parser("spectrum", help="spectrum of a descriptor or chain JSON")
     c.add_argument("arg")
-    c.set_defaults(run=_spectrum)
+    c.set_defaults(run=_alg(_spectrum))
     c = alg.add_parser("realize", help="chain of corners realizing a spectrum")
     c.add_argument("arg")
     c.add_argument("--chain", help="comma-separated ascending divisors of the base")
     c.add_argument("--depth", type=int, default=4)
-    c.set_defaults(run=_realize)
+    c.set_defaults(run=_alg(_realize))
     c = alg.add_parser("minf", help="finitary infinite matrices over a unital algebra")
     c.add_argument("alg")
-    c.set_defaults(run=lambda a: str(algebra.m_infinity(parse_descriptor(a.alg))))
+    c.set_defaults(run=_alg(lambda m, a: str(m.m_infinity(m.parse_descriptor(a.alg)))))
     c = alg.add_parser("matover", help="n-by-n matrices over a unital algebra")
     c.add_argument("alg"), c.add_argument("n", type=int)
-    c.set_defaults(run=lambda a: str(algebra.matrix_over(parse_descriptor(a.alg), a.n)))
+    c.set_defaults(run=_alg(lambda m, a: str(m.matrix_over(m.parse_descriptor(a.alg), a.n))))
     c = alg.add_parser("corner", help="corner of relative rank a/b")
     c.add_argument("alg"), c.add_argument("rank")
-    c.set_defaults(run=_corner)
-
-    chk = sub.add_parser("check", help="verification suites over the built-in corpus")
-    chk.add_argument("suite", choices=["all", "saturation", "inequalities", "roundtrip"])
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--bound", type=int, default=60, help="divisor bound, read by the inequalities suite only")
-    chk.add_argument("--trials", type=int, default=200)
-    chk.set_defaults(run=lambda a: _run_checks(a.suite, seed=a.seed, bound=a.bound, trials=a.trials))
-    return p
+    c.set_defaults(run=_alg(_corner))
 
 
 def _max(args) -> str | None:
@@ -102,16 +136,16 @@ def _max(args) -> str | None:
     return None if m is None else str(m)
 
 
-def _spectrum(args) -> str:
+def _spectrum(algebra, args) -> str:
     arg = args.arg.strip()
     if arg.startswith("{"):
         return format_set(algebra.spectrum_of_chain(algebra.ChainPresentation.from_json(arg)))
-    return format_set(parse_descriptor(arg).spectrum)
+    return format_set(algebra.parse_descriptor(arg).spectrum)
 
 
-def _realize(args) -> dict:
+def _realize(algebra, args) -> dict:
     arg = args.arg.strip()
-    S = parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
+    S = algebra.parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
     chain = None
     if args.chain is not None:
         pieces = args.chain.split(",")
@@ -120,16 +154,17 @@ def _realize(args) -> dict:
     return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict()
 
 
-def _corner(args) -> str:
+def _corner(algebra, args) -> str:
     num, _, den = args.rank.partition("/")
     d = _parse_int(den, len(num) + 1) if den else 1
     if d == 0:
         raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
     q = Fraction(_parse_int(num, 0), d)
-    return str(algebra.corner(parse_descriptor(args.alg), q))
+    return str(algebra.corner(algebra.parse_descriptor(args.alg), q))
 
 
-def _run_checks(suite: str, seed: int, bound: int, trials: int) -> oracle.Report:
+def _run_checks(suite: str, seed: int, bound: int, trials: int):
+    from . import oracle
     report = oracle.Report()
     corpus = oracle.acceptance_corpus()
     if suite in ("all", "saturation"):
@@ -142,6 +177,7 @@ def _run_checks(suite: str, seed: int, bound: int, trials: int) -> oracle.Report
             sub = oracle.check_inequality_suite(S, oracle.reference_member(S), bound=bound)
             report.extend(f"inequalities:{name}:", sub)
     if suite in ("all", "roundtrip"):
+        from . import algebra
         for name, S in corpus:
             chain = algebra.realize(S)
             ok = saturated.equals_formal(algebra.spectrum_of_chain(chain), S)
@@ -150,12 +186,18 @@ def _run_checks(suite: str, seed: int, bound: int, trials: int) -> oracle.Report
 
 
 def _exit_code(answer: object) -> int:
-    """1 for False or None (no largest member), 3 for a failed report, else 0."""
+    """1 for False or None (no largest member), 3 for a failed report, else 0.
+    A check report is the one answer with a ``passed`` attribute."""
     if answer is False or answer is None:
         return 1
-    if isinstance(answer, oracle.Report) and not answer.passed:
+    if hasattr(answer, "passed") and not answer.passed:
         return 3
     return 0
+
+
+def _json(value: object) -> str:
+    import json
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _render(value: object, as_json: bool) -> str:
@@ -163,18 +205,17 @@ def _render(value: object, as_json: bool) -> str:
         value = "none"
     elif value is INFINITY:
         value = "inf"
+    is_report = hasattr(value, "passed")
     if as_json:
-        if isinstance(value, oracle.Report):
-            return json.dumps({"result": value.to_json_dict()}, separators=(",", ":"))
-        return json.dumps({"result": value}, separators=(",", ":"))
-    if isinstance(value, oracle.Report):
+        return _json({"result": value.to_json_dict() if is_report else value})
+    if is_report:
         lines = value.lines()
         lines.append(f"{'PASS' if value.passed else 'FAIL'} total {len(value.results)} checks")
         return "\n".join(lines)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, dict):
-        return json.dumps(value, separators=(",", ":"))
+        return _json(value)
     return str(value)
 
 
@@ -191,9 +232,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     try:
         answer = args.run(args)
     except (ParseError, ValueError, OverflowError) as e:
-        if args.json:
-            return 2, json.dumps({"error": str(e)}, separators=(",", ":"))
-        return 2, f"error: {e}"
+        return 2, _json({"error": str(e)}) if args.json else f"error: {e}"
     return _exit_code(answer), _render(answer, args.json)
 
 

@@ -290,8 +290,9 @@ class TailRule(_Value):
 def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> SaturatedSet:
     """Union of an ascending chain given a finite prefix and a declared tail.
 
-    A density tail of inf declares S(inf, base); under a finite one no prefix
-    set may be of infinite type, and each must lie in the raw limit."""
+    A density tail of inf declares S(inf, base), which is N over natural sets;
+    a finite one needs based sets, none of infinite type, each inside the raw
+    limit."""
     if not prefix:
         raise ValueError("empty chain prefix")
     for a, b in zip(prefix, prefix[1:]):
@@ -306,10 +307,10 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
         raise ValueError(f"unknown tail kind {tail.kind!r}")
     if tail.r is None:
         raise ValueError("a density tail needs a density")
-    if base.is_natural:
-        raise ValueError("a density tail needs a chain of based sets")
     if tail.r is INFINITY:
         return mk_inf_type(base)
+    if base.is_natural:
+        raise ValueError("a density tail needs a chain of based sets")
     if any(S.r is INFINITY for S in prefix):
         raise ValueError("a density tail is inconsistent with an infinite-type prefix")
     limit = FiniteType(tail.r, base, tail.kind == "approached")

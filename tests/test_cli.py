@@ -303,6 +303,15 @@ def test_inf_density_tail_over_an_infinite_type_prefix(kind):
     assert cli.run(["alg", "spectrum", chain]) == (0, "S(inf, 2^inf)")
 
 
+@pytest.mark.parametrize("kind", ["attained", "approached", "unbounded"])
+def test_inf_density_tail_over_natural_sets(kind):
+    # A chain of natural sets whose densities grow without bound is all of N,
+    # whatever the kind of the tail that declares it.
+    tail = '{"kind":"unbounded"}' if kind == "unbounded" else '{"kind":"%s","r":"inf"}' % kind
+    chain = '{"stages":[{"k":3,"s":"1","q":null}],"tail":%s}' % tail
+    assert cli.run(["alg", "spectrum", chain]) == (0, "N")
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

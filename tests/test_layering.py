@@ -1,5 +1,6 @@
-"""Imports run one way: the core modules never import the oracle, and no
-module pays for ``dataclasses`` at start-up."""
+"""Imports run one way: the core modules never import the oracle, no module
+pays for ``dataclasses`` at start-up, and a CLI call loads only the modules
+its command reaches."""
 
 import ast
 import os
@@ -78,3 +79,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     extra = loaded_modules("import locmat.cli") - loaded_modules("pass")
     assert "locmat.cli" in extra
     assert not extra & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv,loads,skips",
+    [
+        (None, set(), {"locmat.algebra", "locmat.oracle", "json"}),
+        (["num", "format", "P^1*2^3"], set(), {"locmat.algebra", "locmat.oracle", "json"}),
+        (["set", "member", "S(3/2, P)", "(1/2)*P"], set(), {"locmat.algebra", "locmat.oracle", "json"}),
+        (["--json", "set", "member", "S(3/2, P)", "(1/2)*P"], {"json"}, {"locmat.algebra", "locmat.oracle"}),
+        (["alg", "unital", "alg(S(3/2, P))"], {"locmat.algebra"}, {"locmat.oracle"}),
+        (["check", "roundtrip"], {"locmat.oracle"}, set()),
+    ],
+    ids=["import-locmat", "num", "set", "json-set", "alg", "check"],
+)
+def test_a_command_loads_only_what_it_reaches(argv, loads, skips):
+    # ``locmat`` resolves its algebra and oracle names on first use, and the
+    # CLI imports those modules and json inside the answers that need them.
+    code = "import locmat" if argv is None else f"import locmat.cli\nlocmat.cli.run({argv!r})"
+    extra = loaded_modules(code) - loaded_modules("pass")
+    assert loads <= extra
+    assert not skips & extra

@@ -4,8 +4,13 @@ hashing, immutability, constructors and reprs."""
 
 import copy
 import inspect
+import json
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +52,37 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names_are_pinned():
-    exported = {n for n, v in vars(locmat).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    exported = {n for n in dir(locmat) if not n.startswith("_") and not inspect.ismodule(getattr(locmat, n))}
     assert exported == PUBLIC_NAMES
+
+
+# Run in a fresh interpreter: a star import, then the submodules, then what
+# each public name is bound to.
+FRESH = """
+import importlib, json, sys
+star = {}
+exec("from locmat import *", star)
+del star["__builtins__"]
+import locmat.density, locmat.algebra, locmat.oracle
+import locmat
+modules = [importlib.import_module("locmat." + m) for m in ("steinitz", "density", "saturated", "algebra", "oracle")]
+homes = {name: [vars(m)[name] for m in modules if name in vars(m)] for name in star}
+print(json.dumps({
+    "star": sorted(star),
+    "foreign": sorted(n for n, v in star.items() if not homes[n] or any(h is not v for h in homes[n])),
+    "package": sorted(n for n, v in star.items() if getattr(locmat, n) is not v),
+    "density": locmat.density is sys.modules["locmat.saturated"].density,
+}))
+"""
+
+
+def test_public_names_in_a_fresh_interpreter():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", FRESH], env=env, capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert set(got["star"]) == PUBLIC_NAMES
+    assert got["foreign"] == [] and got["package"] == []
+    assert got["density"] is True
 
 
 def test_every_set_class_has_base_r_strict():

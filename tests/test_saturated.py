@@ -453,10 +453,12 @@ def union_by_rebased_densities(prefix, tail):
     base = prefix[0].base
     if tail.kind == "unbounded":
         return mk_inf_type(base)
-    if tail.kind not in ("attained", "approached") or base.is_natural:
+    if tail.kind not in ("attained", "approached"):
         return None
     if tail.r is INFINITY:
         return mk_inf_type(base)
+    if base.is_natural:
+        return None
     for S in prefix:
         if S.r is INFINITY:
             return None
