@@ -59,6 +59,15 @@ CHAIN_JSON = [
     '{"stages":"ab","tail":null}',
     '{"stages":[],"tail":null}',
     "{not json",
+    '{"stages":[{"k":0,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":-1,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":1,"s":"P","q":0},{"k":2,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":1,"s":"P","q":2},{"k":9,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":3,"s":"P","q":1},{"k":2,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":3,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/2"}}',
+    '{"stages":[{"k":3,"s":"P","q":null}],"tail":{"kind":"bogus","r":"1"}}',
+    '{"stages":[{"k":1,"s":"2^inf","q":null}],"tail":{"kind":"attained","r":"2"}}',
+    '{"stages":[{"k":0,"s":"P","q":1},{"k":1,"s":"x","q":null}],"tail":null}',
 ]
 
 
@@ -89,6 +98,11 @@ def _corpus() -> list[list[str]]:
     for arg in SETS + ALGS[::4] + BAD_SETS[:3]:
         for extra in ([], ["--chain", "2,6"], ["--chain", ""], ["--chain", "3,2"], ["--depth", "2"], ["--depth", "0"]):
             out.append(["alg", "realize", arg, *extra])
+    out += [
+        ["alg", "realize", "S(3/2,P)", "--depth", "65"],
+        ["alg", "realize", "S+(1,P)", "--chain", "1,2"],
+        ["alg", "realize", "S+(1,P)", "--chain", "1,4"],
+    ]
     out += [
         ["check", "roundtrip"],
         ["check", "saturation", "--trials", "20", "--bound", "12", "--seed", "2"],
