@@ -95,6 +95,10 @@ def spec_matrix(n: int) -> AlgebraDescriptor:
     return AlgebraDescriptor(mk_segment(n))
 
 
+def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
+    return mk_segment(s.as_int()) if s.is_natural else mk_finite_type(Fraction(1), s, strict=False)
+
+
 def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:
     """The unital locally matrix algebra with Steinitz number s.
 
@@ -102,12 +106,8 @@ def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:
     base s, which collapses to the infinite type when s has an infinite
     prime (the descriptor keeps the modeled st and a collapsed flag).
     """
-    if s.is_natural:
-        return AlgebraDescriptor(mk_segment(s.as_int()))
-    spec = mk_finite_type(Fraction(1), s, strict=False)
-    if isinstance(spec, InfType):
-        return AlgebraDescriptor(spec, unit_st=s)
-    return AlgebraDescriptor(spec)
+    spec = _unital_spectrum(s)
+    return AlgebraDescriptor(spec, unit_st=s if isinstance(spec, InfType) else None)
 
 
 def _require_st(A: AlgebraDescriptor, op: str) -> SteinitzNumber:
@@ -169,6 +169,8 @@ class Stage(_Value):
     __slots__ = __match_args__ = ("k", "s")
 
     def __init__(self, k: int, s: SteinitzNumber):
+        if k < 1:
+            raise ValueError(f"stage size must be positive, got {k}")
         self._set("k", k)
         self._set("s", s)
 
@@ -211,15 +213,13 @@ class ChainPresentation(_Value):
         self._set("stages", stages)
         self._set("quotients", quotients)
         self._set("tail", tail)
+        self.validate()
 
     def validate(self) -> None:
         if not self.stages:
             raise ValueError("chain needs at least one stage")
         if len(self.quotients) != len(self.stages) - 1:
             raise ValueError("need exactly one quotient per consecutive stage pair")
-        for st in self.stages:
-            if st.k < 1:
-                raise ValueError(f"stage size must be positive, got {st.k}")
         for i, q in enumerate(self.quotients):
             a, b = self.stages[i], self.stages[i + 1]
             if q < 1:
@@ -253,7 +253,7 @@ class ChainPresentation(_Value):
             raise ParseError(f"chain JSON must be an object, got {d!r}")
         try:
             entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
-            stages = tuple(Stage(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries)
+            fields = [(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries]
             quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
             tail_d = d.get("tail")
             if tail_d is None:
@@ -264,9 +264,7 @@ class ChainPresentation(_Value):
                 tail = TailRule(tail_d["kind"], parse_density(_json_field(tail_d, "r", str)))
         except (KeyError, TypeError) as e:
             raise ParseError(f"malformed chain object: {e}") from e
-        chain = cls(stages, quotients, tail)
-        chain.validate()
-        return chain
+        return cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -334,13 +332,13 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
         divisor_chain = _default_divisor_chain(base, depth)
     if not divisor_chain:
         raise ValueError("empty divisor chain")
-    # divide_by rejects a divisor outside Omega(base), zero and negatives included.
+    # Stage rejects a size of 0 (S+(1, s) at b = 1), before b1/k1 below; divide_by
+    # rejects a divisor outside Omega(base), zero and negatives included.
     stages = tuple(Stage(_floor_count(S.r, S.strict, b), divide_by(base, b)) for b in divisor_chain)
     for b, c in zip(divisor_chain, divisor_chain[1:]):
         if c % b != 0:
             raise ValueError(f"divisor chain not ascending by divisibility: {b}, {c}")
     quotients = tuple(c // b for b, c in zip(divisor_chain, divisor_chain[1:]))
-    ChainPresentation(stages, quotients).validate()  # a stage size of 0 fails here, before b1/k1
     k1, b1 = stages[0].k, divisor_chain[0]
     tail_r = scale_density(S.r, Fraction(b1, k1))
     tail = TailRule.approached(tail_r) if S.strict else TailRule.attained(tail_r)
@@ -350,9 +348,7 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     """Union of the stage spectra, with the declared tail: Spec of the
     chain's union algebra."""
-    chain.validate()
-    prefix = [spec_unital(n).spectrum for n in chain.stage_numbers()]
-    return union_chain(prefix, chain.tail)
+    return union_chain([_unital_spectrum(n) for n in chain.stage_numbers()], chain.tail)
 
 
 class CornerWitness(_Value):

@@ -374,6 +374,7 @@ class FiniteMatrixChain(_Value):
         self._set("sizes", sizes)
         self._set("mults", mults)
         self._set("pads", pads)
+        self.validate()
 
     def validate(self) -> None:
         if not self.sizes:
@@ -396,7 +397,6 @@ def simulate_finite_chain(
     every later stage, computed stepwise; padding never contributes.
     Returns (stage, rank, ranks-from-stage-on) rows.
     """
-    chain.validate()
     rows = []
     for stage, rho in seeds:
         if not 0 <= stage < len(chain.sizes):

@@ -243,6 +243,35 @@ class TestSpectrumOfChain:
             ChainPresentation((Stage(1, P), Stage(9, P)), (2,)).validate()  # wrong quotient
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Stage(0, P), "stage size must be positive, got 0"),
+        (lambda: ChainPresentation((), ()), "chain needs at least one stage"),
+        (
+            lambda: ChainPresentation((Stage(1, P), Stage(2, P)), ()),
+            "need exactly one quotient per consecutive stage pair",
+        ),
+        (lambda: ChainPresentation((Stage(1, P), Stage(2, P)), (0,)), "quotient must be positive, got 0"),
+        (lambda: ChainPresentation((Stage(1, P), Stage(9, P)), (2,)), "stage 0: P != 2 * P"),
+        (lambda: ChainPresentation((Stage(3, P), Stage(2, P)), (1,)), "stage 0: corner inequality 3*1 <= 2 fails"),
+        (lambda: FiniteMatrixChain((2, 5), (2,), (0,)), "step 0: 5 != 2*2+0"),
+    ],
+    ids=["size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain"],
+)
+def test_chain_values_refuse_bad_input_when_built(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_realized_chain_is_validated_once(monkeypatch):
+    calls = []
+    validate = ChainPresentation.validate
+    monkeypatch.setattr(ChainPresentation, "validate", lambda self: calls.append(self) or validate(self))
+    spectrum_of_chain(realize(mk_finite_type(Fraction(3, 2), P, False)))
+    assert len(calls) == 1
+
+
 class TestChainJson:
     def test_roundtrip(self):
         chain = realize(mk_finite_type(Fraction(5, 2), parse("P^1*2^3"), True), depth=3)

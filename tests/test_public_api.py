@@ -138,7 +138,7 @@ def test_value_classes_are_immutable_and_compare_within_their_class(value):
 
 def test_value_class_defaults_checks_and_reprs():
     P = parse("P")
-    assert TailRule("unbounded").r is None and ChainPresentation((), ()).tail is None
+    assert TailRule("unbounded").r is None and ChainPresentation((Stage(1, P),), ()).tail is None
     assert AlgebraDescriptor(Segment(3)).unit_st is None and CheckResult(True, "x").witness == ""
     assert (EnumWindow().numerator_bound, EnumWindow().denominator_bound) == (64, 30)
     with pytest.raises(ValueError, match="window bounds"):
