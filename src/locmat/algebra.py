@@ -40,6 +40,7 @@ from .steinitz import (
     ParseError,
     SteinitzNumber,
     _is_prime,
+    _parse_at,
     _parse_int,
     _Value,
     canonical_ratio,
@@ -430,7 +431,7 @@ def parse_descriptor(text: str) -> AlgebraDescriptor:
     t = text.strip()
     if not t.startswith("alg(") or not t.endswith(")"):
         raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", 0)
-    return AlgebraDescriptor(parse_set(t[4:-1]))
+    return AlgebraDescriptor(_parse_at(parse_set, t[4:-1], len(text) - len(text.lstrip()) + 4))
 
 
 def format_descriptor(A: AlgebraDescriptor) -> str:

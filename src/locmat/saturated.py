@@ -37,6 +37,7 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
+    _parse_at,
     _parse_int,
     _ratio_pair,
     _Value,
@@ -343,21 +344,24 @@ def parse_set(text: str) -> SaturatedSet:
     t = text.strip()
     if t == "N":
         return ALL_NATURALS
+    lead = len(text) - len(text.lstrip())
     m = _SEGMENT_RE.match(t)
     if m:
-        return mk_segment(_parse_int(m.group(1), m.start(1)))
+        return mk_segment(_parse_int(m.group(1), lead + m.start(1)))
     strict = t.startswith("S+(")
     if not (strict or t.startswith("S(")) or not t.endswith(")"):
-        raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", 0)
-    inner = t[3:-1] if strict else t[2:-1]
+        raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", lead)
+    head = 3 if strict else 2
+    inner = t[head:-1]
     if "," not in inner:
-        raise ParseError(f"missing comma in {text!r}", len(t) - 1)
+        raise ParseError(f"missing comma in {text!r}", lead + len(t) - 1)
     r_text, base_text = inner.split(",", 1)
-    r = parse_density(r_text)
-    base = parse_scaled(base_text)
+    start = lead + head
+    r = _parse_at(parse_density, r_text, start)
+    base = _parse_at(parse_scaled, base_text, start + len(r_text) + 1)
     if r is INFINITY:
         if strict:
-            raise ParseError("S+ cannot have density inf", 0)
+            raise ParseError("S+ cannot have density inf", lead)
         return mk_inf_type(base)
     return mk_finite_type(r, base, strict)
 

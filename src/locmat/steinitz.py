@@ -72,10 +72,19 @@ class ParseError(ValueError):
     """Malformed textual input; carries the offending position."""
 
     def __init__(self, message: str, pos: int | None = None):
-        if pos is not None:
-            message = f"{message} (at position {pos})"
-        super().__init__(message)
-        self.pos = pos
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
+        self.message, self.pos = message, pos
+
+
+def _parse_at(parse_fn, text: str, start: int):
+    """parse_fn(text) for a slice that starts at ``start`` in the caller's
+    argument: a ParseError is raised again at its position in that argument."""
+    try:
+        return parse_fn(text)
+    except ParseError as e:
+        if e.pos is None:
+            raise
+        raise ParseError(e.message, start + e.pos) from None
 
 
 def _parse_int(text: str, pos: int) -> int:
@@ -529,17 +538,22 @@ def parse_scaled(text: str) -> SteinitzNumber:
     """Parse an optionally scaled literal ``(u/v)*<product>``.
 
     The prefix multiplies the product by the positive rational u/v; the
-    reduced denominator must divide the product.  Used by the CLI, where
-    members of a set are written relative to its base.
+    reduced denominator must divide the product, or the error points at v.
+    Used by the CLI, where members of a set are written relative to its base.
     """
     m = _SCALED_RE.match(text.strip())
     if m is None:
         return parse(text)
     lead = len(text) - len(text.lstrip())
-    u, v = (_parse_int(m.group(i), lead + m.start(i)) for i in (1, 2))
+    u_pos, v_pos, s_pos = (lead + m.start(i) for i in (1, 2, 3))
+    u, v = _parse_int(m.group(1), u_pos), _parse_int(m.group(2), v_pos)
     if u < 1 or v < 1:
-        raise ParseError("scale factor must be a positive rational", 1)
-    return scale(parse(m.group(3)), Fraction(u, v))
+        raise ParseError("scale factor must be a positive rational", u_pos if u < 1 else v_pos)
+    s = _parse_at(parse, m.group(3), s_pos)
+    try:
+        return scale(s, Fraction(u, v))
+    except ValueError as e:  # u, v >= 1: the one refusal left is a denominator outside Omega(s)
+        raise ParseError(str(e), v_pos) from None
 
 
 def _quotient(s: SteinitzNumber, n: int) -> tuple[int, int] | None:

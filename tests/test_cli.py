@@ -57,14 +57,14 @@ GOLDEN = [
     (["num", "eval", "4^2"], 2, "error: non-prime base 4 (at position 0)"),
     (["set", "member", "S(3/2)", "P"], 2, "error: missing comma in 'S(3/2)' (at position 5)"),
     (["set", "rsub", "S(3/2,P)", "P", "4"], 2, "error: 4 is not in Omega(P)"),
-    (["set", "member", "S(1/0,P)", "P"], 2, "error: zero denominator in density '1/0' (at position 2)"),
+    (["set", "member", "S(1/0,P)", "P"], 2, "error: zero denominator in density '1/0' (at position 4)"),
     (["alg", "corner", "alg([1..4])", "1/0"], 2, "error: zero denominator in rank '1/0' (at position 2)"),
     (
         ["set", "member", "S((1+1*sqrt(2))/0,P)", "P"],
         2,
-        "error: zero denominator in density '(1+1*sqrt(2))/0' (at position 14)",
+        "error: zero denominator in density '(1+1*sqrt(2))/0' (at position 16)",
     ),
-    (["set", "member", "S(sqrt(0),P)", "P"], 2, "error: zero radicand in density 'sqrt(0)' (at position 5)"),
+    (["set", "member", "S(sqrt(0),P)", "P"], 2, "error: zero radicand in density 'sqrt(0)' (at position 7)"),
     (["--json", "set", "max", "S+(3/2,P)"], 1, '{"result":"none"}'),
     (["--json", "set", "max", "[1..3]"], 0, '{"result":"3"}'),
     (["--json", "set", "rsub", "S(inf, 2^inf)", "2^inf", "4"], 0, '{"result":"inf"}'),
@@ -328,6 +328,32 @@ def test_realize_degenerate_chain_exits_2(argv, expected):
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_check_rejects_trials_below_one(suite, trials):
     assert cli.run(["check", suite, "--trials", trials]) == (2, f"error: trials must be positive, got {trials}")
+
+
+_SETS = "expected [1..n], N, S(r, s) or S+(r, s)"
+_DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["num", "eval", "(1/0)*P"], "scale factor must be a positive rational (at position 3)"),
+        (["num", "eval", "(0/1)*P"], "scale factor must be a positive rational (at position 1)"),
+        (["num", "format", "(1/2)*2^x"], "malformed term '2^x', expected p^e or P^e (at position 6)"),
+        (["num", "format", "(1/9)*P"], "9 is not in Omega(P) (at position 3)"),
+        (["num", "format", " (2/18)*P"], "9 is not in Omega(P) (at position 4)"),
+        (["set", "member", "S(3/2, 4)", "1"], "non-prime base 4 (at position 7)"),
+        (["set", "member", "S(3/2, (1/4)*P)", "1"], "4 is not in Omega(P) (at position 10)"),
+        (["set", "member", "S(-1,P)", "1"], f"malformed density '-1', {_DENSITIES} (at position 2)"),
+        (["set", "member", " S+(1/0,P)", "1"], "zero denominator in density '1/0' (at position 6)"),
+        (["set", "member", " [1..99999x]", "1"], f"malformed saturated set ' [1..99999x]', {_SETS} (at position 1)"),
+        (["alg", "spectrum", "alg(S(3/2))"], "missing comma in 'S(3/2)' (at position 9)"),
+        (["alg", "unital", "alg(S(3/2, P*4))"], "non-prime base 4 (at position 13)"),
+        (["alg", "unital", " alg()"], f"malformed saturated set '', {_SETS} (at position 5)"),
+    ],
+)
+def test_literal_error_points_into_the_argument(argv, expected):
+    assert cli.run(argv) == (2, f"error: {expected}")
 
 
 def test_realize_rejects_empty_chain():

@@ -48,7 +48,7 @@ SETS = [
 ]
 BAD_SETS = ["S(3/2)", "S(1/0,P)", "S(sqrt(0),P)", "", "S(3/2, 4)", "T(1,P)", "[1..0]", "S(-1,P)"]
 NUMS = ["1", "2", "2*3", "2^2*3", "P", "(1/2)*P", "(2/1)*P", "(3/2)*P", "3*P", "2^3*P", "2^inf", "2^inf*3^2", "P^inf"]
-BAD_NUMS = ["4^2", "6", "x", "", "2^", "(1/0)*P", "P^-1"]
+BAD_NUMS = ["4^2", "6", "x", "", "2^", "(1/0)*P", "P^-1", "(1/9)*P"]
 SHORT_SETS = SETS[::2]
 SHORT_NUMS = ["1", "2*3", "P", "(1/2)*P", "2^inf", "2^inf*3"]
 ALGS = [f"alg({s})" for s in SETS]
