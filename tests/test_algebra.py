@@ -123,6 +123,10 @@ class TestConstructors:
         A = spec_unital(P)
         assert matrix_over(A, 1) == A
 
+    def test_matrix_over_refuses_size_below_one(self):
+        with pytest.raises(ValueError, match="^matrix size must be positive, got 0$"):
+            matrix_over(spec_unital(P), 0)
+
     def test_corner(self):
         assert corner(spec_unital(P), Fraction(1, 2)) == spec_unital(parse_scaled("(1/2)*P"))
         A = spec_unital(P)
@@ -195,6 +199,10 @@ class TestRealize:
         assert all(st_.s == parse("2^inf") for st_ in chain.stages)
         assert [st_.k for st_ in chain.stages] == [1, 2, 3, 4]
         assert chain.tail == TailRule.unbounded()
+
+    def test_depth_above_the_cap_refused(self):
+        with pytest.raises(ValueError, match="^depth must be at most 64, got 65$"):
+            realize(mk_finite_type(Fraction(3, 2), P, False), depth=65)
 
     def test_invalid_divisor_chain(self):
         with pytest.raises(ValueError):
@@ -278,6 +286,16 @@ class TestChainJson:
         again = ChainPresentation.from_json(chain.to_json())
         assert again == chain
 
+    @pytest.mark.parametrize(
+        "S,tail",
+        [(mk_inf_type(parse("2^inf")), {"kind": "unbounded"}), (mk_segment(4), None)],
+        ids=["unbounded", "none"],
+    )
+    def test_roundtrip_without_a_density_tail(self, S, tail):
+        chain = realize(S)
+        assert chain.to_json_dict()["tail"] == tail
+        assert ChainPresentation.from_json(chain.to_json()) == chain
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             ChainPresentation.from_json("{not json")
@@ -340,6 +358,13 @@ class TestMatchCorner:
     def test_known_witness(self):
         w = match_corner(spec_unital(P), parse_scaled("(1/2)*P"), P)
         assert (w.n, w.r1, w.r2) == (2, 1, 2)
+
+    def test_non_unital_algebra_measures_against_its_base(self):
+        # S+(1, P) has no largest member, and its base P is not a member.
+        A = AlgebraDescriptor(mk_finite_type(Fraction(1), P, True))
+        assert A.st is None
+        w = match_corner(A, parse_scaled("(1/3)*P"), parse_scaled("(1/2)*P"))
+        assert (w.n, w.r1, w.r2) == (6, 2, 3)
 
     def test_witness_scales_back_to_inputs(self):
         from locmat.steinitz import scale

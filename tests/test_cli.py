@@ -201,6 +201,10 @@ def test_realize_rejects_depth_below_one(arg, depth):
     assert (code, out) == (2, f"error: depth must be positive, got {depth}")
 
 
+def test_realize_rejects_depth_above_the_cap():
+    assert cli.run(["alg", "realize", "S(3/2,P)", "--depth", "65"]) == (2, "error: depth must be at most 64, got 65")
+
+
 # Alternating p^100 and p^0 over the first 2000 primes, against a base P^50:
 # every term is within the literal budget, their sum is not.  Unbounded, the
 # member ratio is a quotient of two products of about 10^6 bits each.

@@ -74,6 +74,12 @@ class TestRSubBrute:
         assert r_sub_brute(S32_STRICT, P, 2, 50) == 2
         assert r_sub_brute(mk_inf_type(parse("2^inf")), parse("2^inf"), 2, 1000) is ABOVE_BOUND
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^3\^2\*P is not a member of S\(3/2, P\)$"):
+            r_sub_brute(S32, parse("3^2*P"), 2)
+        with pytest.raises(ValueError, match=r"^4 is not in Omega\(P\)$"):
+            r_sub_brute(S32, P, 4)
+
     def test_membership_edges(self):
         # Memberships hold at i = 1, 2, 3 and fail at i = 4 for S(3/2, P), b=2.
         from locmat.steinitz import divide_by, mul_natural

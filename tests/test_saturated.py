@@ -134,6 +134,11 @@ class TestRebase:
         with pytest.raises(ValueError):
             rebase(S32, parse_scaled("(2/1)*P"))
 
+    @pytest.mark.parametrize("S", [mk_segment(5), ALL_NATURALS], ids=["segment", "naturals"])
+    def test_natural_base_refused(self, S):
+        with pytest.raises(ValueError, match="has no base to rebase"):
+            rebase(S, SteinitzNumber.from_int(3))
+
 
 class TestDensity:
     def test_stored_at_base(self):
@@ -471,6 +476,8 @@ def union_by_rebased_densities(prefix, tail):
 
 @settings(max_examples=400, deadline=None)
 @given(chain_prefixes, chain_tails)
+@example([mk_segment(3)], TailRule("attained", INFINITY))
+@example([mk_segment(3)], TailRule("approached", INFINITY))
 def test_union_chain_matches_rebased_density_rule(prefix, tail):
     want = union_by_rebased_densities(prefix, tail)
     if want is None:
