@@ -82,8 +82,6 @@ def _parse_at(parse_fn, text: str, start: int):
     try:
         return parse_fn(text)
     except ParseError as e:
-        if e.pos is None:
-            raise
         raise ParseError(e.message, start + e.pos) from None
 
 
