@@ -14,7 +14,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import count
 
 from .density import INFINITY, format_density, parse_density, scale_density
 from .saturated import (
@@ -39,7 +38,7 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
-    _is_prime,
+    _SMALL_PRIMES,
     _parse_at,
     _parse_int,
     _Value,
@@ -188,6 +187,8 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
 def _json_field(obj: dict, key: str, kind: type):
     # Exact type match: JSON true is a Python int and 1.5 would truncate.
+    if key not in obj:
+        raise ParseError(f"chain field {key!r} is missing")
     value = obj[key]
     if type(value) is not kind:
         raise ParseError(f"chain field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
@@ -252,19 +253,14 @@ class ChainPresentation(_Value):
     def from_json_dict(cls, d: dict) -> "ChainPresentation":
         if type(d) is not dict:
             raise ParseError(f"chain JSON must be an object, got {d!r}")
-        try:
-            entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
-            fields = [(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries]
-            quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
-            tail_d = d.get("tail")
-            if tail_d is None:
-                tail = None
-            elif _json_field(d, "tail", dict)["kind"] == "unbounded":
-                tail = TailRule.unbounded()
-            else:
-                tail = TailRule(tail_d["kind"], parse_density(_json_field(tail_d, "r", str)))
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"malformed chain object: {e}") from e
+        entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
+        fields = [(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries]
+        quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
+        tail = None
+        if d.get("tail") is not None:
+            tail_d = _json_field(d, "tail", dict)
+            kind = _json_field(tail_d, "kind", str)
+            tail = TailRule(kind, None if kind == "unbounded" else parse_density(_json_field(tail_d, "r", str)))
         return cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
 
     def to_json(self) -> str:
@@ -290,25 +286,16 @@ class ChainPresentation(_Value):
 
 
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a
-#: product over the first i primes, so the cost of one call grows steeply with
-#: the depth: for S(3/2, P) on a 2-core Xeon, about 13 ms at depth 64, 2 s at
-#: depth 300 and 50 s at depth 500.
+#: product over the first i of the 168 primes in ``_SMALL_PRIMES``, so the
+#: cost of one call grows steeply with the depth: for S(3/2, P) on a 2-core
+#: Xeon, about 13 ms at depth 64 (and 2 s at depth 300, given more primes).
 _MAX_DEPTH = 64
 
 
 def _default_divisor_chain(base: SteinitzNumber, depth: int) -> list[int]:
     # Diagonal sweep: b_i is the product over the first i primes p of
     # p^min(v_p(base), i).  Ascending by divisibility, lcm exhausts the base.
-    primes = filter(_is_prime, count(2))
-    first: list[int] = []
-    out = []
-    for i in range(1, depth + 1):
-        first.append(next(primes))
-        b = 1
-        for p in first:
-            b *= p ** min(base.valuation(p), i)
-        out.append(b)
-    return out
+    return [math.prod(p ** min(base.valuation(p), i) for p in _SMALL_PRIMES[:i]) for i in range(1, depth + 1)]
 
 
 def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int = 4) -> ChainPresentation:
@@ -348,8 +335,10 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
 
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     """Union of the stage spectra, with the declared tail: Spec of the
-    chain's union algebra."""
-    return union_chain([_unital_spectrum(n) for n in chain.stage_numbers()], chain.tail)
+    chain's union algebra.  The stages ascend, so their union is fixed by the
+    first stage, whose base the tail density is expressed at, and the last."""
+    ends = chain.stages[:1] + chain.stages[1:][-1:]
+    return union_chain([_unital_spectrum(st.number) for st in ends], chain.tail)
 
 
 class CornerWitness(_Value):

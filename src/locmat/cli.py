@@ -6,8 +6,9 @@ wrapped as a JSON object.
 
 Each subcommand's parser carries its answering function as ``args.run``;
 ``_exit_code`` alone maps the answer to the exit code, ``_render`` to text.
-A call builds the parsers of its own command group only, and loads
-``algebra``, ``oracle`` and ``json`` only where its answer needs them.
+A call builds the parsers of its own command group only.  The ``alg`` answers
+reach ``algebra`` through ``locmat``'s lazy names, which load it on first use;
+``check`` imports ``oracle``, and ``json`` is imported only to print JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 
+import locmat
 from . import saturated
 from .density import INFINITY, format_density
 from .saturated import contains, format_set, parse_set
@@ -89,46 +91,37 @@ def _set_commands(st) -> None:
     c.set_defaults(run=lambda a: format_set(parse_set(a.set)))
 
 
-def _alg(answer):
-    """An alg command's answering function: ``answer(m, args)``, m the algebra
-    module, which loads on first use."""
-
-    def run(args):
-        from . import algebra
-        return answer(algebra, args)
-
-    return run
-
-
 def _alg_commands(alg) -> None:
     c = alg.add_parser("unital", help="is the algebra unital")
     c.add_argument("alg")
-    c.set_defaults(run=_alg(lambda m, a: m.is_unital(m.parse_descriptor(a.alg))))
+    c.set_defaults(run=lambda a: locmat.is_unital(locmat.parse_descriptor(a.alg)))
     c = alg.add_parser("iso", help="are two algebras isomorphic")
     c.add_argument("alg1"), c.add_argument("alg2")
-    c.set_defaults(run=_alg(lambda m, a: m.isomorphic(m.parse_descriptor(a.alg1), m.parse_descriptor(a.alg2))))
+    c.set_defaults(run=lambda a: locmat.isomorphic(locmat.parse_descriptor(a.alg1), locmat.parse_descriptor(a.alg2)))
     c = alg.add_parser("embed", help="does the first embed in the second as an approximative corner")
     c.add_argument("alg1"), c.add_argument("alg2")
     c.set_defaults(
-        run=_alg(lambda m, a: m.embeds_as_approximative_corner(m.parse_descriptor(a.alg1), m.parse_descriptor(a.alg2)))
+        run=lambda a: locmat.embeds_as_approximative_corner(
+            locmat.parse_descriptor(a.alg1), locmat.parse_descriptor(a.alg2)
+        )
     )
     c = alg.add_parser("spectrum", help="spectrum of a descriptor or chain JSON")
     c.add_argument("arg")
-    c.set_defaults(run=_alg(_spectrum))
+    c.set_defaults(run=_spectrum)
     c = alg.add_parser("realize", help="chain of corners realizing a spectrum")
     c.add_argument("arg")
     c.add_argument("--chain", help="comma-separated ascending divisors of the base")
     c.add_argument("--depth", type=int, default=4)
-    c.set_defaults(run=_alg(_realize))
+    c.set_defaults(run=_realize)
     c = alg.add_parser("minf", help="finitary infinite matrices over a unital algebra")
     c.add_argument("alg")
-    c.set_defaults(run=_alg(lambda m, a: str(m.m_infinity(m.parse_descriptor(a.alg)))))
+    c.set_defaults(run=lambda a: str(locmat.m_infinity(locmat.parse_descriptor(a.alg))))
     c = alg.add_parser("matover", help="n-by-n matrices over a unital algebra")
     c.add_argument("alg"), c.add_argument("n", type=int)
-    c.set_defaults(run=_alg(lambda m, a: str(m.matrix_over(m.parse_descriptor(a.alg), a.n))))
+    c.set_defaults(run=lambda a: str(locmat.matrix_over(locmat.parse_descriptor(a.alg), a.n)))
     c = alg.add_parser("corner", help="corner of relative rank a/b")
     c.add_argument("alg"), c.add_argument("rank")
-    c.set_defaults(run=_alg(_corner))
+    c.set_defaults(run=_corner)
 
 
 def _max(args) -> str | None:
@@ -136,31 +129,31 @@ def _max(args) -> str | None:
     return None if m is None else str(m)
 
 
-def _spectrum(algebra, args) -> str:
+def _spectrum(args) -> str:
     arg = args.arg.strip()
     if arg.startswith("{"):
-        return format_set(algebra.spectrum_of_chain(algebra.ChainPresentation.from_json(arg)))
-    return format_set(algebra.parse_descriptor(arg).spectrum)
+        return format_set(locmat.spectrum_of_chain(locmat.ChainPresentation.from_json(arg)))
+    return format_set(locmat.parse_descriptor(arg).spectrum)
 
 
-def _realize(algebra, args) -> dict:
+def _realize(args) -> dict:
     arg = args.arg.strip()
-    S = algebra.parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
+    S = locmat.parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
     chain = None
     if args.chain is not None:
         pieces = args.chain.split(",")
         starts = accumulate((len(x) + 1 for x in pieces), initial=0)
         chain = [_parse_int(x, pos) for x, pos in zip(pieces, starts)]
-    return algebra.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict()
+    return locmat.realize(S, divisor_chain=chain, depth=args.depth).to_json_dict()
 
 
-def _corner(algebra, args) -> str:
+def _corner(args) -> str:
     num, _, den = args.rank.partition("/")
     d = _parse_int(den, len(num) + 1) if den else 1
     if d == 0:
         raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
     q = Fraction(_parse_int(num, 0), d)
-    return str(algebra.corner(algebra.parse_descriptor(args.alg), q))
+    return str(locmat.corner(locmat.parse_descriptor(args.alg), q))
 
 
 def _run_checks(suite: str, seed: int, bound: int, trials: int):
@@ -177,10 +170,8 @@ def _run_checks(suite: str, seed: int, bound: int, trials: int):
             sub = oracle.check_inequality_suite(S, oracle.reference_member(S), bound=bound)
             report.extend(f"inequalities:{name}:", sub)
     if suite in ("all", "roundtrip"):
-        from . import algebra
         for name, S in corpus:
-            chain = algebra.realize(S)
-            ok = saturated.equals_formal(algebra.spectrum_of_chain(chain), S)
+            ok = saturated.equals_formal(locmat.spectrum_of_chain(locmat.realize(S)), S)
             report.add(ok, f"roundtrip:{name}", format_set(S))
     return report
 

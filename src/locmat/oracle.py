@@ -381,9 +381,11 @@ class FiniteMatrixChain(_Value):
             raise ValueError("chain needs at least one stage")
         if len(self.mults) != len(self.sizes) - 1 or len(self.pads) != len(self.sizes) - 1:
             raise ValueError("need one multiplicity and one padding per step")
+        if min(self.sizes) < 1:
+            raise ValueError(f"stage sizes must be positive, got {self.sizes}")
         for i, (m, z) in enumerate(zip(self.mults, self.pads)):
-            if self.sizes[i] < 1 or m < 1 or z < 0:
-                raise ValueError(f"step {i}: need n >= 1, m >= 1, z >= 0")
+            if m < 1 or z < 0:
+                raise ValueError(f"step {i}: need m >= 1, z >= 0")
             if self.sizes[i + 1] != m * self.sizes[i] + z:
                 raise ValueError(f"step {i}: {self.sizes[i + 1]} != {m}*{self.sizes[i]}+{z}")
 

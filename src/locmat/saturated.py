@@ -293,7 +293,7 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
 
     A density tail of inf declares S(inf, base), which is N over natural sets;
     a finite one needs based sets, none of infinite type, each inside the raw
-    limit."""
+    limit: the prefix ascends, so the last set alone is tested."""
     if not prefix:
         raise ValueError("empty chain prefix")
     for a, b in zip(prefix, prefix[1:]):
@@ -312,12 +312,12 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
         return mk_inf_type(base)
     if base.is_natural:
         raise ValueError("a density tail needs a chain of based sets")
-    if any(S.r is INFINITY for S in prefix):
+    last = prefix[-1]
+    if last.r is INFINITY:
         raise ValueError("a density tail is inconsistent with an infinite-type prefix")
     limit = FiniteType(tail.r, base, tail.kind == "approached")
-    for S in prefix:
-        if not _included(S, limit):
-            raise ValueError(f"prefix set {format_set(S)} is not inside the tail limit {format_set(limit)}")
+    if not _included(last, limit):
+        raise ValueError(f"prefix set {format_set(last)} is not inside the tail limit {format_set(limit)}")
     return mk_finite_type(limit.r, base, limit.strict)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locmat import algebra
+from locmat import algebra, saturated
 from locmat.algebra import (
     AlgebraDescriptor,
     ChainPresentation,
@@ -264,8 +264,13 @@ class TestSpectrumOfChain:
         (lambda: ChainPresentation((Stage(1, P), Stage(9, P)), (2,)), "stage 0: P != 2 * P"),
         (lambda: ChainPresentation((Stage(3, P), Stage(2, P)), (1,)), "stage 0: corner inequality 3*1 <= 2 fails"),
         (lambda: FiniteMatrixChain((2, 5), (2,), (0,)), "step 0: 5 != 2*2+0"),
+        (lambda: FiniteMatrixChain((-3,), (), ()), "stage sizes must be positive, got (-3,)"),
+        (lambda: FiniteMatrixChain((0,), (), ()), "stage sizes must be positive, got (0,)"),
     ],
-    ids=["size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain"],
+    ids=[
+        "size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain",
+        "finite-chain-one-negative-stage", "finite-chain-one-empty-stage",
+    ],
 )
 def test_chain_values_refuse_bad_input_when_built(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -278,6 +283,20 @@ def test_realized_chain_is_validated_once(monkeypatch):
     monkeypatch.setattr(ChainPresentation, "validate", lambda self: calls.append(self) or validate(self))
     spectrum_of_chain(realize(mk_finite_type(Fraction(3, 2), P, False)))
     assert len(calls) == 1
+
+
+def test_chain_spectrum_reads_only_the_first_and_last_stage(monkeypatch):
+    # The stages ascend, so one inclusion test for the two ends and one for the
+    # tail decide the union; testing every stage made 7 for these 4 stages.
+    S = mk_finite_type(Fraction(3, 2), P, False)
+    chain = realize(S)
+    assert len(chain.stages) == 4
+    calls = []
+    compare = saturated.compare_inclusion
+    monkeypatch.setattr(saturated, "compare_inclusion", lambda a, b: calls.append((a, b)) or compare(a, b))
+    union = spectrum_of_chain(chain)
+    assert len(calls) <= 2
+    assert equals_formal(union, S)
 
 
 class TestChainJson:
@@ -322,6 +341,19 @@ class TestChainJson:
             obj = obj[step]
         obj[key] = value
         with pytest.raises(ParseError, match=repr(key)):
+            ChainPresentation.from_json_dict(d)
+
+    @pytest.mark.parametrize(
+        "path", [("stages", 0, "k"), ("stages", 0, "s"), ("stages", 0, "q"), ("tail", "kind"), ("tail", "r")]
+    )
+    def test_missing_field_is_named(self, path):
+        d = realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[2, 6]).to_json_dict()
+        *parents, key = path
+        obj = d
+        for step in parents:
+            obj = obj[step]
+        del obj[key]
+        with pytest.raises(ParseError, match=f"^chain field '{key}' is missing$"):
             ChainPresentation.from_json_dict(d)
 
     def test_overlong_integer_has_a_position(self):
