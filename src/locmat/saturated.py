@@ -347,7 +347,12 @@ def parse_set(text: str) -> SaturatedSet:
     lead = len(text) - len(text.lstrip())
     m = _SEGMENT_RE.match(t)
     if m:
-        return mk_segment(_parse_int(m.group(1), lead + m.start(1)))
+        n_pos = lead + m.start(1)
+        n = _parse_int(m.group(1), n_pos)
+        try:
+            return mk_segment(n)
+        except ValueError as e:
+            raise ParseError(str(e), n_pos) from None
     strict = t.startswith("S+(")
     if not (strict or t.startswith("S(")) or not t.endswith(")"):
         raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", lead)
@@ -356,14 +361,19 @@ def parse_set(text: str) -> SaturatedSet:
     if "," not in inner:
         raise ParseError(f"missing comma in {text!r}", lead + len(t) - 1)
     r_text, base_text = inner.split(",", 1)
-    start = lead + head
-    r = _parse_at(parse_density, r_text, start)
-    base = _parse_at(parse_scaled, base_text, start + len(r_text) + 1)
+    r_start, base_start = lead + head, lead + head + len(r_text) + 1
+    r = _parse_at(parse_density, r_text, r_start)
+    base = _parse_at(parse_scaled, base_text, base_start)
+    r_pos = r_start + len(r_text) - len(r_text.lstrip())  # where each part's first character stands
+    base_pos = base_start + len(base_text) - len(base_text.lstrip())
     if r is INFINITY:
         if strict:
-            raise ParseError("S+ cannot have density inf", lead)
+            raise ParseError("S+ cannot have density inf", r_pos)
         return mk_inf_type(base)
-    return mk_finite_type(r, base, strict)
+    try:
+        return mk_finite_type(r, base, strict)
+    except ValueError as e:  # a natural base is refused before a density below 1
+        raise ParseError(str(e), base_pos if base.is_natural else r_pos) from None
 
 
 def __getattr__(name: str):

@@ -160,7 +160,11 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1 - D)/4)."""
+    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1 - D)/4).
+
+    Needs an odd n > 11: at the primes 5 and 11 the search for D reaches
+    |D| = n and the test returns False.  ``_is_prime`` calls it past 3.3e24.
+    """
     if math.isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists
     D = 5

@@ -15,6 +15,7 @@ from locmat.algebra import (
     check_certificate,
     corner,
     embeds_as_approximative_corner,
+    format_descriptor,
     interleave,
     is_unital,
     isomorphic,
@@ -211,6 +212,10 @@ class TestRealize:
             realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[6, 2])
         with pytest.raises(ValueError):
             realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[2, 5])
+
+    def test_empty_divisor_chain_refused(self):
+        with pytest.raises(ValueError, match="^empty divisor chain$"):
+            realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[])
 
     def test_corner_inequality_all_stages(self):
         for S in (
@@ -470,6 +475,17 @@ class TestText:
     def test_descriptor_roundtrip(self):
         for A in (spec_matrix(4), spec_unital(P), AlgebraDescriptor(mk_finite_type(SQRT2, P, False))):
             assert parse_descriptor(str(A)).spectrum == A.spectrum
+
+    @pytest.mark.parametrize(
+        "A,text",
+        [
+            (spec_matrix(4), "alg([1..4])"),
+            (spec_unital(P), "alg(S(1, P))"),
+            (m_infinity(spec_unital(P)), "alg(S(inf, P))"),
+        ],
+    )
+    def test_format_descriptor_is_the_text_form(self, A, text):
+        assert format_descriptor(A) == str(A) == text
 
 
 class TestFiniteMatrixChain:

@@ -354,6 +354,15 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
         (["alg", "spectrum", "alg(S(3/2))"], "missing comma in 'S(3/2)' (at position 9)"),
         (["alg", "unital", "alg(S(3/2, P*4))"], "non-prime base 4 (at position 13)"),
         (["alg", "unital", " alg()"], f"malformed saturated set '', {_SETS} (at position 5)"),
+        (["set", "classify", "S(3/22,P)"], "density must be at least 1, got 3/22 (at position 2)"),
+        (
+            ["set", "classify", "S(32,2^7)"],
+            "finite-type base must be an infinite Steinitz number, got 2^7 (at position 5)",
+        ),
+        (["set", "classify", "S+(inf,P)"], "S+ cannot have density inf (at position 3)"),
+        (["set", "classify", "[1..0]"], "segment length must be positive, got 0 (at position 4)"),
+        (["set", "classify", "  S(3/22, P)"], "density must be at least 1, got 3/22 (at position 4)"),
+        (["num", "eval", ""], "empty Steinitz expression (at position 0)"),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):

@@ -24,6 +24,7 @@ from locmat.saturated import (
     equals_formal,
     format_set,
     max_element,
+    mk_all_naturals,
     mk_finite_type,
     mk_inf_type,
     mk_segment,
@@ -90,6 +91,10 @@ class TestConstructors:
 
     def test_infinity_density_delegates(self):
         assert mk_finite_type(INFINITY, P, False) == InfType(P)
+
+    def test_all_naturals_is_the_one_instance(self):
+        assert mk_all_naturals() is ALL_NATURALS
+        assert format_set(mk_all_naturals()) == "N"
 
 
 class TestContains:
@@ -268,6 +273,15 @@ class TestUnionChain:
             union_chain([S32], TailRule.attained(Fraction(1)))
         with pytest.raises(ValueError):
             union_chain([S32], TailRule.approached(Fraction(3, 2)))
+
+    def test_tail_below_prefix_names_the_last_set(self):
+        # The prefix ascends, so the last set is the one tested against the tail.
+        with pytest.raises(ValueError, match=r"^prefix set S\(3/2, P\) is not inside the tail limit S\(1/2, P\)$"):
+            union_chain([S1, S32], TailRule.attained(Fraction(1, 2)))
+
+    def test_empty_prefix_refused(self):
+        with pytest.raises(ValueError, match="^empty chain prefix$"):
+            union_chain([])
 
 
 class TestSaturationAxioms:

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -180,6 +181,12 @@ class TestMulDiv:
     def test_scale(self):
         assert scale(parse("2^inf*3"), Fraction(3, 4)) == parse("2^inf*3^2")
 
+    @pytest.mark.parametrize("text", ["P", "2^inf*3", "(1/2)*P"])
+    def test_as_int_refuses_an_infinite_number(self, text):
+        s = parse_scaled(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(s))} is not a natural number$"):
+            s.as_int()
+
 
 class TestFinitelyDivides:
     def test_deficit_vector(self):
@@ -347,6 +354,20 @@ class TestPrimeKernel:
     )
     def test_pseudoprimes_rejected(self, n):
         assert not _is_prime(n)
+
+    def test_strong_lucas_test_accepts_the_primes_and_a217255(self):
+        # OEIS A217255: the strong Lucas pseudoprimes with Selfridge's
+        # parameters, all those below 10^5.  Base-2 Miller-Rabin rejects each.
+        bound = 10**5
+        sieve = prime_sieve(bound)
+        odd = range(13, bound, 2)
+        accepted = [n for n in odd if steinitz._strong_lucas_probable_prime(n)]
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        assert [n for n in accepted if not sieve[n]] == pseudoprimes
+        assert [n for n in accepted if sieve[n]] == [n for n in odd if sieve[n]]
+        assert not any(steinitz._strong_probable_prime(n, (2,)) for n in pseudoprimes)
+        # The documented precondition: |D| reaches n at these two primes.
+        assert not steinitz._strong_lucas_probable_prime(5) and not steinitz._strong_lucas_probable_prime(11)
 
     @pytest.mark.parametrize("k", [61, 89, 127])
     def test_mersenne_primes_accepted(self, k):

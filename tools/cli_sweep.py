@@ -46,7 +46,10 @@ SETS = [
     "S(3/2, 2^inf*3)",
     "S(inf, 2*3)",
 ]
-BAD_SETS = ["S(3/2)", "S(1/0,P)", "S(sqrt(0),P)", "", "S(3/2, 4)", "T(1,P)", "[1..0]", "S(-1,P)"]
+BAD_SETS = [
+    "S(3/2)", "S(1/0,P)", "S(sqrt(0),P)", "", "S(3/2, 4)", "T(1,P)", "[1..0]", "S(-1,P)", "S(3/22,P)", "S(32,2^7)",
+    "S+(inf,P)",
+]
 NUMS = ["1", "2", "2*3", "2^2*3", "P", "(1/2)*P", "(2/1)*P", "(3/2)*P", "3*P", "2^3*P", "2^inf", "2^inf*3^2", "P^inf"]
 BAD_NUMS = ["4^2", "6", "x", "", "2^", "(1/0)*P", "P^-1", "(1/9)*P"]
 SHORT_SETS = SETS[::2]
@@ -68,6 +71,10 @@ CHAIN_JSON = [
     '{"stages":[{"k":3,"s":"P","q":null}],"tail":{"kind":"bogus","r":"1"}}',
     '{"stages":[{"k":1,"s":"2^inf","q":null}],"tail":{"kind":"attained","r":"2"}}',
     '{"stages":[{"k":0,"s":"P","q":1},{"k":1,"s":"x","q":null}],"tail":null}',
+    '{"stages":[{"k":1,"s":"P"},{"k":2,"s":"P","q":null}],"tail":null}',
+    '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"r":"1"}}',
+    '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"attained"}}',
+    '{"stages":[{"k":3,"s":"P","q":1},{"k":4,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/2"}}',
 ]
 
 
