@@ -288,7 +288,7 @@ class ChainPresentation(_Value):
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a
 #: product over the first i of the 168 primes in ``_SMALL_PRIMES``, so the
 #: cost of one call grows steeply with the depth: for S(3/2, P) on a 2-core
-#: Xeon, about 13 ms at depth 64 (and 2 s at depth 300, given more primes).
+#: Xeon, about 13 ms at depth 64.
 _MAX_DEPTH = 64
 
 
