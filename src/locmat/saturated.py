@@ -272,7 +272,11 @@ class TailRule(_Value):
     __slots__ = __match_args__ = ("kind", "r")
 
     def __init__(self, kind: str, r: Density | None = None):
-        self._set("kind", kind)  # "attained" | "approached" | "unbounded"
+        if kind not in ("attained", "approached", "unbounded"):
+            raise ValueError(f"unknown tail kind {kind!r}")
+        if r is None and kind != "unbounded":
+            raise ValueError("a density tail needs a density")
+        self._set("kind", kind)
         self._set("r", r)
 
     @classmethod
@@ -302,13 +306,7 @@ def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> Sat
     if tail is None:
         return prefix[-1]
     base = prefix[0].base
-    if tail.kind == "unbounded":
-        return mk_inf_type(base)
-    if tail.kind not in ("attained", "approached"):
-        raise ValueError(f"unknown tail kind {tail.kind!r}")
-    if tail.r is None:
-        raise ValueError("a density tail needs a density")
-    if tail.r is INFINITY:
+    if tail.kind == "unbounded" or tail.r is INFINITY:
         return mk_inf_type(base)
     if base.is_natural:
         raise ValueError("a density tail needs a chain of based sets")
@@ -366,10 +364,8 @@ def parse_set(text: str) -> SaturatedSet:
     base = _parse_at(parse_scaled, base_text, base_start)
     r_pos = r_start + len(r_text) - len(r_text.lstrip())  # where each part's first character stands
     base_pos = base_start + len(base_text) - len(base_text.lstrip())
-    if r is INFINITY:
-        if strict:
-            raise ParseError("S+ cannot have density inf", r_pos)
-        return mk_inf_type(base)
+    if r is INFINITY and strict:
+        raise ParseError("S+ cannot have density inf", r_pos)
     try:
         return mk_finite_type(r, base, strict)
     except ValueError as e:  # a natural base is refused before a density below 1

@@ -251,9 +251,9 @@ class TestSpectrumOfChain:
 
     def test_malformed_chain(self):
         with pytest.raises(ValueError):
-            ChainPresentation((Stage(3, P), Stage(2, P)), (1,)).validate()  # corner inequality
+            ChainPresentation((Stage(3, P), Stage(2, P)), (1,))  # corner inequality
         with pytest.raises(ValueError):
-            ChainPresentation((Stage(1, P), Stage(9, P)), (2,)).validate()  # wrong quotient
+            ChainPresentation((Stage(1, P), Stage(9, P)), (2,))  # wrong quotient
 
 
 @pytest.mark.parametrize(
@@ -284,8 +284,8 @@ def test_chain_values_refuse_bad_input_when_built(build, message):
 
 def test_realized_chain_is_validated_once(monkeypatch):
     calls = []
-    validate = ChainPresentation.validate
-    monkeypatch.setattr(ChainPresentation, "validate", lambda self: calls.append(self) or validate(self))
+    init = ChainPresentation.__init__
+    monkeypatch.setattr(ChainPresentation, "__init__", lambda self, *a: calls.append(self) or init(self, *a))
     spectrum_of_chain(realize(mk_finite_type(Fraction(3, 2), P, False)))
     assert len(calls) == 1
 
@@ -490,9 +490,9 @@ class TestText:
 
 class TestFiniteMatrixChain:
     def test_validation(self):
-        FiniteMatrixChain((2, 5, 11), (2, 2), (1, 1)).validate()
+        FiniteMatrixChain((2, 5, 11), (2, 2), (1, 1))
         with pytest.raises(ValueError):
-            FiniteMatrixChain((2, 5), (2,), (0,)).validate()
+            FiniteMatrixChain((2, 5), (2,), (0,))
 
 
 DESCRIPTORS = st.one_of(
