@@ -412,9 +412,10 @@ def check_certificate(cert: list[SteinitzNumber], cA: ChainPresentation, cB: Cha
 def parse_descriptor(text: str) -> AlgebraDescriptor:
     """Parse the ``alg(<saturated-set>)`` text form."""
     t = text.strip()
+    lead = len(text) - len(text.lstrip())
     if not t.startswith("alg(") or not t.endswith(")"):
-        raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", 0)
-    return AlgebraDescriptor(_parse_at(parse_set, t[4:-1], len(text) - len(text.lstrip()) + 4))
+        raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", lead)
+    return AlgebraDescriptor(_parse_at(parse_set, t[4:-1], lead + 4))
 
 
 def format_descriptor(A: AlgebraDescriptor) -> str:

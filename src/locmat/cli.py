@@ -130,15 +130,14 @@ def _max(args) -> str | None:
 
 
 def _spectrum(args) -> str:
-    arg = args.arg.strip()
-    if arg.startswith("{"):
-        return format_set(locmat.spectrum_of_chain(locmat.ChainPresentation.from_json(arg)))
-    return format_set(locmat.parse_descriptor(arg).spectrum)
+    if args.arg.lstrip().startswith("{"):
+        return format_set(locmat.spectrum_of_chain(locmat.ChainPresentation.from_json(args.arg)))
+    return format_set(locmat.parse_descriptor(args.arg).spectrum)
 
 
 def _realize(args) -> dict:
-    arg = args.arg.strip()
-    S = locmat.parse_descriptor(arg).spectrum if arg.startswith("alg(") else parse_set(arg)
+    alg = args.arg.lstrip().startswith("alg(")
+    S = locmat.parse_descriptor(args.arg).spectrum if alg else parse_set(args.arg)
     chain = None
     if args.chain is not None:
         pieces = args.chain.split(",")

@@ -202,7 +202,7 @@ def parse_density(text: str) -> Density:
     m = _SURD_RE.match(t)
     if m:
         return Surd.make(number(m, 1), number(m, 2), number(m, 3, "radicand"), number(m, 4, "denominator"))
-    raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", 0)
+    raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", lead)
 
 
 def format_density(r: Density) -> str:

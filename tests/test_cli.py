@@ -363,6 +363,12 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
         (["set", "classify", "[1..0]"], "segment length must be positive, got 0 (at position 4)"),
         (["set", "classify", "  S(3/22, P)"], "density must be at least 1, got 3/22 (at position 4)"),
         (["num", "eval", ""], "empty Steinitz expression (at position 0)"),
+        (["set", "classify", "S( -1,P)"], f"malformed density ' -1', {_DENSITIES} (at position 3)"),
+        (["alg", "unital", "  foo"], "malformed algebra descriptor '  foo', expected alg(<set>) (at position 2)"),
+        (["alg", "realize", " S(1/0,P)"], "zero denominator in density '1/0' (at position 5)"),
+        (["alg", "realize", "  alg(S(1/0,P))"], "zero denominator in density '1/0' (at position 10)"),
+        (["alg", "spectrum", "  alg(S(1/0,P))"], "zero denominator in density '1/0' (at position 10)"),
+        (["alg", "spectrum", '  {"stages":x}'], "malformed chain JSON: Expecting value (at position 12)"),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):
