@@ -271,10 +271,16 @@ class TestSpectrumOfChain:
         (lambda: FiniteMatrixChain((2, 5), (2,), (0,)), "step 0: 5 != 2*2+0"),
         (lambda: FiniteMatrixChain((-3,), (), ()), "stage sizes must be positive, got (-3,)"),
         (lambda: FiniteMatrixChain((0,), (), ()), "stage sizes must be positive, got (0,)"),
+        (lambda: FiniteMatrixChain((), (), ()), "chain needs at least one stage"),
+        (lambda: FiniteMatrixChain((2, 5), (), ()), "need one multiplicity and one padding per step"),
+        (lambda: FiniteMatrixChain((2, 4), (0,), (4,)), "step 0: need m >= 1, z >= 0"),
+        (lambda: TailRule("spiral", Fraction(1)), "unknown tail kind 'spiral'"),
+        (lambda: TailRule("attained"), "a density tail needs a density"),
     ],
     ids=[
         "size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain",
-        "finite-chain-one-negative-stage", "finite-chain-one-empty-stage",
+        "finite-chain-one-negative-stage", "finite-chain-one-empty-stage", "finite-chain-no-stage",
+        "finite-chain-step-count", "finite-chain-zero-multiplicity", "tail-kind", "tail-density",
     ],
 )
 def test_chain_values_refuse_bad_input_when_built(build, message):

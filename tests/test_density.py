@@ -67,6 +67,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Surd.make(0, -1, 2, 1)
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="^zero denominator$"):
+            Surd.make(1, 1, 2, 0)
+
+    def test_negative_denominator_flips_every_sign(self):
+        assert Surd.make(-1, -1, 2, -2) == Surd.make(1, 1, 2, 2)
+
 
 class TestOrdering:
     def test_cross_radicand(self):
@@ -140,6 +147,11 @@ def test_floor_times_matches_decimal_oracle(r, b):
         else scaled.numerator // scaled.denominator
     )
     assert floor_times(r, b) == expected
+
+
+def test_scale_density_refuses_a_zero_factor():
+    with pytest.raises(ValueError, match="^scale factor must be positive, got 0$"):
+        scale_density(Fraction(3, 2), Fraction(0))
 
 
 @given(values, rationals)

@@ -205,6 +205,10 @@ class TestSimulateFiniteChain:
         with pytest.raises(ValueError):
             simulate_finite_chain(chain, [(0, 3)])
 
+    def test_stage_out_of_range(self):
+        with pytest.raises(ValueError, match="^stage 1 out of range$"):
+            simulate_finite_chain(FiniteMatrixChain((2,), (), ()), [(1, 1)])
+
     def test_random_chains_match_product_formula(self):
         rng = random.Random(7)
         for _ in range(60):

@@ -155,6 +155,16 @@ def test_value_class_defaults_checks_and_reprs():
             pytest.fail("FiniteType does not match its own fields")
 
 
+def test_saturated_forwards_equals_extensional_to_oracle(monkeypatch):
+    # bench/cases.py reads saturated.equals_extensional, and the bench tracer
+    # rebinds oracle's name: the forward is looked up on each access.
+    from locmat import oracle, saturated
+
+    assert saturated.equals_extensional is oracle.equals_extensional
+    monkeypatch.setattr(oracle, "equals_extensional", lambda *args: True)
+    assert saturated.equals_extensional is oracle.equals_extensional
+
+
 def test_report_is_mutable_and_unhashable():
     a, b = Report(), Report()
     assert a.results is not b.results and a == b

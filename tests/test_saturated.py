@@ -302,6 +302,9 @@ class TestSaturationAxioms:
         v = check_saturation_axioms([P], samples=200, seed=0)
         assert v is not None and v.axiom == 2
 
+    def test_empty_literal_passes(self):
+        assert check_saturation_axioms([]) is None
+
     def test_literal_violating_axiom_1(self):
         v = check_saturation_axioms([SteinitzNumber.from_int(1), parse("2^inf")], seed=1)
         assert (v.axiom, v.witness) == (1, "1 and 2^inf are not rationally connected")

@@ -181,6 +181,21 @@ class TestMulDiv:
     def test_scale(self):
         assert scale(parse("2^inf*3"), Fraction(3, 4)) == parse("2^inf*3^2")
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: scale(P_ALL, 0), "scale factor must be positive, got 0"),
+            (lambda: SteinitzNumber.from_int(0), "n must be positive, got 0"),
+            (lambda: omega_contains(P_ALL, 0), "n must be positive, got 0"),
+            (lambda: mul_natural(P_ALL, 0), "multiplier must be positive, got 0"),
+            (lambda: factorize(0), "cannot factor non-positive integer 0"),
+        ],
+        ids=["scale", "from_int", "omega_contains", "mul_natural", "factorize"],
+    )
+    def test_zero_argument_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     @pytest.mark.parametrize("text", ["P", "2^inf*3", "(1/2)*P"])
     def test_as_int_refuses_an_infinite_number(self, text):
         s = parse_scaled(text)
@@ -220,6 +235,10 @@ class TestRationalConnectivity:
 
     def test_defaults_differ(self):
         assert not rationally_connected(P_ALL, parse("3^2"))
+
+    def test_canonical_ratio_refuses_unconnected_numbers(self):
+        with pytest.raises(ValueError, match=r"^P and 2\^inf are not rationally connected$"):
+            canonical_ratio(P_ALL, parse("2^inf"))
 
 
 class TestLcm:
