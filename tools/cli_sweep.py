@@ -75,6 +75,7 @@ CHAIN_JSON = [
     '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"r":"1"}}',
     '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"attained"}}',
     '{"stages":[{"k":3,"s":"P","q":1},{"k":4,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/2"}}',
+    '{"stages":[{"k":0,"s":"P","q":null}],"tail":{"kind":"bogus","r":"1"}}',
 ]
 
 
@@ -109,6 +110,15 @@ def _corpus() -> list[list[str]]:
         ["alg", "realize", "S(3/2,P)", "--depth", "65"],
         ["alg", "realize", "S+(1,P)", "--chain", "1,2"],
         ["alg", "realize", "S+(1,P)", "--chain", "1,4"],
+    ]
+    # An error position counts the argument's leading spaces.
+    out += [
+        ["set", "classify", "S( -1,P)"],
+        ["alg", "unital", "  foo"],
+        ["alg", "realize", " S(1/0,P)"],
+        ["alg", "realize", "  alg(S(1/0,P))"],
+        ["alg", "spectrum", "  alg(S(1/0,P))"],
+        ["alg", "spectrum", '  {"stages":x}'],
     ]
     out += [
         ["check", "roundtrip"],
