@@ -13,7 +13,7 @@ second side ran faster.
 
     python3 tools/tier1_time.py ../parent . --pairs 5
 
-Each run takes about 18 s on a 2-core Xeon.
+Each run takes about 20 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
