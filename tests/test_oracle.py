@@ -80,6 +80,15 @@ class TestRSubBrute:
         with pytest.raises(ValueError, match=r"^4 is not in Omega\(P\)$"):
             r_sub_brute(S32, P, 4)
 
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_non_positive_b(self, b):
+        # Both refuse; the closed form's check is omega_contains, the oracle's
+        # is divide_by, so the messages differ.
+        with pytest.raises(ValueError, match=rf"^n must be positive, got {b}$"):
+            r_sub(S32, P, b)
+        with pytest.raises(ValueError, match=rf"^divisor must be positive, got {b}$"):
+            r_sub_brute(S32, P, b)
+
     def test_membership_edges(self):
         # Memberships hold at i = 1, 2, 3 and fail at i = 4 for S(3/2, P), b=2.
         from locmat.steinitz import divide_by, mul_natural

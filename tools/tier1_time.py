@@ -3,17 +3,18 @@
 Runs the tier-1 command, ``python -m pytest -q --continue-on-collection-errors``,
 in each of two checkout directories: from inside the directory, so that its
 own ``tests`` are collected, with its own ``src`` on PYTHONPATH.  Every run
-adds ``--hypothesis-seed`` (fixed, so both sides draw the same examples) and
-``-p no:cacheprovider`` (so no run reads what an earlier one cached).  Pair i
-runs the first directory first when i is even and the second first when it
+adds ``--hypothesis-seed=0`` (fixed, so both sides draw the same examples) and
+``-p no:cacheprovider`` (so no run reads what an earlier one cached).  It
+runs 10 pairs, the pair count this project's benchmark comparisons use; pair
+i runs the first directory first when i is even and the second first when it
 is odd.  A run whose pytest exits non-zero counts as failed.  For each side
 the tool prints the median and quartiles of the wall-clock seconds, the
 failed-run count and pytest's last summary line, then how many pairs the
 second side ran faster.
 
-    python3 tools/tier1_time.py ../parent . --pairs 5
+    python3 tools/tier1_time.py ../parent .
 
-Each run takes about 20 s on a 2-core Xeon.
+Each run takes about 20 s on a 2-core Xeon, so the tool takes about 7 min.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ import sys
 import time
 from pathlib import Path
 
+SEED = 0
+PAIRS = 10
 
-def run_once(checkout: Path, seed: int) -> tuple[float, bool, str]:
+
+def run_once(checkout: Path) -> tuple[float, bool, str]:
     """(wall-clock seconds, passed, last output line) of one tier-1 run."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           f"--hypothesis-seed={seed}", "-p", "no:cacheprovider"]
+           f"--hypothesis-seed={SEED}", "-p", "no:cacheprovider"]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -43,19 +47,15 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("first", type=Path, help="checkout directory, usually the parent commit")
     ap.add_argument("second", type=Path, help="checkout directory, usually the change")
-    ap.add_argument("--pairs", type=int, default=5, help="alternating pairs to run (default 5)")
-    ap.add_argument("--seed", type=int, default=0, help="hypothesis seed of every run (default 0)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
     sides = [args.first.resolve(), args.second.resolve()]
     for d in sides:
         if not (d / "src").is_dir() or not (d / "tests").is_dir():
             ap.error(f"{d} has no src and tests directories")
     runs: list[list[tuple[float, bool, str]]] = [[], []]
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            runs[side].append(run_once(sides[side], args.seed))
+            runs[side].append(run_once(sides[side]))
             seconds, ok, _ = runs[side][-1]
             print(f"pair {i} side {side}: {seconds:.2f} s{'' if ok else ' FAILED'}", flush=True)
     for side, d in enumerate(sides):
@@ -63,9 +63,9 @@ def main(argv: list[str] | None = None) -> int:
         q1, q2, q3 = statistics.quantiles(times, n=4)
         failed = sum(not ok for _, ok, _ in runs[side])
         print(f"side {side} {d}: median {q2:.2f} s, quartiles {q1:.2f}-{q3:.2f} s, "
-              f"{failed} of {args.pairs} runs failed; last run: {runs[side][-1][2]}")
+              f"{failed} of {PAIRS} runs failed; last run: {runs[side][-1][2]}")
     faster = sum(b[0] < a[0] for a, b in zip(*runs))
-    print(f"side 1 faster in {faster} of {args.pairs} pairs")
+    print(f"side 1 faster in {faster} of {PAIRS} pairs")
     return 0
 
 
