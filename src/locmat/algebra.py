@@ -409,13 +409,16 @@ def check_certificate(cert: list[SteinitzNumber], cA: ChainPresentation, cB: Cha
     return all(t in covered for t in cA.stage_numbers() + cB.stage_numbers())
 
 
+#: ``alg(<set>)`` with the spaces around it; the set runs to the last ``)``.
+_DESCRIPTOR_RE = re.compile(r"\s*(?:alg\((?P<set>.*)\)\s*\Z|(?P<bad>.*))", re.DOTALL)
+
+
 def parse_descriptor(text: str) -> AlgebraDescriptor:
     """Parse the ``alg(<saturated-set>)`` text form."""
-    t = text.strip()
-    lead = len(text) - len(text.lstrip())
-    if not t.startswith("alg(") or not t.endswith(")"):
-        raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", lead)
-    return AlgebraDescriptor(_parse_at(parse_set, t[4:-1], lead + 4))
+    m = _DESCRIPTOR_RE.match(text)
+    if m["bad"] is not None:
+        raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", m.start("bad"))
+    return AlgebraDescriptor(_parse_at(parse_set, m["set"], m.start("set")))
 
 
 def format_descriptor(A: AlgebraDescriptor) -> str:

@@ -173,36 +173,35 @@ def times_is_integer(r: Fraction | Surd, b: int) -> bool:
     return y == 0 and x * b % z == 0
 
 
-_SURD_RE = re.compile(r"^\(\s*(-?\d+)\s*\+\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(\d+)$")
-_SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*\)$")
-_RAT_RE = re.compile(r"^(\d+)\s*(?:/\s*(\d+))?$")
+#: One form with the spaces around it, or ``bad`` from the first character on.
+_DENSITY_RE = re.compile(
+    r"\s*(?:(?:(?P<inf>inf)|(?P<u>\d+)(?:\s*/\s*(?P<v>\d+))?|sqrt\(\s*(?P<root>\d+)\s*\)|\(\s*(?P<x>-?\d+)\s*\+"
+    r"\s*(?P<y>\d+)\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\)\s*\)\s*/\s*(?P<z>\d+))\s*\Z|(?P<bad>.*))",
+    re.DOTALL,
+)
 
 
 def parse_density(text: str) -> Density:
     """Parse ``inf``, ``u/v``, ``u``, ``(x+y*sqrt(d))/z`` or ``sqrt(d)``."""
-    t = text.strip()
-    if t == "inf":
+    m = _DENSITY_RE.match(text)
+    if m["inf"]:
         return INFINITY
-    lead = len(text) - len(text.lstrip())
 
-    def number(m: re.Match, group: int, nonzero: str = "") -> int:
+    def number(group: str, nonzero: str = "") -> int:
         # ``nonzero`` names the part that must not be 0.
-        pos = lead + m.start(group)
-        v = _parse_int(m.group(group), pos)
+        pos = m.start(group)
+        v = _parse_int(m[group], pos)
         if nonzero and v == 0:
             raise ParseError(f"zero {nonzero} in density {text!r}", pos)
         return v
 
-    m = _RAT_RE.match(t)
-    if m:
-        return Fraction(number(m, 1), 1 if m.group(2) is None else number(m, 2, "denominator"))
-    m = _SQRT_RE.match(t)
-    if m:
-        return Surd.make(0, 1, number(m, 1, "radicand"), 1)
-    m = _SURD_RE.match(t)
-    if m:
-        return Surd.make(number(m, 1), number(m, 2), number(m, 3, "radicand"), number(m, 4, "denominator"))
-    raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", lead)
+    if m["u"]:
+        return Fraction(number("u"), 1 if m["v"] is None else number("v", "denominator"))
+    if m["root"]:
+        return Surd.make(0, 1, number("root", "radicand"), 1)
+    if m["x"]:
+        return Surd.make(number("x"), number("y"), number("d", "radicand"), number("z", "denominator"))
+    raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", m.start("bad"))
 
 
 def format_density(r: Density) -> str:

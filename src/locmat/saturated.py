@@ -330,7 +330,14 @@ def format_set(S: SaturatedSet) -> str:
     return f"S{plus}({format_density(S.r)}, {S.base})"
 
 
-_SEGMENT_RE = re.compile(r"^\[\s*1\s*\.\.\s*(\d+)\s*\]$")
+#: One form with the spaces around it, or ``bad`` from the first character on.
+#: In ``S(r, s)``, r runs to the first comma and s to the last ``)``, each with
+#: its leading spaces; r0 and s0 start at the first character after them.
+_SET_RE = re.compile(
+    r"\s*(?:(?:(?P<N>N)|\[\s*1\s*\.\.\s*(?P<n>\d+)\s*\]|S(?P<strict>\+?)\((?:(?P<r>\s*(?P<r0>(?:[^,\s][^,]*)?)),"
+    r"(?P<s>\s*(?P<s0>(?:\S.*)?))|(?P<nocomma>[^,]*))\))\s*\Z|(?P<bad>.*))",
+    re.DOTALL,
+)
 
 
 def parse_set(text: str) -> SaturatedSet:
@@ -339,37 +346,28 @@ def parse_set(text: str) -> SaturatedSet:
     The result is constructor-normalized, so printing it back gives the
     canonical form of the set, not necessarily the input spelling.
     """
-    t = text.strip()
-    if t == "N":
+    m = _SET_RE.match(text)
+    if m["N"]:
         return ALL_NATURALS
-    lead = len(text) - len(text.lstrip())
-    m = _SEGMENT_RE.match(t)
-    if m:
-        n_pos = lead + m.start(1)
-        n = _parse_int(m.group(1), n_pos)
+    if m["n"]:
+        n_pos = m.start("n")
+        n = _parse_int(m["n"], n_pos)
         try:
             return mk_segment(n)
         except ValueError as e:
             raise ParseError(str(e), n_pos) from None
-    strict = t.startswith("S+(")
-    if not (strict or t.startswith("S(")) or not t.endswith(")"):
-        raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", lead)
-    head = 3 if strict else 2
-    inner = t[head:-1]
-    if "," not in inner:
-        raise ParseError(f"missing comma in {text!r}", lead + len(t) - 1)
-    r_text, base_text = inner.split(",", 1)
-    r_start, base_start = lead + head, lead + head + len(r_text) + 1
-    r = _parse_at(parse_density, r_text, r_start)
-    base = _parse_at(parse_scaled, base_text, base_start)
-    r_pos = r_start + len(r_text) - len(r_text.lstrip())  # where each part's first character stands
-    base_pos = base_start + len(base_text) - len(base_text.lstrip())
-    if r is INFINITY and strict:
-        raise ParseError("S+ cannot have density inf", r_pos)
+    if m["bad"] is not None:
+        raise ParseError(f"malformed saturated set {text!r}, expected [1..n], N, S(r, s) or S+(r, s)", m.start("bad"))
+    if m["nocomma"] is not None:
+        raise ParseError(f"missing comma in {text!r}", m.end("nocomma"))
+    r = _parse_at(parse_density, m["r"], m.start("r"))
+    base = _parse_at(parse_scaled, m["s"], m.start("s"))
+    if r is INFINITY and m["strict"]:
+        raise ParseError("S+ cannot have density inf", m.start("r0"))
     try:
-        return mk_finite_type(r, base, strict)
+        return mk_finite_type(r, base, m["strict"] == "+")
     except ValueError as e:  # a natural base is refused before a density below 1
-        raise ParseError(str(e), base_pos if base.is_natural else r_pos) from None
+        raise ParseError(str(e), m.start("s0") if base.is_natural else m.start("r0")) from None
 
 
 def __getattr__(name: str):

@@ -473,7 +473,11 @@ ONE = SteinitzNumber.of(0, {})
 #: for primality (a 2048-bit test takes about 0.3 s on a 2-core Xeon).
 _LITERAL_BITS = 2048
 
-_TERM_RE = re.compile(r"^(?:(?P<prime>\d+)|(?P<all>P))(?:\^(?P<exp>\d+|inf))?$")
+#: One term, then its ``*`` or the end.  A malformed term is matched as the words
+#: between two ``*``, and an empty one where its spaces end.
+_TERM_RE = re.compile(
+    r"\s*(?P<term>(?:(?P<prime>\d+)|(?P<all>P))(?:\^(?P<exp>\d+|inf))?|[^\s*]+(?:\s+[^\s*]+)*|)\s*(?:(?P<star>\*)|\Z)"
+)
 
 
 def parse(text: str) -> SteinitzNumber:
@@ -488,14 +492,13 @@ def parse(text: str) -> SteinitzNumber:
     >>> parse("2^inf*3^2")
     SteinitzNumber("2^inf*3^2")
     """
-    stripped = text.strip()
-    if stripped == "1":
-        return ONE
-    if not stripped:
-        raise ParseError("empty Steinitz expression", 0)
+    m = _TERM_RE.match(text)
+    if m["term"] in ("", "1") and not m["star"]:  # the whole literal is one empty or unit term
+        if m["term"]:
+            return ONE
+        raise ParseError("empty Steinitz expression", m.start("term"))
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
-    offset = 0
     spent = top = 0  # the literal's weight so far; its largest prime's bit length
 
     def spend(bits: int, e: Exponent, pos: int) -> None:
@@ -504,28 +507,25 @@ def parse(text: str) -> SteinitzNumber:
         if spent > _LITERAL_BITS:
             raise ParseError(f"literal exceeds the size budget of {_LITERAL_BITS} bits", pos)
 
-    for raw in text.split("*"):
-        term = raw.strip()
-        pos = offset + (len(raw) - len(raw.lstrip()))
-        offset += len(raw) + 1
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise ParseError(f"malformed term {term!r}, expected p^e or P^e", pos)
-        exp_text, exp_pos = m.group("exp"), pos + m.start("exp")
-        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, exp_pos)
-        if m.group("all"):
+    while m:
+        pos, exp_text = m.start("term"), m["exp"]
+        if m["prime"] is None and m["all"] is None:
+            raise ParseError(f"malformed term {m['term']!r}, expected p^e or P^e", pos)
+        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, m.start("exp"))
+        if m["all"]:
             if default is not None:
                 raise ParseError("duplicate P term", pos)
             default, default_pos = e, pos
-            continue
-        p = _parse_int(m.group("prime"), pos)
-        spend(p.bit_length(), e, pos)
-        top = max(top, p.bit_length())
-        if not _is_prime(p):
-            raise ParseError(f"non-prime base {p}", pos)
-        if p in exceptions:
-            raise ParseError(f"duplicate prime {p}", pos)
-        exceptions[p] = e
+        else:
+            p = _parse_int(m["prime"], pos)
+            spend(p.bit_length(), e, pos)
+            top = max(top, p.bit_length())
+            if not _is_prime(p):
+                raise ParseError(f"non-prime base {p}", pos)
+            if p in exceptions:
+                raise ParseError(f"duplicate prime {p}", pos)
+            exceptions[p] = e
+        m = m["star"] and _TERM_RE.match(text, m.end())  # the next term, after a ``*``
     if default is None:
         default = 0
     else:
@@ -533,7 +533,7 @@ def parse(text: str) -> SteinitzNumber:
     return SteinitzNumber.of(default, exceptions)
 
 
-_SCALED_RE = re.compile(r"^\(\s*(\d+)\s*/\s*(\d+)\s*\)\s*\*\s*(.+)$", re.DOTALL)
+_SCALED_RE = re.compile(r"\s*\(\s*(\d+)\s*/\s*(\d+)\s*\)\s*\*(\s*\S.*)", re.DOTALL)
 
 
 def parse_scaled(text: str) -> SteinitzNumber:
@@ -543,15 +543,14 @@ def parse_scaled(text: str) -> SteinitzNumber:
     reduced denominator must divide the product, or the error points at v.
     Used by the CLI, where members of a set are written relative to its base.
     """
-    m = _SCALED_RE.match(text.strip())
+    m = _SCALED_RE.fullmatch(text)
     if m is None:
         return parse(text)
-    lead = len(text) - len(text.lstrip())
-    u_pos, v_pos, s_pos = (lead + m.start(i) for i in (1, 2, 3))
-    u, v = _parse_int(m.group(1), u_pos), _parse_int(m.group(2), v_pos)
+    u_pos, v_pos = m.start(1), m.start(2)
+    u, v = _parse_int(m[1], u_pos), _parse_int(m[2], v_pos)
     if u < 1 or v < 1:
         raise ParseError("scale factor must be a positive rational", u_pos if u < 1 else v_pos)
-    s = _parse_at(parse, m.group(3), s_pos)
+    s = _parse_at(parse, m[3], m.start(3))
     try:
         return scale(s, Fraction(u, v))
     except ValueError as e:  # u, v >= 1: the one refusal left is a denominator outside Omega(s)

@@ -369,6 +369,7 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
         (["alg", "realize", "  alg(S(1/0,P))"], "zero denominator in density '1/0' (at position 10)"),
         (["alg", "spectrum", "  alg(S(1/0,P))"], "zero denominator in density '1/0' (at position 10)"),
         (["alg", "spectrum", '  {"stages":x}'], "malformed chain JSON: Expecting value (at position 12)"),
+        (["num", "eval", "(3/4)*2^5*  "], "malformed term '', expected p^e or P^e (at position 12)"),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):
