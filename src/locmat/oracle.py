@@ -171,7 +171,10 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
     exponent, where the canonical ratio does not range over all
     representations (the collapse phenomenon).  Omega(base) is swept
     lazily, so the search tests no b past the first representation it
-    accepts; only a non-member costs the whole sweep to _SEARCH_DEN_BOUND.
+    accepts.  Over such a base, at a positive density, every connected t is
+    a member (b can take any power of an infinite prime), so a sweep that
+    reaches _SEARCH_DEN_BOUND without a representation has given up: it
+    raises ValueError instead of answering.
     """
     if not rationally_connected(S.base, t):
         return False
@@ -182,7 +185,7 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
         c = cmp_ratio(a, b, S.r)
         if c < 0 or (c == 0 and not S.strict):
             return True
-    return False
+    raise ValueError(f"no representation of {t} in {format_set(S)} with a denominator up to {_SEARCH_DEN_BOUND}")
 
 
 def _probe_contains(S: SaturatedSet, t: SteinitzNumber) -> bool:

@@ -276,6 +276,8 @@ class TailRule(_Value):
             raise ValueError(f"unknown tail kind {kind!r}")
         if r is None and kind != "unbounded":
             raise ValueError("a density tail needs a density")
+        if r is not None and kind == "unbounded":
+            raise ValueError("an unbounded tail takes no density")
         self._set("kind", kind)
         self._set("r", r)
 

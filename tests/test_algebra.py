@@ -276,11 +276,13 @@ class TestSpectrumOfChain:
         (lambda: FiniteMatrixChain((2, 4), (0,), (4,)), "step 0: need m >= 1, z >= 0"),
         (lambda: TailRule("spiral", Fraction(1)), "unknown tail kind 'spiral'"),
         (lambda: TailRule("attained"), "a density tail needs a density"),
+        (lambda: TailRule("unbounded", Fraction(2)), "an unbounded tail takes no density"),
     ],
     ids=[
         "size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain",
         "finite-chain-one-negative-stage", "finite-chain-one-empty-stage", "finite-chain-no-stage",
         "finite-chain-step-count", "finite-chain-zero-multiplicity", "tail-kind", "tail-density",
+        "unbounded-tail-density",
     ],
 )
 def test_chain_values_refuse_bad_input_when_built(build, message):

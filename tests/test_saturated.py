@@ -450,9 +450,10 @@ def chain_sets(draw):
 
 
 # (kind, r) pairs, a kind of None meaning no tail; the test builds the TailRule.
+# r is None for some draws, so that an unbounded tail is also accepted.
 chain_tails = st.tuples(
     st.sampled_from([None, "attained", "approached", "attained", "approached", "unbounded", "spiral"]),
-    st.sampled_from(CHAIN_DENSITIES + [INFINITY]),
+    st.sampled_from(CHAIN_DENSITIES + [INFINITY, None]),
 )
 
 
@@ -474,8 +475,8 @@ def union_by_rebased_densities(prefix, kind, r):
         return prefix[-1]
     base = prefix[0].base
     if kind == "unbounded":
-        return mk_inf_type(base)
-    if kind not in ("attained", "approached"):
+        return None if r is not None else mk_inf_type(base)
+    if kind not in ("attained", "approached") or r is None:
         return None
     if r is INFINITY:
         return mk_inf_type(base)
@@ -634,3 +635,12 @@ def test_representation_search_rejects_an_unconnected_number(omega_tests):
     raw = FiniteType(1, parse("2^inf"), False)
     assert _existential_contains(raw, parse("3^inf")) is False
     assert omega_tests == []
+
+
+def test_representation_search_says_when_it_gives_up():
+    # Over 2^inf every connected t is a member, but 5^6 * 2^inf needs b = 2^14,
+    # past the search bound: the search says so instead of answering False.
+    raw = FiniteType(1, parse("2^inf"), False)
+    assert contains(mk_finite_type(1, parse("2^inf")), parse("2^inf*5^6"))
+    with pytest.raises(ValueError, match="4096"):
+        _existential_contains(raw, parse("2^inf*5^6"))
