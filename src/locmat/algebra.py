@@ -181,8 +181,9 @@ class Stage(_Value):
 
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
-#: A JSON string or number token, so that a number inside a string never matches.
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+#: A JSON string or number token, so that a number inside a string never
+#: matches; ``key`` marks a string followed by its colon.
+_JSON_TOKEN = re.compile(r'(?P<str>"(?:[^"\\]|\\.)*")(?P<key>\s*:)?|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
 
 def _json_field(obj: dict, key: str, kind: type):
@@ -193,6 +194,29 @@ def _json_field(obj: dict, key: str, kind: type):
     if type(value) is not kind:
         raise ParseError(f"chain field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _json_parsed(obj: dict, key: str, parse_fn):
+    """parse_fn of the string field ``key``.  Its ParseError keeps ``field``,
+    the key and the string, so that ``from_json`` can find it in the text."""
+    value = _json_field(obj, key, str)
+    try:
+        return parse_fn(value)
+    except ParseError as e:
+        e.field = key, value
+        raise
+
+
+def _json_string_pos(text: str, key: str, value: str, pos: int) -> int:
+    """The offset in ``text`` of character ``pos`` of the first string
+    ``value`` that is the value of a member ``key``, or of that string's
+    first character when it holds an escape (decoded offsets differ there)."""
+    tokens = list(_JSON_TOKEN.finditer(text))
+    return next(
+        v.start() + 1 + (0 if "\\" in v["str"] else pos)
+        for k, v in zip(tokens, tokens[1:])
+        if k["key"] and v["str"] and not v["key"] and json.loads(k["str"]) == key and json.loads(v["str"]) == value
+    )
 
 
 def _json_stage(e, i: int) -> dict:
@@ -251,13 +275,13 @@ class ChainPresentation(_Value):
         if type(d) is not dict:
             raise ParseError(f"chain JSON must be an object, got {d!r}")
         entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
-        fields = [(_json_field(e, "k", int), parse_steinitz(_json_field(e, "s", str))) for e in entries]
+        fields = [(_json_field(e, "k", int), _json_parsed(e, "s", parse_steinitz)) for e in entries]
         quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
         tail = None
         if d.get("tail") is not None:
             tail_d = _json_field(d, "tail", dict)
             kind = _json_field(tail_d, "kind", str)
-            tail = TailRule(kind, None if kind == "unbounded" else parse_density(_json_field(tail_d, "r", str)))
+            tail = TailRule(kind, None if kind == "unbounded" else _json_parsed(tail_d, "r", parse_density))
         return cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
 
     def to_json(self) -> str:
@@ -279,7 +303,12 @@ class ChainPresentation(_Value):
             raise ParseError(f"malformed chain JSON: {e.msg}", e.pos) from e
         except RecursionError:
             raise ParseError("chain JSON nests too deeply") from None
-        return cls.from_json_dict(d)
+        try:
+            return cls.from_json_dict(d)
+        except ParseError as e:
+            if not hasattr(e, "field"):
+                raise
+            raise ParseError(e.message, _json_string_pos(text, *e.field, e.pos)) from None
 
 
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a

@@ -398,6 +398,32 @@ class TestChainJson:
         with pytest.raises(ParseError, match=re.escape(message)):
             ChainPresentation.from_json(text)
 
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ('{"stages":[{"k":0,"s":"P","q":1},{"k":1,"s":"x","q":null}],"tail":null}', 45),
+            ('{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/0"}}', 70),
+            ('  {"stages":[{"k":1,"s":"2*x","q":null}],"tail":null}', 27),
+            # The value "s" after the key "s"; the key is not the field.
+            ('{"stages":[{"k":1,"s":"s","q":null}],"tail":null}', 23),
+            # The same string in an earlier field of another name is not the field.
+            ('{"tail":{"kind":"attained","r":"x"},"stages":[{"k":1,"s":"x","q":null}]}', 58),
+            # A string with an escape is reported at its first character.
+            ('{"stages":[{"k":1,"s":"2*\\u0078","q":null}],"tail":null}', 23),
+        ],
+        ids=["stage", "tail", "leading-spaces", "value-like-key", "earlier-field", "escape"],
+    )
+    def test_string_field_error_points_into_the_document(self, text, pos):
+        with pytest.raises(ParseError) as e:
+            ChainPresentation.from_json(text)
+        assert e.value.pos == pos
+
+    def test_string_field_error_from_a_dict_points_into_the_string(self):
+        d = {"stages": [{"k": 1, "s": "2*x", "q": None}], "tail": None}
+        with pytest.raises(ParseError, match="malformed term 'x'") as e:
+            ChainPresentation.from_json_dict(d)
+        assert e.value.pos == 2
+
 
 class TestMatchCorner:
     def test_known_witness(self):

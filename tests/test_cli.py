@@ -370,6 +370,14 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
         (["alg", "spectrum", "  alg(S(1/0,P))"], "zero denominator in density '1/0' (at position 10)"),
         (["alg", "spectrum", '  {"stages":x}'], "malformed chain JSON: Expecting value (at position 12)"),
         (["num", "eval", "(3/4)*2^5*  "], "malformed term '', expected p^e or P^e (at position 12)"),
+        (
+            ["alg", "spectrum", '{"stages":[{"k":0,"s":"P","q":1},{"k":1,"s":"x","q":null}],"tail":null}'],
+            "malformed term 'x', expected p^e or P^e (at position 45)",
+        ),
+        (
+            ["alg", "spectrum", '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/0"}}'],
+            "zero denominator in density '1/0' (at position 70)",
+        ),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):
