@@ -37,7 +37,7 @@ def shifted(result, k):
     return (kind, rest[0], rest[1] + k) if kind == "error" else result
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(products)
 @example("2*  ")
 @example("2^5*  ")
@@ -47,7 +47,7 @@ def test_scaled_product_reports_where_it_stands(x):
     assert outcome(parse_scaled, "(1/1)*" + x) == shifted(outcome(parse, x), 6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(literals)
 def test_set_base_reports_where_it_stands(x):
     inner = outcome(parse_scaled, x)
@@ -55,7 +55,7 @@ def test_set_base_reports_where_it_stands(x):
     assert outcome(parse_set, "S(2," + x + ")") == shifted(inner, 4)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(literals)
 def test_descriptor_set_reports_where_it_stands(y):
     inner = outcome(parse_set, y)
@@ -67,7 +67,7 @@ def test_descriptor_set_reports_where_it_stands(y):
 
 
 @pytest.mark.parametrize("parse_fn", [parse, parse_scaled, parse_density, parse_set, parse_descriptor])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(x=literals, lead=spaces)
 @example(x="", lead="  ")
 @example(x="(3/4)*2^5*  ", lead=" ")

@@ -120,6 +120,8 @@ def _corpus() -> list[list[str]]:
         ["alg", "spectrum", "  alg(S(1/0,P))"],
         ["alg", "spectrum", '  {"stages":x}'],
     ]
+    # An empty part is reported where its spaces end, after a (u/v)* prefix too.
+    out += [["num", "eval", "(3/4)*2^5*  "], ["set", "classify", "S(3/2,  )"]]
     out += [
         ["check", "roundtrip"],
         ["check", "saturation", "--trials", "20", "--bound", "12", "--seed", "2"],
