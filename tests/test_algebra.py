@@ -408,10 +408,12 @@ class TestChainJson:
             ('{"stages":[{"k":1,"s":"s","q":null}],"tail":null}', 23),
             # The same string in an earlier field of another name is not the field.
             ('{"tail":{"kind":"attained","r":"x"},"stages":[{"k":1,"s":"x","q":null}]}', 58),
+            # A key inside a value of the key "s" is not a value of "s".
+            ('{"junk":{"s":{"x":1}},"stages":[{"k":1,"s":"x","q":null}],"tail":null}', 44),
             # A string with an escape is reported at its first character.
             ('{"stages":[{"k":1,"s":"2*\\u0078","q":null}],"tail":null}', 23),
         ],
-        ids=["stage", "tail", "leading-spaces", "value-like-key", "earlier-field", "escape"],
+        ids=["stage", "tail", "leading-spaces", "value-like-key", "earlier-field", "nested-key", "escape"],
     )
     def test_string_field_error_points_into_the_document(self, text, pos):
         with pytest.raises(ParseError) as e:

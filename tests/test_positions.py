@@ -82,15 +82,20 @@ def test_leading_spaces_shift_every_position(parse_fn, x, lead):
 @pytest.mark.parametrize(
     "parse_fn,text,pos",
     [
+        # An empty part is reported where its spaces end.
         (parse_scaled, "(3/4)*2^5*  ", 12),
         (parse, "2^5*  ", 6),
         (parse, "   ", 3),
         (parse_set, "S(1,  )", 6),
         (parse_set, "S(  ,P)", 4),
         (parse_descriptor, "alg(S(3/2, P*  ))", 15),
+        # A refusal made after a set parses points at the part's first character.
+        (parse_set, "S( 3/22, P)", 3),
+        (parse_set, "S+( inf,P)", 4),
+        (parse_set, "S(32,  2^7)", 7),
     ],
 )
-def test_an_empty_part_is_reported_where_its_whitespace_ends(parse_fn, text, pos):
+def test_a_part_is_reported_at_its_first_character(parse_fn, text, pos):
     with pytest.raises(ParseError) as e:
         parse_fn(text)
     assert e.value.pos == pos
