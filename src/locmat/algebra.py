@@ -21,6 +21,7 @@ from .saturated import (
     SaturatedSet,
     Segment,
     TailRule,
+    _UNIT_DENSITY,
     _floor_count,
     _has_max,
     _included,
@@ -96,7 +97,7 @@ def spec_matrix(n: int) -> AlgebraDescriptor:
 
 
 def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
-    return mk_segment(s.as_int()) if s.is_natural else mk_finite_type(Fraction(1), s, strict=False)
+    return mk_segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
 
 
 def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:

@@ -135,13 +135,14 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
     a base with an infinite prime it skips each a with a factor the base
     absorbs (at default INF, only products of the finite primes are built):
     the rest k < a of a names the same number at the same b.  ``seen`` stays
-    as distinct ratios can still name one number (1/2 and 1 over 2^inf).
+    there, as distinct ratios can still name one number (1/2 and 1 over 2^inf);
+    over an infinity-free base the ratio is unique, so no set is kept.
     """
     if isinstance(S, AllNaturals):
         return [SteinitzNumber.from_int(i) for i in range(1, (200 if limit is None else limit) + 1)]
     out: list[SteinitzNumber] = []
-    seen: set[SteinitzNumber] = set()
     base, r = S.base, S.r
+    seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
     inf_default = base.default == INF
     absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
     for b in iter_omega(base, den_bound):
@@ -155,11 +156,11 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
                 if c > 0 or (c == 0 and S.strict):
                     continue
             t = mul_natural(u, a)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-                if limit is not None and len(out) >= limit:
-                    return out
+            if seen is not None and (t in seen or seen.add(t)):  # add returns None, so a new t goes on
+                continue
+            out.append(t)
+            if limit is not None and len(out) >= limit:
+                return out
     return out
 
 

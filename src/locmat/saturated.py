@@ -101,6 +101,8 @@ class FiniteType(SaturatedSet):
 
 
 ALL_NATURALS = AllNaturals()
+#: The least finite-type density, and the density of a unital algebra's spectrum.
+_UNIT_DENSITY = Fraction(1)
 
 
 def mk_segment(n: int) -> SaturatedSet:
@@ -133,7 +135,7 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         return mk_inf_type(s)
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
-    if cmp_density(r, Fraction(1)) < 0:
+    if cmp_density(r, _UNIT_DENSITY) < 0:
         raise ValueError(f"density must be at least 1, got {format_density(r)}")
     if not s.is_infinity_free:
         return InfType(s)

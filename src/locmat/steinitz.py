@@ -7,7 +7,8 @@ closed under every operation this package needs (lcm, finite
 multiplication/division, rational scaling) and covers shapes like the
 product of all primes (default 1) or a single p^inf.  The infinite exponent
 ``INF`` is also the infinite density, ``density.INFINITY``.  The constructor
-checks its keys and exponents; arithmetic, which keeps the invariant, skips it.
+checks its keys and exponents; ``parse``, which checks each fact as it reads
+it, and arithmetic, which keeps the invariant, skip those checks.
 
 A value is stored as its connectivity class plus a rational offset (see
 :class:`SteinitzNumber`), because every question the saturated sets ask is
@@ -345,7 +346,10 @@ class SteinitzNumber:
             if not (isinstance(p, int) and _is_prime(p)):
                 raise ValueError(f"exception key {p!r} is not a prime")
             exc[p] = _check_exponent(e)
-        default = _check_exponent(default)
+        self._fill(_check_exponent(default), exc)
+
+    def _fill(self, default: Exponent, exc: dict[int, Exponent]) -> "SteinitzNumber":
+        """Set the fields from a checked default and checked exceptions; returns self."""
         view = tuple(sorted((p, e) for p, e in exc.items() if e != default))
         # The core lists the primes whose exponent is finite exactly when the
         # default is not; the offset is taken from P^default, or from P^0 at INF.
@@ -365,6 +369,7 @@ class SteinitzNumber:
         self._core, self._radical = (default, primes), math.prod(primes)
         self._num, self._den = num, den
         self._exc = view
+        return self
 
     @classmethod
     def of(cls, default: Exponent = 0, exceptions: dict[int, Exponent] | None = None) -> "SteinitzNumber":
@@ -472,6 +477,7 @@ ONE = SteinitzNumber.of(0, {})
 #: ratios and as_int build from the literal, and the primes that parse tests
 #: for primality (a 2048-bit test takes about 0.3 s on a 2-core Xeon).
 _LITERAL_BITS = 2048
+_BUDGET = f"literal exceeds the size budget of {_LITERAL_BITS} bits"
 
 #: One term, then its ``*`` or the end.  A malformed term is matched as the words
 #: between two ``*``, and an empty one where its spaces end.
@@ -500,37 +506,33 @@ def parse(text: str) -> SteinitzNumber:
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
     spent = top = 0  # the literal's weight so far; its largest prime's bit length
-
-    def spend(bits: int, e: Exponent, pos: int) -> None:
-        nonlocal spent
-        spent += bits * (1 if e == INF else max(e, 1))
-        if spent > _LITERAL_BITS:
-            raise ParseError(f"literal exceeds the size budget of {_LITERAL_BITS} bits", pos)
-
     while m:
-        pos, exp_text = m.start("term"), m["exp"]
-        if m["prime"] is None and m["all"] is None:
-            raise ParseError(f"malformed term {m['term']!r}, expected p^e or P^e", pos)
-        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, m.start("exp"))
-        if m["all"]:
+        (term, prime, every, exp_text, star), pos = m.groups(), m.start(1)
+        if prime is None and every is None:
+            raise ParseError(f"malformed term {term!r}, expected p^e or P^e", pos)
+        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, m.start(4))
+        if every:
             if default is not None:
                 raise ParseError("duplicate P term", pos)
             default, default_pos = e, pos
         else:
-            p = _parse_int(m["prime"], pos)
-            spend(p.bit_length(), e, pos)
-            top = max(top, p.bit_length())
+            p = _parse_int(prime, pos)
+            bits = p.bit_length()
+            spent += bits * (e if 1 < e < INF else 1)
+            if spent > _LITERAL_BITS:
+                raise ParseError(_BUDGET, pos)
+            top = max(top, bits)
             if not _is_prime(p):
                 raise ParseError(f"non-prime base {p}", pos)
             if p in exceptions:
                 raise ParseError(f"duplicate prime {p}", pos)
             exceptions[p] = e
-        m = m["star"] and _TERM_RE.match(text, m.end())  # the next term, after a ``*``
+        m = star and _TERM_RE.match(text, m.end())  # the next term, after a ``*``
     if default is None:
         default = 0
-    else:
-        spend(top, default, default_pos)
-    return SteinitzNumber.of(default, exceptions)
+    elif spent + top * (default if 1 < default < INF else 1) > _LITERAL_BITS:
+        raise ParseError(_BUDGET, default_pos)
+    return object.__new__(SteinitzNumber)._fill(default, exceptions)  # every fact is checked above
 
 
 _SCALED_RE = re.compile(r"\s*\(\s*(\d+)\s*/\s*(\d+)\s*\)\s*\*(\s*\S.*)", re.DOTALL)
@@ -550,9 +552,9 @@ def parse_scaled(text: str) -> SteinitzNumber:
     u, v = _parse_int(m[1], u_pos), _parse_int(m[2], v_pos)
     if u < 1 or v < 1:
         raise ParseError("scale factor must be a positive rational", u_pos if u < 1 else v_pos)
-    s = _parse_at(parse, m[3], m.start(3))
+    s, g = _parse_at(parse, m[3], m.start(3)), math.gcd(u, v)
     try:
-        return scale(s, Fraction(u, v))
+        return mul_natural(divide_by(s, v // g), u // g)
     except ValueError as e:  # u, v >= 1: the one refusal left is a denominator outside Omega(s)
         raise ParseError(str(e), v_pos) from None
 

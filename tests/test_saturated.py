@@ -623,6 +623,29 @@ def test_sample_members_at_default_inf_builds_only_unabsorbed_numerators(monkeyp
     assert len(calls) <= 1000
 
 
+@pytest.mark.parametrize(
+    "S",
+    [S32, mk_finite_type(Fraction(3, 2), P, True), mk_finite_type(Surd.make(1, 1, 2, 1), parse("P^2*2^3"), False),
+     mk_inf_type(P), mk_segment(40)],
+    ids=["closed", "strict", "surd", "inf-type", "segment"],
+)
+def test_sample_members_over_an_infinity_free_base_hashes_nothing(monkeypatch, S):
+    # The ratio to an infinity-free base is unique, so lowest-terms ratios name
+    # distinct numbers and no sample is hashed to deduplicate it.
+    hashes = []
+
+    def counted(s):
+        hashes.append(s)
+        return hash_number(s)
+
+    hash_number = SteinitzNumber.__hash__
+    monkeypatch.setattr(SteinitzNumber, "__hash__", counted)
+    members = sample_members(S, den_bound=256, limit=100)
+    assert hashes == []
+    monkeypatch.undo()
+    assert len(members) == len(set(members)) == (40 if S == mk_segment(40) else 100)
+
+
 def test_representation_search_stops_at_the_first_representation(omega_tests):
     # t = (1/1)*base is found at b = 1: one Omega test and one divide_by.
     raw = FiniteType(1, parse("2^inf"), False)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locmat import steinitz
@@ -529,6 +529,51 @@ class TestLiteralBudget:
         with pytest.raises(ParseError, match="size budget") as e:
             parse(f"2*{2**2100 + 1}^inf")
         assert e.value.pos == 2
+
+
+class TestParseChecksOnce:
+    # parse checks every prime, exponent, duplicate and the budget as it reads
+    # the literal, then builds the value without the constructor's checks.
+    def test_each_listed_prime_is_tested_once(self, monkeypatch):
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return is_prime(n)
+
+        is_prime = steinitz._is_prime
+        monkeypatch.setattr(steinitz, "_is_prime", counted)
+        s = parse("2^3*3*5^inf*7^0*P^2*1000003")
+        assert tested == [2, 3, 5, 7, 1000003]
+        assert s == SteinitzNumber(2, {2: 3, 3: 1, 5: INF, 7: 0, 1000003: 1})
+
+    def test_a_composite_is_reported_before_a_duplicate(self):
+        with pytest.raises(ParseError, match="non-prime base 4") as e:
+            parse("4*4")
+        assert e.value.pos == 0
+
+
+_LITERAL_PRIMES = (2, 3, 5, 7, 11, 13, 1000003, 2**61 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3), st.just(INF)),
+    st.lists(st.tuples(st.sampled_from(_LITERAL_PRIMES), _EXPONENTS), max_size=5, unique_by=lambda t: t[0]),
+    st.integers(min_value=0, max_value=5),
+)
+@example(10**12, [], 0)
+@example(INF, [(2, 0)], 1)
+@example(None, [], 0)
+def test_parse_builds_what_the_constructor_builds(default, terms, at):
+    # The P term, if any, sits at index ``at`` among the prime terms.
+    words = [f"{p}^{'inf' if e == INF else e}" for p, e in terms]
+    if default is not None:
+        words.insert(min(at, len(words)), f"P^{'inf' if default == INF else default}")
+    s = parse("*".join(words) or "1")
+    built = SteinitzNumber(0 if default is None else default, dict(terms))
+    assert s == built and hash(s) == hash(built)
+    assert str(s) == str(built) and s.exceptions == built.exceptions and s.default == built.default
 
 
 class TestHugeDefault:
