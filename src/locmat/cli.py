@@ -147,10 +147,10 @@ def _realize(args) -> dict:
 
 
 def _corner(args) -> str:
-    num, _, den = args.rank.partition("/")
-    d = _parse_int(den, len(num) + 1) if den else 1
+    num, slash, den = args.rank.partition("/")
+    d = _parse_int(den, len(num) + 1) if slash else 1
     if d == 0:
-        raise ParseError(f"zero denominator in rank {args.rank!r}", len(num) + 1)
+        raise ParseError(f"zero denominator in rank {args.rank!r}", len(args.rank) - len(den.lstrip()))
     q = Fraction(_parse_int(num, 0), d)
     return str(locmat.corner(locmat.parse_descriptor(args.alg), q))
 

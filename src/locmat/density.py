@@ -197,10 +197,13 @@ def parse_density(text: str) -> Density:
 
     if m["u"]:
         return Fraction(number("u"), 1 if m["v"] is None else number("v", "denominator"))
-    if m["root"]:
-        return Surd.make(0, 1, number("root", "radicand"), 1)
-    if m["x"]:
-        return Surd.make(number("x"), number("y"), number("d", "radicand"), number("z", "denominator"))
+    if m["root"] or m["x"]:
+        x, y, g = (number("x"), number("y"), "d") if m["x"] else (0, 1, "root")
+        d, z = number(g, "radicand"), (number("z", "denominator") if m["x"] else 1)
+        try:
+            return Surd.make(x, y, d, z)
+        except ValueError as e:  # a radicand that factorize cannot split
+            raise ParseError(str(e), m.start(g)) from None
     raise ParseError(f"malformed density {text!r}, expected inf, u/v or (x+y*sqrt(d))/z", m.start("bad"))
 
 

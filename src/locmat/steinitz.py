@@ -87,11 +87,12 @@ def _parse_at(parse_fn, text: str, start: int):
 
 
 def _parse_int(text: str, pos: int) -> int:
-    """int(text), or a ParseError at ``pos`` for a malformed literal or one
-    past the interpreter's int-string limit (4300 digits by default)."""
+    """int(text) of a slice that starts at ``pos``, or a ParseError past its leading spaces
+    for a malformed literal or one past the int-string limit (4300 digits by default)."""
     try:
         return int(text)
     except ValueError:
+        pos += len(text) - len(text.lstrip())
         digits = text.strip().lstrip("+-")
         if digits.isdecimal():
             raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from locmat import cli, oracle
+from locmat import cli, oracle, steinitz
 from locmat.steinitz import SteinitzNumber, _is_prime
 
 # (argv, expected exit code, expected byte-exact output)
@@ -378,6 +378,13 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
             ["alg", "spectrum", '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"attained","r":"1/0"}}'],
             "zero denominator in density '1/0' (at position 70)",
         ),
+        # The CLI's own integer lists: past a part's leading spaces, and a
+        # slash with no denominator after it is refused, not read as rank 1.
+        (["alg", "corner", "alg(S(1,P))", " x/2"], "malformed integer ' x' (at position 1)"),
+        (["alg", "corner", "alg(S(1,P))", "1/ 0"], "zero denominator in rank '1/ 0' (at position 3)"),
+        (["alg", "corner", "alg(S(1,P))", "1/"], "malformed integer '' (at position 2)"),
+        (["alg", "realize", "S(3/2,P)", "--chain", "2, x"], "malformed integer ' x' (at position 3)"),
+        (["alg", "realize", "S(3/2,P)", "--chain", "2, "], "malformed integer ' ' (at position 3)"),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):
@@ -386,6 +393,15 @@ def test_literal_error_points_into_the_argument(argv, expected):
 
 def test_realize_rejects_empty_chain():
     assert cli.run(["alg", "realize", "S(3/2,P)", "--chain", ""]) == (2, "error: malformed integer '' (at position 0)")
+
+
+@pytest.mark.parametrize("density", ["sqrt({n})", " (1+2*sqrt( {n}))/3"], ids=["sqrt", "surd"])
+def test_unfactorable_radicand_is_reported_at_its_position(monkeypatch, density):
+    monkeypatch.setattr(steinitz, "_RHO_STEPS", 1 << 10)  # refuse at once, not after 0.7 s
+    n = 1000000000000037 * 1000000000000091
+    text = f"S({density.format(n=n)},P)"
+    expected = f"error: {n} is too large to factor (at position {text.index(str(n))})"
+    assert cli.run(["set", "classify", text]) == (2, expected)
 
 
 def test_deeply_nested_chain_json_exits_2():
