@@ -520,6 +520,13 @@ class TestLiteralBudget:
             parse("2^1000*3^20*5^3")
         assert e.value.pos == 12
 
+    @pytest.mark.parametrize("exponent", ["0", "inf"])
+    def test_zero_and_infinite_exponents_weigh_once(self, exponent):
+        # 2^1024 spends the whole budget, so the 2 bits of 3^0 or 3^inf cross it.
+        with pytest.raises(ParseError, match="size budget") as e:
+            parse(f"2^1024*3^{exponent}")
+        assert e.value.pos == 7
+
     def test_default_weighs_at_largest_listed_prime(self):
         with pytest.raises(ParseError) as e:
             parse("P^683*5")
