@@ -5,24 +5,18 @@ accepted, negative and malformed inputs, usage errors, and the ``--help``
 of the program, of each group and of each subcommand.  Every argv runs
 plain and again with ``--json`` in front.  Each call writes one line, the
 JSON list [argv, exit code, output]; an exception that escapes ``run`` is
-written in place of the exit code and output.
+written in place of the exit code and output.  ``tools/sweeps.py`` runs it.
 
-The sweep is outside the test suite.  Run it at two commits and compare the
-output files byte for byte, or by their sha256:
-
-    PYTHONPATH=src python3 tools/cli_sweep.py --out cli.txt
-
-Help text is wrapped at 80 columns whatever the terminal.  The sweep takes
-about 16 s on a 2-core Xeon.
+Help text is wrapped at 80 columns whatever the terminal: ``COLUMNS`` is 80
+while the lines are made.  The sweep takes about 16 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
-import sys
+from collections.abc import Iterator
+from unittest import mock
 
 from locmat import cli
 
@@ -165,26 +159,12 @@ def _corpus() -> list[list[str]]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="file that receives one line per call")
-    args = ap.parse_args(argv)
-    os.environ["COLUMNS"] = "80"
-    lines = []
-    corpus = _corpus()
-    for base in corpus:
-        for call in (base, ["--json", *base]):
-            try:
-                code, out = cli.run(call)
-            except Exception as e:  # recorded, so that an escaping exception shows as a difference
-                code, out = "raised", f"{type(e).__name__}: {e}"
-            lines.append(json.dumps([call, code, out]))
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(text)
-    print(f"{len(corpus)} argv, {len(lines)} calls, sha256 {hashlib.sha256(text.encode()).hexdigest()}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lines() -> Iterator[str]:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for base in _corpus():
+            for call in (base, ["--json", *base]):
+                try:
+                    code, out = cli.run(call)
+                except Exception as e:  # recorded, so that an escaping exception shows as a difference
+                    code, out = "raised", f"{type(e).__name__}: {e}"
+                yield json.dumps([call, code, out])

@@ -6,12 +6,8 @@ spaced or not, with one character inserted, replaced or deleted.  Every input go
 ``parse``, ``parse_scaled``, ``parse_density``, ``parse_set`` and
 ``parse_descriptor``.  Each call writes one line, the JSON list
 [input number, parser, input, outcome], where the outcome is ["value",
-repr] or ["error", exception type, message, position].
-
-The sweep is outside the test suite.  Run it at two commits and compare the
-output files byte for byte, or by their sha256:
-
-    PYTHONPATH=src python3 tools/parse_sweep.py --out parse.txt
+repr] or ["error", exception type, message, position].  ``tools/sweeps.py``
+runs it.
 
 The corpus size and seed are fixed, so that two runs compare.  60,000
 inputs (300,000 calls) take about 4 s on a 2-core Xeon.
@@ -19,11 +15,9 @@ inputs (300,000 calls) take about 4 s on a 2-core Xeon.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import random
-import sys
+from collections.abc import Iterator
 
 from locmat.algebra import parse_descriptor
 from locmat.density import parse_density
@@ -73,22 +67,9 @@ def _outcome(parse_fn, text: str) -> list:
         return ["error", type(e).__name__, getattr(e, "message", str(e)), getattr(e, "pos", None)]
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="file that receives one line per call")
-    args = ap.parse_args(argv)
+def lines() -> Iterator[str]:
     rng = random.Random(SEED)
-    digest = hashlib.sha256()
-    with open(args.out, "w", encoding="utf-8") as f:
-        for i in range(INPUTS):
-            text = rng.choice((_fragments, _spaced, _mutant))(rng)
-            for parse_fn in PARSERS:
-                line = json.dumps([i, parse_fn.__name__, text, _outcome(parse_fn, text)]) + "\n"
-                f.write(line)
-                digest.update(line.encode())
-    print(f"{INPUTS} inputs, {INPUTS * len(PARSERS)} calls, sha256 {digest.hexdigest()}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for i in range(INPUTS):
+        text = rng.choice((_fragments, _spaced, _mutant))(rng)
+        for parse_fn in PARSERS:
+            yield json.dumps([i, parse_fn.__name__, text, _outcome(parse_fn, text)])

@@ -6,20 +6,13 @@ densities) plus raw ``FiniteType`` descriptors over bases with an infinite
 prime, whose constructor form would collapse.  For each set it writes
 ``sample_members`` at (den_bound, limit) = (256, 100), (30, 40) and
 (12, None), then the ``equals_extensional`` verdicts against an equal
-partner and against a different one.
-
-The sweep is outside the test suite.  Run it at two commits and compare the
-output files byte for byte, or by their sha256:
-
-    PYTHONPATH=src python3 tools/sample_sweep.py --out sample.txt
+partner and against a different one.  ``tools/sweeps.py`` runs it.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import random
-import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 import locmat
@@ -27,6 +20,8 @@ from locmat import FiniteType
 from locmat.density import INFINITY, Surd, format_density, scale_density
 from locmat.steinitz import INF, SteinitzNumber, divide_by, enumerate_omega, parse
 
+SETS = 1500
+SEED = 20261018
 _PRIMES = (2, 3, 5, 7, 11)
 _SAMPLES = ((256, 100), (30, 40), (12, None))
 _RAW_BASES = ("2^inf", "2^inf*3", "P*7^inf")
@@ -119,22 +114,7 @@ def sweep_line(rng: random.Random) -> str:
     return " | ".join(out)
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sets", type=int, default=1500)
-    ap.add_argument("--seed", type=int, default=20261018)
-    ap.add_argument("--out", required=True, help="file that receives one line per set")
-    args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
-    digest = hashlib.sha256()
-    with open(args.out, "w", encoding="utf-8") as f:
-        for i in range(args.sets):
-            line = f"{i} {sweep_line(rng)}\n"
-            f.write(line)
-            digest.update(line.encode())
-    print(f"{args.sets} sets, sha256 {digest.hexdigest()}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lines() -> Iterator[str]:
+    rng = random.Random(SEED)
+    for i in range(SETS):
+        yield f"{i} {sweep_line(rng)}"

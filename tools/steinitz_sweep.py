@@ -6,13 +6,7 @@ or the exception type and message, of every public ``locmat.steinitz``
 operation on them, plus ``contains``, ``r_sub`` and ``compare_inclusion`` on
 saturated sets built over the two numbers.  Hash values are not written
 (they may change with the representation); equal values must hash equal,
-and a line records that.
-
-The sweep is outside the test suite.  Run it at two commits and compare the
-output files byte for byte, or by their sha256:
-
-    PYTHONPATH=src python3 tools/steinitz_sweep.py --out sweep.txt
-    sha256sum sweep.txt
+and a line records that.  ``tools/sweeps.py`` runs it.
 
 Only small primes and exponents appear, so nothing hits the factorization
 budget.  100,000 pairs take about a minute on a 2-core Xeon.
@@ -20,16 +14,16 @@ budget.  100,000 pairs take about a minute on a 2-core Xeon.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import random
-import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from locmat import saturated, steinitz
 from locmat.density import INFINITY, Surd, format_density
 from locmat.steinitz import INF, SteinitzNumber
 
+PAIRS = 100_000
+SEED = 20261018
 _PRIMES = (2, 3, 5, 7, 11, 13)
 _RARE_PRIMES = (101, 1009, 10007)
 _PROBES = (2, 3, 5, 7, 13, 101, 10007, 17)
@@ -154,22 +148,7 @@ def sweep_line(rng: random.Random) -> str:
     return " | ".join(out)
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--pairs", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=20261018)
-    ap.add_argument("--out", required=True, help="file that receives one line per operand pair")
-    args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
-    digest = hashlib.sha256()
-    with open(args.out, "w", encoding="utf-8") as f:
-        for i in range(args.pairs):
-            line = f"{i} {sweep_line(rng)}\n"
-            f.write(line)
-            digest.update(line.encode())
-    print(f"{args.pairs} pairs, sha256 {digest.hexdigest()}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lines() -> Iterator[str]:
+    rng = random.Random(SEED)
+    for i in range(PAIRS):
+        yield f"{i} {sweep_line(rng)}"
