@@ -13,6 +13,9 @@ import pytest
 from locmat import cli, oracle, steinitz
 from locmat.steinitz import SteinitzNumber, _is_prime
 
+# Primes above 10^20: a product of two of them is past the factorization budget.
+_P, _Q = 100000000000000000039, 1000000000000000000117
+
 # (argv, expected exit code, expected byte-exact output)
 GOLDEN = [
     (["num", "eval", "2^inf*3^2"], 0, "2^inf*3^2"),
@@ -74,6 +77,18 @@ GOLDEN = [
         '{"result":{"stages":[{"k":3,"s":"2^0*P","q":3},{"k":9,"s":"2^0*3^0*P","q":null}],'
         '"tail":{"kind":"attained","r":"1"}}}',
     ),
+    # Arithmetic on a literal that names _P and _Q prints without factoring _P*_Q again.
+    (["num", "eval", f"(3/1)*{_P}*{_Q}"], 0, f"3*{_P}*{_Q}"),
+    (["set", "max", f"S(3/2,{_P}^2*{_Q}^2*P)"], 0, f"2^0*3^2*{_P}^2*{_Q}^2*P"),
+    (
+        ["alg", "realize", f"S(3/2,{_P}^2*{_Q}^2*P)"],
+        0,
+        f'{{"stages":[{{"k":3,"s":"2^0*{_P}^2*{_Q}^2*P","q":3}},{{"k":9,"s":"2^0*3^0*{_P}^2*{_Q}^2*P","q":5}},'
+        f'{{"k":45,"s":"2^0*3^0*5^0*{_P}^2*{_Q}^2*P","q":7}},'
+        f'{{"k":315,"s":"2^0*3^0*5^0*7^0*{_P}^2*{_Q}^2*P","q":null}}],"tail":{{"kind":"attained","r":"1"}}}}',
+    ),
+    (["alg", "matover", f"alg(S(1,{_P}^2*{_Q}^2*P))", "2"], 0, f"alg(S(1, 2^2*{_P}^2*{_Q}^2*P))"),
+    (["set", "classify", f"S(3/2,(1/2)*{_P}^2*{_Q}^2*P)"], 0, f"S(3/2, 2^0*{_P}^2*{_Q}^2*P)"),
 ]
 
 
@@ -242,8 +257,12 @@ def _run_bounded(argv: list[str]) -> tuple[int, str, float]:
         ["set", "member", "[1..3]", "2^100000000"],
         ["set", "member", "S(3/2,P^50)", _MANY_TERMS],
         ["alg", "realize", "S(3/2,P)", "--depth", "1000"],
+        # Products of two Mersenne primes: 1,886 bits, past the step budget for
+        # their size, and 4,249 digits, past the size that factorize tests.
+        ["num", "eval", f"({(2**607 - 1) * (2**1279 - 1)}/1)*P"],
+        ["num", "eval", f"({(2**4423 - 1) * (2**9689 - 1)}/1)*P"],
     ],
-    ids=["huge-exponent", "huge-natural", "many-terms", "depth-1000"],
+    ids=["huge-exponent", "huge-natural", "many-terms", "depth-1000", "semiprime-1886-bits", "semiprime-4249-digits"],
 )
 def test_oversized_input_exits_2_quickly(argv):
     code, out, seconds = _run_bounded(argv)

@@ -559,6 +559,15 @@ class TestParseChecksOnce:
             parse("4*4")
         assert e.value.pos == 0
 
+    def test_lcm_tests_no_prime(self, monkeypatch):
+        # Arithmetic keeps the invariant, so lcm builds its result unchecked.
+        s1, s2 = parse("2^3*3^inf*1000003*P"), parse("2*5^4*7^0*P^2")
+        expected = SteinitzNumber(2, {2: 3, 3: INF, 5: 4, 7: 1})
+        tested = []
+        monkeypatch.setattr(steinitz, "_is_prime", tested.append)
+        assert lcm(s1, s2) == expected
+        assert tested == []
+
 
 _LITERAL_PRIMES = (2, 3, 5, 7, 11, 13, 1000003, 2**61 - 1)
 
