@@ -341,12 +341,12 @@ class SteinitzNumber:
     offset past ``_OFFSET_BITS``.
     ``default``, ``exceptions`` (sorted, without default-valued entries) and
     ``str`` are views of the pair; the exceptions view factorizes the ratio of
-    the offset to one whose view is known, once, and is cached.
+    the offset to one whose view is known, once, and is cached in ``_near``.
     """
 
-    # _exc is the exceptions view or, until that is first read, a value of the
-    # same class whose view is known (see _coset).
-    __slots__ = ("_core", "_radical", "_num", "_den", "_exc")
+    # _near is (view, num, den): the exceptions view of the value with this
+    # core and the offset num/den, this value's own once its view is read.
+    __slots__ = ("_core", "_radical", "_num", "_den", "_near")
 
     def __init__(self, default: Exponent, exceptions: dict[int, Exponent] | tuple[tuple[int, Exponent], ...]):
         exc = dict(exceptions)
@@ -378,7 +378,7 @@ class SteinitzNumber:
                 den *= p ** (base - e)
         self._core, self._radical = (default, primes), math.prod(primes)
         self._num, self._den = num, den
-        self._exc = view
+        self._near = (view, num, den)
         return self
 
     @classmethod
@@ -398,20 +398,21 @@ class SteinitzNumber:
 
     @property
     def exceptions(self) -> tuple[tuple[int, Exponent], ...]:
-        near = self._exc
-        if near.__class__ is tuple:
-            return near
+        view, num, den = self._near
+        if num == self._num and den == self._den:
+            return view
         d, primes = self._core
         if d == INF:
-            self._exc = tuple((p, _vp(self._num, p)) for p in primes)
-        else:  # near's view times the reduced ratio u/v of the two offsets
-            u, v = self._num * near._den, self._den * near._num
+            view = tuple((p, _vp(self._num, p)) for p in primes)
+        else:  # the near view times the reduced ratio u/v of the two offsets
+            u, v = self._num * den, self._den * num
             g = math.gcd(u, v)
-            exc: dict[int, Exponent] = dict(near._exc)
+            exc: dict[int, Exponent] = dict(view)
             exc.update((p, exc.get(p, d) + e) for p, e in _factorize_once(u // g))
             exc.update((p, exc.get(p, d) - e) for p, e in _factorize_once(v // g))
-            self._exc = tuple(sorted(item for item in exc.items() if item[1] != d))
-        return self._exc
+            view = tuple(sorted(item for item in exc.items() if item[1] != d))
+        self._near = (view, self._num, self._den)
+        return view
 
     def valuation(self, p: int) -> Exponent:
         """Exponent of the prime p."""
@@ -474,11 +475,11 @@ class SteinitzNumber:
 def _coset(like: SteinitzNumber, num: int, den: int) -> SteinitzNumber:
     """The number with the core of ``like`` and the offset num/den, which
     must be coprime and free of the primes the core absorbs.  Its exceptions
-    view starts from the nearest value whose view is known."""
+    view starts from the nearest one known, which ``like`` holds."""
     s = object.__new__(SteinitzNumber)
     s._core, s._radical = like._core, like._radical
     s._num, s._den = num, den
-    s._exc = like if like._exc.__class__ is tuple else like._exc
+    s._near = like._near
     return s
 
 

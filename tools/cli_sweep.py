@@ -3,9 +3,9 @@
 Runs a fixed argv corpus through ``locmat.cli.run``: every subcommand with
 accepted, negative and malformed inputs, usage errors, and the ``--help``
 of the program, of each group and of each subcommand.  Every argv runs
-plain and again with ``--json`` in front.  Each call writes one line, the
+plain and again with ``--json`` in front.  Each call makes one line, the
 JSON list [argv, exit code, output]; an exception that escapes ``run`` is
-written in place of the exit code and output.  ``tools/sweeps.py`` runs it.
+recorded in place of the exit code and output.  ``tools/sweeps.py`` runs it.
 
 Help text is wrapped at 80 columns whatever the terminal: ``COLUMNS`` is 80
 while the lines are made.  The sweep takes about 16 s on a 2-core Xeon.

@@ -1,6 +1,6 @@
 """Equivalence sweep over the brute-force r_s(b) oracle.
 
-Writes every acceptance-corpus brute table, r_sub_brute(S, t, b) for each b
+Lists every acceptance-corpus brute table, r_sub_brute(S, t, b) for each b
 in Omega(t) up to 210 with t the set's reference member, at the scan bounds
 of the verify-corpus benchmark (40 for infinite type, else 3b+80), then the
 output of ``locmat check all --seed 3 --bound 60``.  ``tools/sweeps.py``

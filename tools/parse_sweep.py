@@ -4,7 +4,7 @@ Builds a corpus of inputs from three sources: random strings of grammar
 fragments, seed literals with spaces and tabs inserted, and seed literals,
 spaced or not, with one character inserted, replaced or deleted.  Every input goes through
 ``parse``, ``parse_scaled``, ``parse_density``, ``parse_set`` and
-``parse_descriptor``.  Each call writes one line, the JSON list
+``parse_descriptor``.  Each call makes one line, the JSON list
 [input number, parser, input, outcome], where the outcome is ["value",
 repr] or ["error", exception type, message, position].  ``tools/sweeps.py``
 runs it.

@@ -3,7 +3,7 @@
 Draws seeded saturated sets with locmat's own constructors (segments, N,
 infinite types, closed and strict finite types with rational or surd
 densities) plus raw ``FiniteType`` descriptors over bases with an infinite
-prime, whose constructor form would collapse.  For each set it writes
+prime, whose constructor form would collapse.  For each set it lists
 ``sample_members`` at (den_bound, limit) = (256, 100), (30, 40) and
 (12, None), then the ``equals_extensional`` verdicts against an equal
 partner and against a different one.  ``tools/sweeps.py`` runs it.

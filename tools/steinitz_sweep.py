@@ -1,10 +1,10 @@
 """Seeded equivalence sweep over the Steinitz-number operations.
 
 Draws operand pairs (s1, s2) of Steinitz numbers, a natural n, a positive
-rational q and a density, then writes one line per pair holding the result,
+rational q and a density, then makes one line per pair holding the result,
 or the exception type and message, of every public ``locmat.steinitz``
 operation on them, plus ``contains``, ``r_sub`` and ``compare_inclusion`` on
-saturated sets built over the two numbers.  Hash values are not written
+saturated sets built over the two numbers.  Hash values are not listed
 (they may change with the representation); equal values must hash equal,
 and a line records that.  ``tools/sweeps.py`` runs it.
 

@@ -21,8 +21,8 @@ whether it matches the hashes recorded here:
     python3 tools/sweeps.py --out sweeps/
     diff ../old-sweeps/cli.txt sweeps/cli.txt
 
-The five sweeps take about two minutes on a 2-core Xeon, most of it the
-steinitz sweep.
+The five sweeps take about 90 s on a 2-core Xeon, most of it the steinitz
+sweep.
 """
 
 from __future__ import annotations
