@@ -688,7 +688,7 @@ def canonical_ratio(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction:
 def lcm(s1: SteinitzNumber, s2: SteinitzNumber) -> SteinitzNumber:
     """Pointwise max of valuations."""
     exc = {p: max(e1, e2) for p, e1, e2 in _aligned(s1, s2)}
-    return object.__new__(SteinitzNumber)._fill(max(s1.default, s2.default), exc)  # both views are checked
+    return object.__new__(SteinitzNumber)._fill(max(s1.default, s2.default), exc)  # its primes come from checked values
 
 
 def iter_omega(s: SteinitzNumber, bound: int) -> Iterator[int]:
