@@ -340,8 +340,9 @@ class SteinitzNumber:
     a prime and every exponent a nonnegative int or INF, and refuses an
     offset past ``_OFFSET_BITS``.
     ``default``, ``exceptions`` (sorted, without default-valued entries) and
-    ``str`` are views of the pair; the exceptions view factorizes the ratio of
-    the offset to one whose view is known, once, and is cached in ``_near``.
+    ``str`` are views of the pair; the exceptions view takes the primes of one
+    whose view is known by valuation, factorizes only the rest of the offset,
+    once, and is cached in ``_near``.
     """
 
     # _near is (view, num, den): the exceptions view of the value with this
@@ -404,12 +405,13 @@ class SteinitzNumber:
         d, primes = self._core
         if d == INF:
             view = tuple((p, _vp(self._num, p)) for p in primes)
-        else:  # the near view times the reduced ratio u/v of the two offsets
-            u, v = self._num * den, self._den * num
-            g = math.gcd(u, v)
-            exc: dict[int, Exponent] = dict(view)
-            exc.update((p, exc.get(p, d) + e) for p, e in _factorize_once(u // g))
-            exc.update((p, exc.get(p, d) - e) for p, e in _factorize_once(v // g))
+        else:  # the near view's primes by valuation; factor only the offset's rest
+            known = [p for p, e in view if e != INF]
+            radical = math.prod(known)
+            exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
+            exc.update((p, d + _vp(self._num, p) - _vp(self._den, p)) for p in known)
+            exc.update((p, d + e) for p, e in _factorize_once(_split(self._num, radical)[1]))
+            exc.update((p, d - e) for p, e in _factorize_once(_split(self._den, radical)[1]))
             view = tuple(sorted(item for item in exc.items() if item[1] != d))
         self._near = (view, self._num, self._den)
         return view

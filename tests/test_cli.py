@@ -89,6 +89,8 @@ GOLDEN = [
     ),
     (["alg", "matover", f"alg(S(1,{_P}^2*{_Q}^2*P))", "2"], 0, f"alg(S(1, 2^2*{_P}^2*{_Q}^2*P))"),
     (["set", "classify", f"S(3/2,(1/2)*{_P}^2*{_Q}^2*P)"], 0, f"S(3/2, 2^0*{_P}^2*{_Q}^2*P)"),
+    (["num", "eval", f"(1/{_P * _Q})*{_P}*{_Q}"], 0, "1"),
+    (["alg", "corner", f"alg(S(1,{_P}^2*{_Q}^2*P))", f"1/{_P * _Q}"], 0, "alg(S(1, P))"),
 ]
 
 

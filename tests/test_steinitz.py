@@ -569,14 +569,14 @@ class TestParseChecksOnce:
         assert tested == []
 
 
-def test_printing_arithmetic_factors_only_the_ratio_to_its_literal(monkeypatch):
-    # parse knows its literal's primes; the scaled value factors 3 and 4, once.
+def test_printing_arithmetic_factors_only_the_offset_apart_from_its_literal(monkeypatch):
+    # parse knows its literal's primes; the scaled value factors 3 and 5, once.
     factored = []
     factorize_once = steinitz._factorize_once
     monkeypatch.setattr(steinitz, "_factorize_once", lambda n: factored.append(n) or factorize_once(n))
-    s = parse_scaled("(3/4)*2^5*3*7^2*P")
-    assert str(s) == "2^3*3^2*7^2*P" and factored == [3, 4]
-    assert str(s) == "2^3*3^2*7^2*P" and factored == [3, 4]
+    s = parse_scaled("(3/20)*2^5*7^2*P")
+    assert str(s) == "2^3*3^2*5^0*7^2*P" and factored == [3, 5]
+    assert str(s) == "2^3*3^2*5^0*7^2*P" and factored == [3, 5]
 
 
 _LITERAL_PRIMES = (2, 3, 5, 7, 11, 13, 1000003, 2**61 - 1)
