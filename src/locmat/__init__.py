@@ -20,13 +20,11 @@ from .saturated import (
     equals_formal,
     format_set,
     max_element,
-    mk_all_naturals,
     mk_finite_type,
     mk_inf_type,
     mk_segment,
     parse_set,
     r_sub,
-    rebase,
     union_chain,
 )
 from .steinitz import (
@@ -34,17 +32,15 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
-    canonical_ratio,
     divide_by,
     divides,
     enumerate_omega,
-    finitely_divides,
     lcm,
     mul_natural,
     omega_contains,
     parse,
     parse_scaled,
-    rationally_connected,
+    ratio_if_connected,
     scale,
 )
 

@@ -43,7 +43,6 @@ from .steinitz import (
     _parse_at,
     _parse_int,
     _Value,
-    canonical_ratio,
     divide_by,
     mul_natural,
     omega_contains,
@@ -387,14 +386,13 @@ def match_corner(
     ``target`` inside A; None when the preconditions fail."""
     if not contains(A.spectrum, current) or not contains(A.spectrum, target):
         return None
-    q = ratio_if_connected(current, target)
-    if q is None or q <= 1:
-        return None
     ref = A.st
     if ref is None:
         ref = A.spectrum.base
-    q1 = canonical_ratio(ref, current)
-    q2 = canonical_ratio(ref, target)
+    # ref is connected to every member, and target = (q2/q1)*current.
+    q1, q2 = ratio_if_connected(ref, current), ratio_if_connected(ref, target)
+    if q2 <= q1:
+        return None
     n = math.lcm(q1.denominator, q2.denominator)
     r1 = q1.numerator * (n // q1.denominator)
     r2 = q2.numerator * (n // q2.denominator)
@@ -414,7 +412,7 @@ def interleave(cA: ChainPresentation, cB: ChainPresentation) -> list[SteinitzNum
         return None
     numbers = cA.stage_numbers() + cB.stage_numbers()
     ref = numbers[0]
-    numbers.sort(key=lambda t: canonical_ratio(ref, t))
+    numbers.sort(key=lambda t: ratio_if_connected(ref, t))
     merged: list[SteinitzNumber] = []
     for t in numbers:
         if not merged or merged[-1] != t:
@@ -432,8 +430,7 @@ def check_certificate(cert: list[SteinitzNumber], cA: ChainPresentation, cB: Cha
         if not (contains(SA, t) and contains(SB, t)):
             return False
     for a, b in zip(cert, cert[1:]):
-        q = canonical_ratio(a, b)
-        if q < 1:
+        if ratio_if_connected(a, b) < 1:  # members of SA, so connected
             return False
     covered = set(cert)
     return all(t in covered for t in cA.stage_numbers() + cB.stage_numbers())

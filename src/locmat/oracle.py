@@ -34,11 +34,10 @@ from .steinitz import (
     _Value,
     divide_by,
     enumerate_omega,
-    finitely_divides,
     iter_omega,
     mul_natural,
     parse,
-    rationally_connected,
+    ratio_if_connected,
     scale,
 )
 
@@ -177,13 +176,13 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
     reaches _SEARCH_DEN_BOUND without a representation has given up: it
     raises ValueError instead of answering.
     """
-    if not rationally_connected(S.base, t):
+    if ratio_if_connected(S.base, t) is None:
         return False
     for b in iter_omega(S.base, _SEARCH_DEN_BOUND):
-        a = finitely_divides(divide_by(S.base, b), t)
-        if a is None:
+        q = ratio_if_connected(divide_by(S.base, b), t)  # t = (a/b)*base for a natural a = q
+        if q.denominator != 1:
             continue
-        c = cmp_ratio(a, b, S.r)
+        c = cmp_ratio(q.numerator, b, S.r)
         if c < 0 or (c == 0 and not S.strict):
             return True
     raise ValueError(f"no representation of {t} in {format_set(S)} with a denominator up to {_SEARCH_DEN_BOUND}")
@@ -239,7 +238,7 @@ def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
     while spent < samples:
         t1, t2 = rng.choice(pool), rng.choice(pool)
         spent += 1
-        if not rationally_connected(t1, t2):
+        if ratio_if_connected(t1, t2) is None:
             return AxiomViolation(1, f"{t1} and {t2} are not rationally connected")
         t = rng.choice(pool)
         if t not in omegas:
@@ -424,7 +423,9 @@ def saturation_fuzz(S, trials: int = 1000, seed: int = 0) -> Report:
         raise ValueError(f"trials must be positive, got {trials}")
     report = Report()
     is_canonical = isinstance(S, SaturatedSet)
-    label = format_set(S) if is_canonical else f"literal:{len(list(S))}-members"
+    if not is_canonical:
+        S = list(S)  # read a one-shot iterable once, for the label and the check
+    label = format_set(S) if is_canonical else f"literal:{len(S)}-members"
     violation = check_saturation_axioms(S, samples=trials, seed=seed)
     report.add(violation is None, f"axioms[{label}]", violation.witness if violation else f"{trials} samples")
     if not is_canonical:

@@ -111,10 +111,6 @@ def mk_segment(n: int) -> SaturatedSet:
     return Segment(n)
 
 
-def mk_all_naturals() -> SaturatedSet:
-    return ALL_NATURALS
-
-
 def mk_inf_type(s: SteinitzNumber) -> SaturatedSet:
     """S(inf, s); for natural s this is all of the naturals."""
     if s.is_natural:
@@ -135,6 +131,8 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         return mk_inf_type(s)
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
+    if not isinstance(r, Surd):
+        r = Fraction(r)  # an int density answers as the Fraction it equals
     if cmp_density(r, _UNIT_DENSITY) < 0:
         raise ValueError(f"density must be at least 1, got {format_density(r)}")
     if not s.is_infinity_free:
@@ -178,19 +176,12 @@ def _rebased(S: SaturatedSet, t: SteinitzNumber) -> Density:
     return scale_density(S.r, Fraction(qd, qn))
 
 
-def rebase(S: SaturatedSet, t: SteinitzNumber) -> tuple[Density, bool]:
-    """Density and strictness of the same set expressed at the member t."""
-    r = _rebased(S, t)
-    if S.base.is_natural:
-        raise ValueError(f"{format_set(S)} has no base to rebase")
-    return r, S.strict
-
-
 def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
-    """The density limit r_S(t) at an infinite member t."""
-    if not t.is_infinite:
+    """The density limit r_S(t) at an infinite member t: the density of S
+    rebased to t.  The strictness of S is the same at every member."""
+    if t.is_natural:
         raise ValueError(f"density is defined at infinite members only, got {t}")
-    return rebase(S, t)[0]
+    return _rebased(S, t)
 
 
 def _floor_count(r: Density, strict: bool, b: int) -> int | float:

@@ -430,10 +430,6 @@ class SteinitzNumber:
         return self._core == (0, ())
 
     @property
-    def is_infinite(self) -> bool:
-        return not self.is_natural
-
-    @property
     def is_infinity_free(self) -> bool:
         d, primes = self._core
         return d != INF and not primes
@@ -642,18 +638,6 @@ def scale(s: SteinitzNumber, q: Fraction | int) -> SteinitzNumber:
     return mul_natural(divide_by(s, q.denominator), q.numerator)
 
 
-def finitely_divides(s1: SteinitzNumber, s2: SteinitzNumber) -> int | None:
-    """The minimal witness b in Omega(s2) with s1 = s2/b, or None.
-
-    Requires equal defaults, equal sets of infinite-exponent primes, and
-    finite nonnegative exponent deficits at the remaining primes.  Witnesses
-    are not unique when s2 has an infinite prime (extra powers of it change
-    nothing); the minimal one has exponent 0 there.
-    """
-    q = ratio_if_connected(s2, s1)
-    return q.denominator if q is not None and q.numerator == 1 else None
-
-
 def _ratio_pair(s1: SteinitzNumber, s2: SteinitzNumber) -> tuple[int, int] | None:
     """(n, d) with s2 = (n/d)*s1, not reduced, or None when not rationally
     connected: one core comparison, then the quotient of the offsets."""
@@ -664,27 +648,10 @@ def _ratio_pair(s1: SteinitzNumber, s2: SteinitzNumber) -> tuple[int, int] | Non
 
 def ratio_if_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction | None:
     """The canonical ratio q with s2 = q*s1, or None when not rationally
-    connected."""
+    connected.  q has no factor of a prime with infinite exponent, where the
+    ratio is not unique; s1 = s2/b for a natural b exactly when q = 1/b."""
     q = _ratio_pair(s1, s2)
     return None if q is None else Fraction(*q)
-
-
-def rationally_connected(s1: SteinitzNumber, s2: SteinitzNumber) -> bool:
-    """True iff s2 = q*s1 for some positive rational q."""
-    return _ratio_pair(s1, s2) is not None
-
-
-def canonical_ratio(s1: SteinitzNumber, s2: SteinitzNumber) -> Fraction:
-    """The canonical q with s2 = q*s1, as a reduced positive fraction.
-
-    The product runs over primes where both valuations are finite; primes
-    with infinite exponent contribute exponent 0 (there the ratio is not
-    unique, and this fixes the decidable representative).
-    """
-    q = ratio_if_connected(s1, s2)
-    if q is None:
-        raise ValueError(f"{s1} and {s2} are not rationally connected")
-    return q
 
 
 def lcm(s1: SteinitzNumber, s2: SteinitzNumber) -> SteinitzNumber:

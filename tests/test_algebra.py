@@ -38,19 +38,20 @@ from locmat.saturated import (
     TailRule,
     contains,
     equals_formal,
+    max_element,
     mk_finite_type,
     mk_inf_type,
     mk_segment,
+    union_chain,
 )
 from locmat.steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
-    canonical_ratio,
     mul_natural,
     parse,
     parse_scaled,
-    rationally_connected,
+    ratio_if_connected,
     scale,
 )
 
@@ -158,6 +159,19 @@ class TestDecisions:
     def test_unital_matches_max_element_on_closed(self):
         assert is_unital(AlgebraDescriptor(mk_finite_type(Fraction(3, 2), P, False)))
         assert not is_unital(AlgebraDescriptor(mk_finite_type(SQRT2, P, False)))
+
+    @pytest.mark.parametrize("base", ["P", "2^3*P"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_int_density_answers_as_its_fraction(self, n, base):
+        # An int density is stored as the Fraction it equals, so the two
+        # equal sets also agree on their largest element and on unitality.
+        s = parse(base)
+        S = mk_finite_type(n, s)
+        assert type(S.r) is Fraction
+        assert max_element(S) == scale(s, n)
+        assert is_unital(AlgebraDescriptor(S))
+        limit = union_chain([mk_finite_type(1, s)], TailRule.attained(n))
+        assert limit == S and type(limit.r) is Fraction
 
     def test_iso_roundtrip(self):
         A = spec_unital(P)
@@ -461,7 +475,7 @@ class TestMatchCorner:
         hits = 0
         for cur in members:
             for tgt in members:
-                if rationally_connected(cur, tgt) and canonical_ratio(cur, tgt) > 1:
+                if ratio_if_connected(cur, tgt) > 1:  # members of one set are connected
                     w = match_corner(A, cur, tgt)
                     assert w is not None and w.r1 < w.r2
                     hits += 1

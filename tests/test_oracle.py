@@ -35,7 +35,7 @@ from locmat.saturated import (
     mk_segment,
     r_sub,
 )
-from locmat.steinitz import SteinitzNumber, canonical_ratio, divide_by, enumerate_omega, mul_natural, parse, scale
+from locmat.steinitz import SteinitzNumber, divide_by, enumerate_omega, mul_natural, parse, ratio_if_connected, scale
 
 P = parse("P")
 S32 = mk_finite_type(Fraction(3, 2), P, False)
@@ -257,7 +257,7 @@ class TestRebasedClosedForm:
             for t in rng.sample(members, 12):
                 # Densities rebase by the member's ratio: a corpus density
                 # below 3 at the base is below 3*b0 at t = (a0/b0)*base.
-                b0 = canonical_ratio(S.base, t).denominator
+                b0 = ratio_if_connected(S.base, t).denominator
                 omega = enumerate_omega(t, 40)
                 for b in rng.sample(omega, min(4, len(omega))):
                     closed = r_sub(S, t, b)
@@ -291,6 +291,13 @@ class TestSaturationFuzz:
         for name, S in acceptance_corpus()[:6]:
             rep = saturation_fuzz(S, trials=200, seed=11)
             assert rep.passed, (name, rep.lines())
+
+    def test_literal_generator_is_read_once(self):
+        # A one-shot iterable of members is reported as the list of them is.
+        members = [P, mul_natural(P, 3)]
+        rep = saturation_fuzz(t for t in members)
+        assert rep.lines() == saturation_fuzz(members).lines()
+        assert rep.lines() == ["FAIL axioms[literal:2-members] P is a member but P/13 is not"]
 
     def test_report_shapes(self):
         rep = saturation_fuzz(S32, trials=100, seed=0)

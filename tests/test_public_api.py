@@ -39,14 +39,14 @@ PUBLIC_NAMES = {
     "ALL_NATURALS", "AlgebraDescriptor", "AllNaturals", "AxiomViolation", "ChainPresentation",
     "CornerWitness", "Density", "FiniteMatrixChain", "FiniteType", "INF", "INFINITY", "Inclusion",
     "InfType", "ONE", "ParseError", "SaturatedSet", "Segment", "Stage", "SteinitzNumber", "Surd",
-    "TailRule", "canonical_ratio", "check_certificate", "check_saturation_axioms", "cmp_density",
+    "TailRule", "check_certificate", "check_saturation_axioms", "cmp_density",
     "compare_inclusion", "contains", "corner", "density", "divide_by", "divides",
     "embeds_as_approximative_corner", "enumerate_omega", "equals_extensional", "equals_formal",
-    "finitely_divides", "format_density", "format_descriptor", "format_set", "interleave",
+    "format_density", "format_descriptor", "format_set", "interleave",
     "is_unital", "isomorphic", "lcm", "m_infinity", "match_corner", "matrix_over", "max_element",
-    "mk_all_naturals", "mk_finite_type", "mk_inf_type", "mk_segment", "mul_natural",
+    "mk_finite_type", "mk_inf_type", "mk_segment", "mul_natural",
     "omega_contains", "parse", "parse_density", "parse_descriptor", "parse_scaled", "parse_set",
-    "r_sub", "rationally_connected", "realize", "rebase", "sample_members", "scale",
+    "r_sub", "ratio_if_connected", "realize", "sample_members", "scale",
     "spec_matrix", "spec_unital", "spectrum_of_chain", "union_chain",
 }
 

@@ -24,25 +24,23 @@ from locmat.saturated import (
     equals_formal,
     format_set,
     max_element,
-    mk_all_naturals,
     mk_finite_type,
     mk_inf_type,
     mk_segment,
     parse_set,
     r_sub,
-    rebase,
     union_chain,
 )
 from locmat.steinitz import (
     INF,
     ONE,
     SteinitzNumber,
-    canonical_ratio,
     divide_by,
     enumerate_omega,
     mul_natural,
     parse,
     parse_scaled,
+    ratio_if_connected,
     scale,
 )
 
@@ -93,8 +91,8 @@ class TestConstructors:
         assert mk_finite_type(INFINITY, P, False) == InfType(P)
 
     def test_all_naturals_is_the_one_instance(self):
-        assert mk_all_naturals() is ALL_NATURALS
-        assert format_set(mk_all_naturals()) == "N"
+        assert mk_inf_type(ONE) is ALL_NATURALS and parse_set("N") is ALL_NATURALS
+        assert format_set(ALL_NATURALS) == "N"
 
 
 class TestContains:
@@ -127,22 +125,24 @@ class TestContains:
 
 class TestRebase:
     def test_scaling_law(self):
-        assert rebase(S32, HALF_P) == (Fraction(3), False)
+        # At t = (1/3)*P the density 3/2 at P reads 3 times larger.
+        assert density(S32_STRICT, parse_scaled("(1/3)*P")) == Fraction(9, 2)
 
     def test_identity_at_base(self):
-        assert rebase(S32_STRICT, P) == (Fraction(3, 2), True)
+        assert density(S32_STRICT, P) == Fraction(3, 2)
 
     def test_inf_type(self):
-        assert rebase(mk_inf_type(parse("2^inf")), parse_scaled("(3/1)*2^inf")) == (INFINITY, False)
+        assert density(mk_inf_type(parse("2^inf")), parse_scaled("(3/1)*2^inf")) is INFINITY
 
     def test_non_member_rejected(self):
-        with pytest.raises(ValueError):
-            rebase(S32, parse_scaled("(2/1)*P"))
+        with pytest.raises(ValueError, match=r"^2\^2\*P is not a member of S\(3/2, P\)$"):
+            density(S32, parse_scaled("(2/1)*P"))
 
     @pytest.mark.parametrize("S", [mk_segment(5), ALL_NATURALS], ids=["segment", "naturals"])
     def test_natural_base_refused(self, S):
-        with pytest.raises(ValueError, match="has no base to rebase"):
-            rebase(S, SteinitzNumber.from_int(3))
+        # Every member of a set over the base 1 is natural, so none has a density.
+        with pytest.raises(ValueError, match=r"^density is defined at infinite members only, got 3$"):
+            density(S, SteinitzNumber.from_int(3))
 
 
 class TestDensity:
@@ -397,7 +397,7 @@ def test_max_element_dominates_members(S):
         if isinstance(S, Segment):
             assert t.as_int() <= m.as_int()
         else:
-            q = canonical_ratio(m, t)
+            q = ratio_if_connected(m, t)
             assert q <= 1
 
 
@@ -485,7 +485,7 @@ def union_by_rebased_densities(prefix, kind, r):
     for S in prefix:
         if S.r is INFINITY:
             return None
-        here = scale_density(S.r, 1 / canonical_ratio(S.base, base))
+        here = scale_density(S.r, 1 / ratio_if_connected(S.base, base))
         c = cmp_density(r, here)
         if c < 0 or (c == 0 and kind == "approached" and not S.strict):
             return None

@@ -19,13 +19,11 @@ from locmat.steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
-    canonical_ratio,
     divide_by,
     _is_prime,
     divides,
     enumerate_omega,
     factorize,
-    finitely_divides,
     iter_omega,
     lcm,
     mul_natural,
@@ -33,7 +31,6 @@ from locmat.steinitz import (
     parse,
     parse_scaled,
     ratio_if_connected,
-    rationally_connected,
     scale,
 )
 
@@ -204,41 +201,40 @@ class TestMulDiv:
 
 
 class TestFinitelyDivides:
+    # s1 = s2/b for a natural b exactly when the ratio from s2 to s1 is 1/b.
     def test_deficit_vector(self):
-        assert finitely_divides(parse("2^inf*3"), parse("2^inf*3^2*5")) == 15
+        assert ratio_if_connected(parse("2^inf*3^2*5"), parse("2^inf*3")) == Fraction(1, 15)
 
     def test_self(self):
         s = parse("P^2*7^inf")
-        assert finitely_divides(s, s) == 1
+        assert ratio_if_connected(s, s) == 1
 
     def test_infinity_prime_sets_differ(self):
-        assert finitely_divides(parse("2^inf"), parse("3^inf")) is None
+        assert ratio_if_connected(parse("3^inf"), parse("2^inf")) is None
 
     def test_minimal_witness_skips_infinite_primes(self):
         # 2^inf = 2^inf / 2 as well, but the minimal witness is 1.
-        assert finitely_divides(parse("2^inf"), parse("2^inf")) == 1
+        assert ratio_if_connected(parse("2^inf"), parse("2^inf")) == 1
 
 
 class TestRationalConnectivity:
     def test_ratio_exponent_differences(self):
         s1, s2 = parse("P^1*2^3"), parse("P*2*3^2")
-        assert rationally_connected(s1, s2)
-        assert canonical_ratio(s1, s2) == Fraction(3, 4)
+        assert ratio_if_connected(s1, s2) == Fraction(3, 4)
 
     def test_ratio_skips_infinite_primes(self):
         s1, s2 = parse("2^inf*3"), parse("2^inf*5")
-        assert rationally_connected(s1, s2)
-        assert canonical_ratio(s1, s2) == Fraction(5, 3)
+        assert ratio_if_connected(s1, s2) == Fraction(5, 3)
 
     def test_infinity_prime_sets_differ(self):
-        assert not rationally_connected(parse("2^inf"), parse("3^inf"))
+        assert ratio_if_connected(parse("2^inf"), parse("3^inf")) is None
 
     def test_defaults_differ(self):
-        assert not rationally_connected(P_ALL, parse("3^2"))
+        assert ratio_if_connected(P_ALL, parse("3^2")) is None
 
     def test_canonical_ratio_refuses_unconnected_numbers(self):
-        with pytest.raises(ValueError, match=r"^P and 2\^inf are not rationally connected$"):
-            canonical_ratio(P_ALL, parse("2^inf"))
+        assert ratio_if_connected(P_ALL, parse("2^inf")) is None
+        assert ratio_if_connected(parse("2^inf"), P_ALL) is None
 
 
 class TestLcm:
@@ -298,17 +294,16 @@ def test_divide_mul_roundtrip(s, n):
         # but may legitimately differ only at infinite primes; check the
         # finite part through the canonical ratio.
         back = divide_by(grown, n)
-        assert rationally_connected(back, s)
-        assert canonical_ratio(back, s) == 1
+        assert ratio_if_connected(back, s) == 1
 
 
 @given(steinitz_numbers, naturals, naturals)
 def test_canonical_ratio_cocycle(s, n1, n2):
     s1 = mul_natural(s, n1)
     s2 = mul_natural(s, n2)
-    q01 = canonical_ratio(s, s1)
-    q12 = canonical_ratio(s1, s2)
-    q02 = canonical_ratio(s, s2)
+    q01 = ratio_if_connected(s, s1)
+    q12 = ratio_if_connected(s1, s2)
+    q02 = ratio_if_connected(s, s2)
     assert q01 * q12 == q02
 
 
@@ -321,10 +316,10 @@ def test_lcm_laws(a, b, c):
 
 @given(steinitz_numbers, steinitz_numbers)
 def test_finitely_divides_consistency(a, b):
-    w = finitely_divides(a, b)
-    if w is not None:
-        assert omega_contains(b, w)
-        assert divide_by(b, w) == a
+    q = ratio_if_connected(b, a)
+    if q is not None and q.numerator == 1:
+        assert omega_contains(b, q.denominator)
+        assert divide_by(b, q.denominator) == a
 
 
 @settings(max_examples=30)
@@ -499,9 +494,11 @@ def walk_finitely_divides(s1, s2):
 
 @given(st.one_of(connected_pairs(), st.tuples(steinitz_numbers, steinitz_numbers)))
 def test_finitely_divides_matches_exponent_walk(pair):
-    a, b = pair
-    assert finitely_divides(a, b) == walk_finitely_divides(a, b)
-    assert finitely_divides(b, a) == walk_finitely_divides(b, a)
+    for s1, s2 in (pair, pair[::-1]):
+        q = ratio_if_connected(s2, s1)
+        w = walk_finitely_divides(s1, s2)
+        assert (q is not None and q.numerator == 1) == (w is not None)
+        assert w is None or q == Fraction(1, w)
 
 
 class TestLiteralBudget:

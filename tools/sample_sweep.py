@@ -54,7 +54,7 @@ def _set(rng: random.Random) -> tuple[str, locmat.SaturatedSet]:
     if pick < 0.05:
         return "segment", locmat.mk_segment(rng.randint(1, 60))
     if pick < 0.08:
-        return "naturals", locmat.mk_all_naturals()
+        return "naturals", locmat.ALL_NATURALS
     if pick < 0.25:
         return "inf", locmat.mk_inf_type(_base(rng, infinity_free=rng.random() < 0.5))
     if pick < 0.4:

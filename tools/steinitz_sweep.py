@@ -3,8 +3,8 @@
 Draws operand pairs (s1, s2) of Steinitz numbers, a natural n, a positive
 rational q and a density, then makes one line per pair holding the result,
 or the exception type and message, of every public ``locmat.steinitz``
-operation on them, plus ``contains``, ``r_sub`` and ``compare_inclusion`` on
-saturated sets built over the two numbers.  Hash values are not listed
+operation on them, plus ``contains``, ``r_sub``, ``density`` and
+``compare_inclusion`` on saturated sets built over the two numbers.  Hash values are not listed
 (they may change with the representation); equal values must hash equal,
 and a line records that.  ``tools/sweeps.py`` runs it.
 
@@ -116,7 +116,7 @@ def sweep_line(rng: random.Random) -> str:
         str(hash(s1) == hash(s2)) if s1 == s2 else "-",
         _show(s1.default), _show(s1.exceptions), _show(s2.exceptions),
         _show([s1.valuation(p) for p in _PROBES]),
-        _show([s1.is_natural, s1.is_infinite, s1.is_infinity_free]),
+        _show([s1.is_natural, s1.is_infinity_free]),
         _call(s1.as_int), _call(s2.as_int),
         _call(st.parse, str(s1)) + "=" + str(st.parse(str(s1)) == s1),
         _call(st.SteinitzNumber.from_int, n),
@@ -126,8 +126,6 @@ def sweep_line(rng: random.Random) -> str:
         _call(st.divide_by, s1, n), _call(st.divide_by, s2, b),
         _call(st.scale, s1, q), _call(st.scale, s2, 1 / q if q else q),
         _call(st.ratio_if_connected, s1, s2), _call(st.ratio_if_connected, s2, s1),
-        _call(st.rationally_connected, s1, s2), _call(st.canonical_ratio, s1, s2),
-        _call(st.finitely_divides, s1, s2), _call(st.finitely_divides, s2, s1),
         _call(st.divides, s1, s2), _call(st.divides, s2, s1),
         _call(st.lcm, s1, s2),
         _call(st.parse_scaled, f"({abs(n) or 1}/{abs(b) or 1})*{s1}"),
@@ -142,6 +140,7 @@ def sweep_line(rng: random.Random) -> str:
             _call(saturated.contains, S1, s2), _call(saturated.contains, S2, s1),
             _call(saturated.contains, S1, st.mul_natural(s1, abs(n) or 1)),
             _call(saturated.r_sub, S1, s2, b), _call(saturated.r_sub, S2, s2, abs(n) or 1),
+            _call(saturated.density, S1, s2), _call(saturated.density, S2, s1),
             _call(saturated.compare_inclusion, S1, S2), _call(saturated.compare_inclusion, S2, S1),
             _call(saturated.max_element, S1),
         ]
