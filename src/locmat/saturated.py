@@ -131,7 +131,7 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         return mk_inf_type(s)
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
-    if not isinstance(r, Surd):
+    if isinstance(r, int):
         r = Fraction(r)  # an int density answers as the Fraction it equals
     if cmp_density(r, _UNIT_DENSITY) < 0:
         raise ValueError(f"density must be at least 1, got {format_density(r)}")

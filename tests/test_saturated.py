@@ -667,3 +667,12 @@ def test_representation_search_says_when_it_gives_up():
     assert contains(mk_finite_type(1, parse("2^inf")), parse("2^inf*5^6"))
     with pytest.raises(ValueError, match="4096"):
         _existential_contains(raw, parse("2^inf*5^6"))
+
+
+def test_representation_search_takes_only_natural_numerators():
+    # 2^inf = (1/5^6)*base, and 5^6 > 4096 is the least b with a natural a:
+    # the ratio 1/5^6 at b = 1 is no representation, so the search gives up.
+    raw = FiniteType(1, parse("2^inf*5^6"), False)
+    assert contains(mk_finite_type(1, parse("2^inf*5^6")), parse("2^inf"))
+    with pytest.raises(ValueError, match="4096"):
+        _existential_contains(raw, parse("2^inf"))
