@@ -4,9 +4,9 @@ Draws operand pairs (s1, s2) of Steinitz numbers, a natural n, a positive
 rational q and a density, then makes one line per pair holding the result,
 or the exception type and message, of every public ``locmat.steinitz``
 operation on them, plus ``contains``, ``r_sub``, ``density`` and
-``compare_inclusion`` on saturated sets built over the two numbers.  Hash values are not listed
-(they may change with the representation); equal values must hash equal,
-and a line records that.  ``tools/sweeps.py`` runs it.
+``compare_inclusion`` on saturated sets built over the two numbers.  Hash
+values are not listed (they may change with the representation); equal
+values must hash equal, and a line records that.  ``tools/sweeps.py`` runs it.
 
 Only small primes and exponents appear, so nothing hits the factorization
 budget.  100,000 pairs take about a minute on a 2-core Xeon.
