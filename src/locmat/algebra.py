@@ -340,7 +340,7 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
         return ChainPresentation((Stage(S.n, ONE),), ())
     if S.r is INFINITY:
         stages = tuple(Stage(i, S.base) for i in range(1, depth + 1))
-        return ChainPresentation(stages, (1,) * (depth - 1), TailRule.unbounded())
+        return ChainPresentation(stages, (1,) * (depth - 1), TailRule("unbounded"))
     base = S.base
     if divisor_chain is None:
         divisor_chain = _default_divisor_chain(base, depth)
@@ -355,8 +355,7 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     quotients = tuple(c // b for b, c in zip(divisor_chain, divisor_chain[1:]))
     k1, b1 = stages[0].k, divisor_chain[0]
     tail_r = scale_density(S.r, Fraction(b1, k1))
-    tail = TailRule.approached(tail_r) if S.strict else TailRule.attained(tail_r)
-    return ChainPresentation(stages, quotients, tail)
+    return ChainPresentation(stages, quotients, TailRule("approached" if S.strict else "attained", tail_r))
 
 
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
@@ -365,38 +364,6 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     first stage, whose base the tail density is expressed at, and the last."""
     ends = chain.stages[:1] + chain.stages[1:][-1:]
     return union_chain([_unital_spectrum(st.number) for st in ends], chain.tail)
-
-
-class CornerWitness(_Value):
-    """Rank witness for growing one corner into another at a common stage:
-    sizes current = (r1/n)*ref and target = (r2/n)*ref with r1 < r2."""
-
-    __slots__ = __match_args__ = ("n", "r1", "r2")
-
-    def __init__(self, n: int, r1: int, r2: int):
-        self._set("n", n)
-        self._set("r1", r1)
-        self._set("r2", r2)
-
-
-def match_corner(
-    A: AlgebraDescriptor, current: SteinitzNumber, target: SteinitzNumber
-) -> CornerWitness | None:
-    """Witness that the corner of size ``current`` extends to one of size
-    ``target`` inside A; None when the preconditions fail."""
-    if not contains(A.spectrum, current) or not contains(A.spectrum, target):
-        return None
-    ref = A.st
-    if ref is None:
-        ref = A.spectrum.base
-    # ref is connected to every member, and target = (q2/q1)*current.
-    q1, q2 = ratio_if_connected(ref, current), ratio_if_connected(ref, target)
-    if q2 <= q1:
-        return None
-    n = math.lcm(q1.denominator, q2.denominator)
-    r1 = q1.numerator * (n // q1.denominator)
-    r2 = q2.numerator * (n // q2.denominator)
-    return CornerWitness(n, r1, r2)
 
 
 def interleave(cA: ChainPresentation, cB: ChainPresentation) -> list[SteinitzNumber] | None:
@@ -446,7 +413,3 @@ def parse_descriptor(text: str) -> AlgebraDescriptor:
     if m["bad"] is not None:
         raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", m.start("bad"))
     return AlgebraDescriptor(_parse_at(parse_set, m["set"], m.start("set")))
-
-
-def format_descriptor(A: AlgebraDescriptor) -> str:
-    return str(A)

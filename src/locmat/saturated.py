@@ -133,6 +133,9 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
     if isinstance(r, int):
         r = Fraction(r)  # an int density answers as the Fraction it equals
+    elif not isinstance(r, (Fraction, Surd)):
+        kind = type(r).__name__
+        raise ValueError(f"density must be an int, a Fraction, a Surd or the object INFINITY, got {r!r} ({kind})")
     if cmp_density(r, _UNIT_DENSITY) < 0:
         raise ValueError(f"density must be at least 1, got {format_density(r)}")
     if not s.is_infinity_free:
@@ -209,8 +212,10 @@ def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
 
 def _has_max(S: SaturatedSet) -> bool:
     """Whether the bound is attained: closed, r rational and its reduced
-    denominator in Omega(base).  Builds no element, so factors nothing."""
-    return not S.strict and isinstance(S.r, Fraction) and omega_contains(S.base, S.r.denominator)
+    denominator in Omega(base).  Builds no element, so factors nothing.
+    Rational is "finite and not a Surd", so a raw int density counts."""
+    r = S.r
+    return not S.strict and r is not INFINITY and not isinstance(r, Surd) and omega_contains(S.base, r.denominator)
 
 
 def max_element(S: SaturatedSet) -> SteinitzNumber | None:
@@ -273,18 +278,6 @@ class TailRule(_Value):
             raise ValueError("an unbounded tail takes no density")
         self._set("kind", kind)
         self._set("r", r)
-
-    @classmethod
-    def attained(cls, r: Density) -> "TailRule":
-        return cls("attained", r)
-
-    @classmethod
-    def approached(cls, r: Density) -> "TailRule":
-        return cls("approached", r)
-
-    @classmethod
-    def unbounded(cls) -> "TailRule":
-        return cls("unbounded")
 
 
 def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> SaturatedSet:

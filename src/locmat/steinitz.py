@@ -304,9 +304,8 @@ def _split(n: int, radical: int) -> tuple[int, int]:
 
 
 def _vp(n: int, p: int) -> int:
-    """The exponent of the prime p in the positive integer n."""
-    if p < 2:
-        raise ValueError(f"{p} is not a prime")
+    """The exponent of the prime p in the positive integer n.  Callers pass a
+    prime (with p = 1 the loop would not end); ``valuation`` checks its p."""
     e = 0
     while n % p == 0:
         n //= p
@@ -418,6 +417,8 @@ class SteinitzNumber:
 
     def valuation(self, p: int) -> Exponent:
         """Exponent of the prime p."""
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not a prime")
         d, primes = self._core
         if d == INF:
             return _vp(self._num, p) if p in primes else INF

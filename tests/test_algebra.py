@@ -15,12 +15,10 @@ from locmat.algebra import (
     check_certificate,
     corner,
     embeds_as_approximative_corner,
-    format_descriptor,
     interleave,
     is_unital,
     isomorphic,
     m_infinity,
-    match_corner,
     matrix_over,
     parse_descriptor,
     realize,
@@ -29,7 +27,7 @@ from locmat.algebra import (
     spectrum_of_chain,
 )
 from locmat.density import Surd
-from locmat.oracle import FiniteMatrixChain, sample_members
+from locmat.oracle import FiniteMatrixChain
 from locmat.saturated import (
     ALL_NATURALS,
     FiniteType,
@@ -51,7 +49,6 @@ from locmat.steinitz import (
     mul_natural,
     parse,
     parse_scaled,
-    ratio_if_connected,
     scale,
 )
 
@@ -147,6 +144,8 @@ class TestDecisions:
         assert is_unital(spec_matrix(7))
         assert not is_unital(AlgebraDescriptor(mk_finite_type(Fraction(3, 2), P, True)))
         assert not is_unital(AlgebraDescriptor(mk_inf_type(parse("2^inf"))))
+        # S+(1, P) has no largest member, so its algebra has no Steinitz number.
+        assert AlgebraDescriptor(mk_finite_type(Fraction(1), P, True)).st is None
 
     def test_collapsed_unital_agrees_with_st(self):
         # S(1, 2^inf) collapses to S(inf, 2^inf); the descriptor keeps st.
@@ -165,12 +164,15 @@ class TestDecisions:
     def test_int_density_answers_as_its_fraction(self, n, base):
         # An int density is stored as the Fraction it equals, so the two
         # equal sets also agree on their largest element and on unitality.
+        # A raw FiniteType keeps its int, and answers as the normalized set.
         s = parse(base)
         S = mk_finite_type(n, s)
         assert type(S.r) is Fraction
-        assert max_element(S) == scale(s, n)
-        assert is_unital(AlgebraDescriptor(S))
-        limit = union_chain([mk_finite_type(1, s)], TailRule.attained(n))
+        for T in (S, FiniteType(n, s, False)):
+            assert T == S
+            assert max_element(T) == scale(s, n)
+            assert is_unital(AlgebraDescriptor(T))
+        limit = union_chain([mk_finite_type(1, s)], TailRule("attained", n))
         assert limit == S and type(limit.r) is Fraction
 
     def test_iso_roundtrip(self):
@@ -213,7 +215,7 @@ class TestRealize:
         chain = realize(mk_inf_type(parse("2^inf")))
         assert all(st_.s == parse("2^inf") for st_ in chain.stages)
         assert [st_.k for st_ in chain.stages] == [1, 2, 3, 4]
-        assert chain.tail == TailRule.unbounded()
+        assert chain.tail == TailRule("unbounded")
 
     def test_depth_above_the_cap_refused(self):
         with pytest.raises(ValueError, match="^depth must be at most 64, got 65$"):
@@ -259,7 +261,7 @@ class TestSpectrumOfChain:
 
     def test_growing_stages_unbounded(self):
         chain = ChainPresentation(
-            (Stage(1, parse("2^inf")), Stage(2, parse("2^inf"))), (1,), TailRule.unbounded()
+            (Stage(1, parse("2^inf")), Stage(2, parse("2^inf"))), (1,), TailRule("unbounded")
         )
         assert spectrum_of_chain(chain) == InfType(parse("2^inf"))
 
@@ -441,47 +443,6 @@ class TestChainJson:
         assert e.value.pos == 2
 
 
-class TestMatchCorner:
-    def test_known_witness(self):
-        w = match_corner(spec_unital(P), parse_scaled("(1/2)*P"), P)
-        assert (w.n, w.r1, w.r2) == (2, 1, 2)
-
-    def test_non_unital_algebra_measures_against_its_base(self):
-        # S+(1, P) has no largest member, and its base P is not a member.
-        A = AlgebraDescriptor(mk_finite_type(Fraction(1), P, True))
-        assert A.st is None
-        w = match_corner(A, parse_scaled("(1/3)*P"), parse_scaled("(1/2)*P"))
-        assert (w.n, w.r1, w.r2) == (6, 2, 3)
-
-    def test_witness_scales_back_to_inputs(self):
-        from locmat.steinitz import scale
-
-        A = spec_unital(P)
-        cur, tgt = parse_scaled("(2/3)*P"), parse_scaled("(5/6)*P")
-        w = match_corner(A, cur, tgt)
-        assert (w.n, w.r1, w.r2) == (6, 4, 5)
-        assert scale(A.st, Fraction(w.r1, w.n)) == cur
-        assert scale(A.st, Fraction(w.r2, w.n)) == tgt
-
-    def test_equal_target_infeasible(self):
-        assert match_corner(spec_unital(P), P, P) is None
-
-    def test_non_member_infeasible(self):
-        assert match_corner(spec_unital(P), P, parse_scaled("(2/1)*P")) is None
-
-    def test_succeeds_on_random_member_pairs(self):
-        A = AlgebraDescriptor(mk_finite_type(Fraction(5, 2), P, False))
-        members = sample_members(A.spectrum, den_bound=12, limit=30)
-        hits = 0
-        for cur in members:
-            for tgt in members:
-                if ratio_if_connected(cur, tgt) > 1:  # members of one set are connected
-                    w = match_corner(A, cur, tgt)
-                    assert w is not None and w.r1 < w.r2
-                    hits += 1
-        assert hits > 50
-
-
 class TestInterleave:
     def test_two_realizations_produce_checkable_certificate(self):
         S = mk_finite_type(Fraction(3, 2), P, True)
@@ -535,7 +496,7 @@ class TestText:
         ],
     )
     def test_format_descriptor_is_the_text_form(self, A, text):
-        assert format_descriptor(A) == str(A) == text
+        assert str(A) == text
 
 
 class TestFiniteMatrixChain:

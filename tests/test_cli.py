@@ -180,6 +180,18 @@ def test_json_check_failure_exit_code(monkeypatch):
     assert [(c["ok"], c["name"]) for c in result["checks"]] == [(False, "saturation:broken:axioms")]
 
 
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [(["set", "member", "S(3/2, P)", "(1/2)*P"], 0, "true"), (["set", "member", "S(3/2, P)", "(2/1)*P"], 1, "false")],
+)
+def test_main_prints_the_answer_and_exits_with_its_code(monkeypatch, capsys, argv, code, expected):
+    monkeypatch.setattr(sys, "argv", ["locmat", *argv])
+    with pytest.raises(SystemExit) as e:
+        cli.main()
+    assert e.value.code == code
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_usage_error_exit_code():
     code, out = cli.run(["set", "nonsense"])
     assert code == 2

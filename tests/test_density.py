@@ -90,6 +90,10 @@ class TestOrdering:
         assert SQRT2 != Fraction(141421356, 100000000)
         assert not (SQRT2 == 1)
 
+    def test_order_with_another_type_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            SQRT2 < "x"
+
     def test_infinity_is_largest(self):
         assert cmp_density(INFINITY, SQRT5) == 1
         assert cmp_density(SQRT5, INFINITY) == -1

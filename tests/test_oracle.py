@@ -73,6 +73,7 @@ class TestRSubBrute:
         assert r_sub_brute(S32, P, 2, 50) == 3
         assert r_sub_brute(S32_STRICT, P, 2, 50) == 2
         assert r_sub_brute(mk_inf_type(parse("2^inf")), parse("2^inf"), 2, 1000) is ABOVE_BOUND
+        assert repr(ABOVE_BOUND) == "AboveBound"
 
     def test_refusals(self):
         with pytest.raises(ValueError, match=r"^3\^2\*P is not a member of S\(3/2, P\)$"):

@@ -23,7 +23,6 @@ from locmat import (
     AllNaturals,
     AxiomViolation,
     ChainPresentation,
-    CornerWitness,
     FiniteMatrixChain,
     FiniteType,
     InfType,
@@ -37,13 +36,13 @@ from locmat.oracle import CheckResult, EnumWindow, Report
 
 PUBLIC_NAMES = {
     "ALL_NATURALS", "AlgebraDescriptor", "AllNaturals", "AxiomViolation", "ChainPresentation",
-    "CornerWitness", "Density", "FiniteMatrixChain", "FiniteType", "INF", "INFINITY", "Inclusion",
+    "Density", "FiniteMatrixChain", "FiniteType", "INF", "INFINITY", "Inclusion",
     "InfType", "ONE", "ParseError", "SaturatedSet", "Segment", "Stage", "SteinitzNumber", "Surd",
     "TailRule", "check_certificate", "check_saturation_axioms", "cmp_density",
     "compare_inclusion", "contains", "corner", "density", "divide_by", "divides",
     "embeds_as_approximative_corner", "enumerate_omega", "equals_extensional", "equals_formal",
-    "format_density", "format_descriptor", "format_set", "interleave",
-    "is_unital", "isomorphic", "lcm", "m_infinity", "match_corner", "matrix_over", "max_element",
+    "format_density", "format_set", "interleave",
+    "is_unital", "isomorphic", "lcm", "m_infinity", "matrix_over", "max_element",
     "mk_finite_type", "mk_inf_type", "mk_segment", "mul_natural",
     "omega_contains", "parse", "parse_density", "parse_descriptor", "parse_scaled", "parse_set",
     "r_sub", "ratio_if_connected", "realize", "sample_members", "scale",
@@ -116,7 +115,7 @@ def _values():
     return [
         Surd.make(0, 1, 2, 1), Segment(3), ALL_NATURALS, InfType(P), FiniteType(Fraction(3, 2), P, True),
         TailRule("attained", Fraction(2)), AlgebraDescriptor(Segment(3)), Stage(2, P),
-        ChainPresentation((Stage(1, P),), ()), CornerWitness(6, 1, 5), EnumWindow(),
+        ChainPresentation((Stage(1, P),), ()), EnumWindow(),
         CheckResult(True, "x"), AxiomViolation(1, "w"), FiniteMatrixChain((1, 2), (2,), (0,)),
     ]
 

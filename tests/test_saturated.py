@@ -90,6 +90,17 @@ class TestConstructors:
     def test_infinity_density_delegates(self):
         assert mk_finite_type(INFINITY, P, False) == InfType(P)
 
+    @pytest.mark.parametrize(
+        "r,got",
+        [(2.5, "2.5 (float)"), (float("inf"), "inf (float)"), ("3/2", "'3/2' (str)")],
+        ids=["float", "float-inf", "str"],
+    )
+    def test_density_of_another_type_refused(self, r, got):
+        # A float inf equals INFINITY but is not that object, so it is refused too.
+        with pytest.raises(ValueError) as e:
+            mk_finite_type(r, P)
+        assert str(e.value) == f"density must be an int, a Fraction, a Surd or the object INFINITY, got {got}"
+
     def test_all_naturals_is_the_one_instance(self):
         assert mk_inf_type(ONE) is ALL_NATURALS and parse_set("N") is ALL_NATURALS
         assert format_set(ALL_NATURALS) == "N"
@@ -256,13 +267,13 @@ class TestUnionChain:
         assert union_chain([S1, S32]) == S32
 
     def test_approached_tail(self):
-        assert union_chain([S1], TailRule.approached(Fraction(2))) == mk_finite_type(Fraction(2), P, True)
+        assert union_chain([S1], TailRule("approached", Fraction(2))) == mk_finite_type(Fraction(2), P, True)
 
     def test_unbounded_tail(self):
-        assert union_chain([S1], TailRule.unbounded()) == InfType(P)
+        assert union_chain([S1], TailRule("unbounded")) == InfType(P)
 
     def test_segments_to_naturals(self):
-        assert union_chain([mk_segment(1), mk_segment(4)], TailRule.unbounded()) == ALL_NATURALS
+        assert union_chain([mk_segment(1), mk_segment(4)], TailRule("unbounded")) == ALL_NATURALS
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
@@ -270,14 +281,14 @@ class TestUnionChain:
 
     def test_tail_below_prefix_rejected(self):
         with pytest.raises(ValueError):
-            union_chain([S32], TailRule.attained(Fraction(1)))
+            union_chain([S32], TailRule("attained", Fraction(1)))
         with pytest.raises(ValueError):
-            union_chain([S32], TailRule.approached(Fraction(3, 2)))
+            union_chain([S32], TailRule("approached", Fraction(3, 2)))
 
     def test_tail_below_prefix_names_the_last_set(self):
         # The prefix ascends, so the last set is the one tested against the tail.
         with pytest.raises(ValueError, match=r"^prefix set S\(3/2, P\) is not inside the tail limit S\(1/2, P\)$"):
-            union_chain([S1, S32], TailRule.attained(Fraction(1, 2)))
+            union_chain([S1, S32], TailRule("attained", Fraction(1, 2)))
 
     def test_empty_prefix_refused(self):
         with pytest.raises(ValueError, match="^empty chain prefix$"):

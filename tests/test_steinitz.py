@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,6 +120,13 @@ class TestValuation:
     def test_default(self):
         assert parse("P^1*2^3").valuation(5) == 1
         assert parse("2^inf*3^2").valuation(7) == 0
+
+    @pytest.mark.parametrize("text,p", [("P", 4), ("2^3*P", 6), ("2^inf", 4), ("P^inf", 1)])
+    def test_non_prime_refused(self, text, p):
+        # 4 does not divide P, and every power of 4 divides 2^inf: no single
+        # exponent answers for a composite, and 1 has none at all.
+        with pytest.raises(ValueError, match=f"^{p} is not a prime$"):
+            parse(text).valuation(p)
 
 
 class TestOmega:
@@ -419,6 +427,11 @@ class TestCanonicalConstructor:
         raw = SteinitzNumber(1, ((2, 1),))
         assert raw == parse("P")
         assert hash(raw) == hash(parse("P"))
+
+    def test_equality_defers_to_another_type(self):
+        # __eq__ returns NotImplemented, so the other operand decides.
+        assert parse("P") != "P"
+        assert parse("P") == mock.ANY
 
     def test_raw_unsorted_with_default_entry(self):
         assert SteinitzNumber(0, ((3, 1), (5, 0), (2, 1))) == parse("2*3")
