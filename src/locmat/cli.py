@@ -155,7 +155,16 @@ def _corner(args) -> str:
     return str(locmat.corner(locmat.parse_descriptor(args.alg), q))
 
 
+#: Largest ``check --bound`` and ``--trials``.  ``check inequalities`` grows about
+#: as bound^1.7 and ``check saturation`` linearly in trials; on a 2-core Xeon each
+#: takes about 1 s at its cap.
+_MAX_BOUND, _MAX_TRIALS = 400, 10000
+
+
 def _run_checks(suite: str, seed: int, bound: int, trials: int):
+    for name, value, cap in (("bound", bound, _MAX_BOUND), ("trials", trials, _MAX_TRIALS)):
+        if value > cap:
+            raise ValueError(f"{name} must be at most {cap}, got {value}")
     from . import oracle
     report = oracle.Report()
     corpus = oracle.acceptance_corpus()

@@ -137,11 +137,15 @@ def cmp_density(a: Density, b: Density) -> int:
 def cmp_ratio(n: int, d: int, r: Fraction | Surd) -> int:
     """Sign of n/d - r for d > 0, without building a Fraction.
 
-    With r = (x + y*sqrt(D))/z, n/d - r has the sign of
-    (n*z - x*d) - y*d*sqrt(D), as d*z > 0.
+    With r = (x + y*sqrt(D))/z, n/d - r has the sign of a - y*d*sqrt(D)
+    with a = n*z - x*d, as d*z > 0.  For a surd y*d > 0: that is -1 when
+    a <= 0, else the sign of a^2 - y^2 d^2 D, never 0 as D is squarefree.
     """
     x, y, D, z = _parts(r)
-    return _sign_single(n * z - x * d, -y * d, D)
+    a = n * z - x * d
+    if y == 0:
+        return _sign(a)
+    return -1 if a <= 0 else _sign(a * a - y * y * d * d * D)
 
 
 def scale_density(r: Density, q: Fraction) -> Density:

@@ -90,11 +90,15 @@ class InfType(SaturatedSet):
 
 
 class FiniteType(SaturatedSet):
-    """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b."""
+    """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
+    it normalizes nothing, but refuses a density of a type no decision reads."""
 
     __slots__ = __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
+        if not (isinstance(r, (int, Fraction, Surd)) or r is INFINITY):
+            kind = type(r).__name__
+            raise ValueError(f"density must be an int, a Fraction, a Surd or the object INFINITY, got {r!r} ({kind})")
         self._set("r", r)
         self._set("base", base)
         self._set("strict", strict)
@@ -131,51 +135,43 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         return mk_inf_type(s)
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
-    if isinstance(r, int):
-        r = Fraction(r)  # an int density answers as the Fraction it equals
-    elif not isinstance(r, (Fraction, Surd)):
-        kind = type(r).__name__
-        raise ValueError(f"density must be an int, a Fraction, a Surd or the object INFINITY, got {r!r} ({kind})")
+    S = FiniteType(Fraction(r) if isinstance(r, int) else r, s, strict)  # which checks the density's type
+    r = S.r  # an int density answers as the Fraction it equals
     if cmp_density(r, _UNIT_DENSITY) < 0:
         raise ValueError(f"density must be at least 1, got {format_density(r)}")
     if not s.is_infinity_free:
         return InfType(s)
     if strict and (isinstance(r, Surd) or not omega_contains(s, r.denominator)):
-        strict = False
-    return FiniteType(r, s, strict)
+        return FiniteType(r, s, False)
+    return S
 
 
-def _member_ratio(S: SaturatedSet, t: SteinitzNumber) -> tuple[int, int] | None:
-    """(qn, qd), not reduced, with t = (qn/qd)*base when t is a member of S,
-    else None.  A rational bound is decided by integer cross-multiplication
+def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
+    """Exact membership test: t = (qn/qd)*base with q not above r (below r
+    when strict).  A rational bound is decided by integer cross-multiplication
     inline, a surd bound by ``cmp_ratio``; neither builds a Fraction.
 
     The reduced denominator of q always divides the base: the exponents of
     t are nonnegative, so no Omega check is needed.
     """
-    q = _ratio_pair(S.base, t)
-    r = S.r
-    if q is None or r is INFINITY:
-        return q
-    qn, qd = q
+    base, r = S.base, S.r
+    if base._core != t._core:
+        return False
+    if r is INFINITY:
+        return True
+    qn, qd = t._num * base._den, t._den * base._num  # _ratio_pair's quotient, inline
     if type(r) is Fraction:
         c = qn * r.denominator - r.numerator * qd  # the sign of q - r, as qd > 0
     else:
         c = cmp_ratio(qn, qd, r)  # a <= r*b  iff  a/b <= r
-    return q if c < 0 or (c == 0 and not S.strict) else None
-
-
-def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
-    """Exact membership test."""
-    return _member_ratio(S, t) is not None
+    return c < 0 or (c == 0 and not S.strict)
 
 
 def _rebased(S: SaturatedSet, t: SteinitzNumber) -> Density:
     """The density of S expressed at the member t = q*base: r / q."""
-    q = _member_ratio(S, t)
-    if q is None:
+    if not contains(S, t):
         raise ValueError(f"{t} is not a member of {format_set(S)}")
-    qn, qd = q
+    qn, qd = _ratio_pair(S.base, t)
     return scale_density(S.r, Fraction(qd, qn))
 
 

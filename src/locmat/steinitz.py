@@ -613,7 +613,7 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
     """Multiply by a natural number (exponentwise add; INF absorbs)."""
     if n < 1:
         raise ValueError(f"multiplier must be positive, got {n}")
-    on, off = _split(n, s._radical)
+    on, off = (1, n) if s._radical == 1 else _split(n, s._radical)  # _split(n, 1) is (1, n), one frame less
     k = on if s._core[0] == INF else off
     if k == 1:
         return s

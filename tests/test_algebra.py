@@ -34,7 +34,6 @@ from locmat.saturated import (
     InfType,
     Segment,
     TailRule,
-    contains,
     equals_formal,
     max_element,
     mk_finite_type,

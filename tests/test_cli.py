@@ -367,6 +367,18 @@ def test_check_rejects_trials_below_one(suite, trials):
     assert cli.run(["check", suite, "--trials", trials]) == (2, f"error: trials must be positive, got {trials}")
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["inequalities", "--bound", "401"], "bound must be at most 400, got 401"),
+        (["saturation", "--trials", "10001"], "trials must be at most 10000, got 10001"),
+    ],
+    ids=["bound", "trials"],
+)
+def test_check_refuses_an_option_above_its_cap(argv, expected):
+    assert cli.run(["check", *argv]) == (2, f"error: {expected}")
+
+
 _SETS = "expected [1..n], N, S(r, s) or S+(r, s)"
 _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
 

@@ -10,12 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from locmat import oracle
-from locmat.density import INFINITY, Surd
+from locmat.density import Surd
 from locmat.oracle import (
     ABOVE_BOUND,
     EnumWindow,
     FiniteMatrixChain,
-    Report,
     acceptance_corpus,
     check_inequality_suite,
     divisor_pairs,
@@ -27,7 +26,6 @@ from locmat.oracle import (
     simulate_finite_chain,
 )
 from locmat.saturated import (
-    ALL_NATURALS,
     InfType,
     contains,
     mk_finite_type,

@@ -97,9 +97,11 @@ class TestConstructors:
     )
     def test_density_of_another_type_refused(self, r, got):
         # A float inf equals INFINITY but is not that object, so it is refused too.
-        with pytest.raises(ValueError) as e:
-            mk_finite_type(r, P)
-        assert str(e.value) == f"density must be an int, a Fraction, a Surd or the object INFINITY, got {got}"
+        # A raw set is refused as it is built, not by the first decision on it.
+        for build in (mk_finite_type, FiniteType):
+            with pytest.raises(ValueError) as e:
+                build(r, P, False)
+            assert str(e.value) == f"density must be an int, a Fraction, a Surd or the object INFINITY, got {got}"
 
     def test_all_naturals_is_the_one_instance(self):
         assert mk_inf_type(ONE) is ALL_NATURALS and parse_set("N") is ALL_NATURALS
@@ -395,6 +397,46 @@ def test_density_sandwich(r, base, strict):
         rb_vs_k1 = cmp_density(scale_density(r, Fraction(b)), Fraction(k + 1))
         assert rb_vs_k >= 0  # r_s(b) <= r*b
         assert rb_vs_k1 <= 0  # r*b <= r_s(b) + 1
+
+
+@st.composite
+def sets_and_candidates(draw):
+    """(S, t): S has a rational density or a surd (x + y*sqrt(d))/z with x of
+    either sign, over a listed base (built raw where the base has an infinite
+    prime, so that it keeps its density); t is i*base/b with i at or next to
+    floor(r*b), any i, or a number that may not be connected to the base."""
+    x, y, d, z = st.sampled_from(range(-5, 6)), st.integers(1, 4), st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)
+    surds = st.builds(Surd.make, x, y, d, z)
+    rationals = st.fractions(min_value=1, max_value=4, max_denominator=6)
+    r = draw(st.one_of(rationals, surds.filter(lambda r: cmp_density(r, Fraction(1)) >= 0)))
+    base, strict = draw(st.sampled_from(BASES)), draw(st.booleans())
+    S = mk_finite_type(r, base, strict) if base.is_infinity_free else FiniteType(r, base, strict)
+    b = draw(st.sampled_from(enumerate_omega(base, 12)))
+    i = draw(st.one_of(st.integers(-1, 1).map(lambda k: floor_times(r, b) + k), st.integers(1, 40)))
+    other = st.sampled_from([P, parse("P^2"), parse("2^inf*P"), parse("3^inf"), parse("P^inf")])
+    return S, draw(st.one_of(st.just(mul_natural(divide_by(base, b), max(i, 1))), other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_and_candidates())
+@example((mk_finite_type(Surd.make(5, 1, 2, 1), P), P))  # q = 1 lies below 5 alone: a = 1 - 5 < 0
+@example((mk_finite_type(Surd.make(2, 1, 2, 1), P), parse_scaled("(2/1)*P")))  # q = 2: a = 0
+@example((S32_STRICT, parse_scaled("(3/2)*P")))  # q = r at a strict bound
+def test_contains_agrees_with_the_density_comparison(pair):
+    # Membership is q = t/base against r, strict-aware; density and r_sub refuse
+    # exactly the non-members, and give the rebased density at a member.
+    S, t = pair
+    q = ratio_if_connected(S.base, t)
+    c = None if q is None else cmp_density(q, S.r)
+    member = c is not None and (c < 0 or (c == 0 and not S.strict))
+    assert contains(S, t) == member
+    if member:
+        assert density(S, t) == scale_density(S.r, 1 / q)
+        assert r_sub(S, t, 1) >= 1
+        return
+    for refused in (lambda: density(S, t), lambda: r_sub(S, t, 1)):
+        with pytest.raises(ValueError, match="is not a member of"):
+            refused()
 
 
 @settings(max_examples=50, deadline=None)

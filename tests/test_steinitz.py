@@ -725,6 +725,9 @@ def model_steps(s, m, steps):
     model_naturals,
     model_naturals,
 )
+@example((1, {}), (1, {}), [], 12, 2)  # P: no prime to split n on, so all of n is taken
+@example((INF, {}), (INF, {}), [], 12, 2)  # P^inf: none either, and INF absorbs all of n
+@example((1, {2: INF}), (1, {3: 0}), [], 12, 2)  # 2^inf*P: n's factor 4 is absorbed
 def test_coset_representation_matches_exponent_walk(m1, m2, steps, n, k):
     s1, m1 = model_steps(SteinitzNumber.of(*m1), m1, steps)
     s2 = SteinitzNumber.of(*m2)
