@@ -419,8 +419,8 @@ def sets_and_candidates(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(sets_and_candidates())
-@example((mk_finite_type(Surd.make(5, 1, 2, 1), P), P))  # q = 1 lies below 5 alone: a = 1 - 5 < 0
-@example((mk_finite_type(Surd.make(2, 1, 2, 1), P), parse_scaled("(2/1)*P")))  # q = 2: a = 0
+@example((mk_finite_type(Surd.make(5, 1, 2, 1), P), P))  # q = 1 against 5 + sqrt(2): a = 1 - 5 < 0
+@example((mk_finite_type(Surd.make(2, 1, 2, 1), P), parse_scaled("(2/1)*P")))  # q = 2 against 2 + sqrt(2): a = 0
 @example((S32_STRICT, parse_scaled("(3/2)*P")))  # q = r at a strict bound
 def test_contains_agrees_with_the_density_comparison(pair):
     # Membership is q = t/base against r, strict-aware; density and r_sub refuse
