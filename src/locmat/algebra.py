@@ -181,42 +181,50 @@ class Stage(_Value):
 
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
-#: A JSON string or number token, so that a number inside a string never
-#: matches; ``key`` marks a string followed by its colon.
-_JSON_TOKEN = re.compile(r'(?P<str>"(?:[^"\\]|\\.)*")(?P<key>\s*:)?|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+#: A JSON string or number token, so that a number inside a string never matches.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+class _JsonString(str):
+    """A string value that ``from_json`` decoded: ``start`` is the offset of its
+    first character in the document, ``escaped`` whether it holds an escape."""
+
+
+def _scan_json_string(text: str, end: int, strict: bool) -> tuple[_JsonString, int]:
+    value, stop = json.decoder.scanstring(text, end, strict)
+    value = _JsonString(value)
+    value.start, value.escaped = end, "\\" in text[end:stop]
+    return value, stop
+
+
+class _ChainDecoder(json.JSONDecoder):
+    # The C scanner never calls parse_string, so this decoder runs the pure-Python one.
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.parse_string = _scan_json_string
+        self.scan_once = json.scanner.py_make_scanner(self)
 
 
 def _json_field(obj: dict, key: str, kind: type):
-    # Exact type match: JSON true is a Python int and 1.5 would truncate.
+    # JSON true is a Python int and 1.5 would truncate; a decoded string is a str subclass.
     if key not in obj:
         raise ParseError(f"chain field {key!r} is missing")
     value = obj[key]
-    if type(value) is not kind:
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ParseError(f"chain field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _json_parsed(obj: dict, key: str, parse_fn):
-    """parse_fn of the string field ``key``.  Its ParseError keeps ``field``,
-    the key and the string, so that ``from_json`` can find it in the text."""
+    """parse_fn of the string field ``key``.  A string that ``from_json`` decoded
+    raises again in the document: at its first character if it holds an escape."""
     value = _json_field(obj, key, str)
     try:
         return parse_fn(value)
     except ParseError as e:
-        e.field = key, value
-        raise
-
-
-def _json_string_pos(text: str, key: str, value: str, pos: int) -> int:
-    """The offset in ``text`` of character ``pos`` of the first string
-    ``value`` that is the value of a member ``key``, or of that string's
-    first character when it holds an escape (decoded offsets differ there)."""
-    tokens = list(_JSON_TOKEN.finditer(text))
-    return next(
-        v.start() + 1 + (0 if "\\" in v["str"] else pos)
-        for k, v in zip(tokens, tokens[1:])
-        if k["key"] and v["str"] and not v["key"] and json.loads(k["str"]) == key and json.loads(v["str"]) == value
-    )
+        if not isinstance(value, _JsonString):
+            raise
+        raise ParseError(e.message, value.start + (0 if value.escaped else e.pos)) from None
 
 
 def _json_stage(e, i: int) -> dict:
@@ -281,7 +289,8 @@ class ChainPresentation(_Value):
         if d.get("tail") is not None:
             tail_d = _json_field(d, "tail", dict)
             kind = _json_field(tail_d, "kind", str)
-            tail = TailRule(kind, None if kind == "unbounded" else _json_parsed(tail_d, "r", parse_density))
+            r = _json_parsed(tail_d, "r", parse_density) if kind in ("attained", "approached") else None
+            tail = TailRule(kind, r)  # an unknown kind is refused here, with no r read
         return cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
 
     def to_json(self) -> str:
@@ -298,17 +307,12 @@ class ChainPresentation(_Value):
                 return _parse_int(literal, next(m.start() for m in _JSON_TOKEN.finditer(text) if m[0] == literal))
 
         try:
-            d = json.loads(text, parse_int=parse_int)
+            d = json.loads(text, cls=_ChainDecoder, parse_int=parse_int)
         except json.JSONDecodeError as e:
             raise ParseError(f"malformed chain JSON: {e.msg}", e.pos) from e
         except RecursionError:
             raise ParseError("chain JSON nests too deeply") from None
-        try:
-            return cls.from_json_dict(d)
-        except ParseError as e:
-            if not hasattr(e, "field"):
-                raise
-            raise ParseError(e.message, _json_string_pos(text, *e.field, e.pos)) from None
+        return cls.from_json_dict(d)
 
 
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a

@@ -57,16 +57,14 @@ class SaturatedSet(_Value):
 class Segment(SaturatedSet):
     """{1, 2, ..., n} = S(n, 1)."""
 
-    __slots__ = __match_args__ = ("n",)
+    __slots__ = ("n", "r")  # r, the density n as a Fraction, is built once and is not a field
+    __match_args__ = ("n",)
     base = ONE
     strict = False
 
     def __init__(self, n: int):
         self._set("n", n)
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self.n)
+        self._set("r", Fraction(n))
 
 
 class AllNaturals(SaturatedSet):
@@ -91,14 +89,14 @@ class InfType(SaturatedSet):
 
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
-    it normalizes nothing, but refuses a density of a type no decision reads."""
+    it normalizes nothing, but takes only a finite density of a type that
+    decisions read: S(inf, base) has one spelling, InfType."""
 
     __slots__ = __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
-        if not (isinstance(r, (int, Fraction, Surd)) or r is INFINITY):
-            kind = type(r).__name__
-            raise ValueError(f"density must be an int, a Fraction, a Surd or the object INFINITY, got {r!r} ({kind})")
+        if not isinstance(r, (int, Fraction, Surd)):
+            raise ValueError(f"density must be an int, a Fraction or a Surd, got {r!r} ({type(r).__name__})")
         self._set("r", r)
         self._set("base", base)
         self._set("strict", strict)

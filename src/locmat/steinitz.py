@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from operator import attrgetter
 
 #: Exponent value standing for an infinite prime exponent.  Finite exponents
@@ -219,7 +219,7 @@ def _pollard_brent(n: int) -> int:
     batch of 128 steps.  Raises ValueError once a round would take the steps,
     summed across every constant c tried, over n's share of _RHO_STEPS."""
     budget, steps = _RHO_STEPS // ((n.bit_length() + 127) >> 7) ** 2, 0
-    for c in range(1, n):
+    for c in count(1):  # each c takes 2 or more steps, so the budget ends the loop
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r  # at most r steps to x, then r steps compared to it
@@ -244,7 +244,6 @@ def _pollard_brent(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise AssertionError(f"no factor found for {n}")
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)

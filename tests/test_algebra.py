@@ -427,8 +427,14 @@ class TestChainJson:
             ('{"junk":{"s":{"x":1}},"stages":[{"k":1,"s":"x","q":null}],"tail":null}', 44),
             # A string with an escape is reported at its first character.
             ('{"stages":[{"k":1,"s":"2*\\u0078","q":null}],"tail":null}', 23),
+            # An equal string in a member that is never read is not the field.
+            ('{"stages":[{"k":1,"s":"P","q":null,"r":"1/0"}],"tail":{"kind":"attained","r":"1/0"}}', 80),
+            ('{"x":{"s":"2^"},"stages":[{"k":1,"s":"2^","q":null}],"tail":null}', 38),
         ],
-        ids=["stage", "tail", "leading-spaces", "value-like-key", "earlier-field", "nested-key", "escape"],
+        ids=[
+            "stage", "tail", "leading-spaces", "value-like-key", "earlier-field", "nested-key", "escape",
+            "unread-stage-member", "unread-top-member",
+        ],
     )
     def test_string_field_error_points_into_the_document(self, text, pos):
         with pytest.raises(ParseError) as e:

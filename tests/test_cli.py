@@ -62,6 +62,12 @@ GOLDEN = [
     (["set", "rsub", "S(3/2,P)", "P", "4"], 2, "error: 4 is not in Omega(P)"),
     (["set", "member", "S(1/0,P)", "P"], 2, "error: zero denominator in density '1/0' (at position 4)"),
     (["alg", "corner", "alg([1..4])", "1/0"], 2, "error: zero denominator in rank '1/0' (at position 2)"),
+    # The tail's kind is checked before its density is read.
+    (
+        ["alg", "spectrum", '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"spiral"}}'],
+        2,
+        "error: unknown tail kind 'spiral'",
+    ),
     (
         ["set", "member", "S((1+1*sqrt(2))/0,P)", "P"],
         2,

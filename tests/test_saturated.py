@@ -1,5 +1,7 @@
 """Saturated sets: normalization, membership, trichotomy, closed forms."""
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -101,7 +103,18 @@ class TestConstructors:
         for build in (mk_finite_type, FiniteType):
             with pytest.raises(ValueError) as e:
                 build(r, P, False)
-            assert str(e.value) == f"density must be an int, a Fraction, a Surd or the object INFINITY, got {got}"
+            assert str(e.value) == f"density must be an int, a Fraction or a Surd, got {got}"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_raw_set_refuses_the_infinite_density(self, strict):
+        # S(inf, s) has one spelling, InfType, which mk_finite_type(INFINITY, s) builds.
+        with pytest.raises(ValueError, match=r"^density must be an int, a Fraction or a Surd, got inf \(float\)$"):
+            FiniteType(INFINITY, P, strict)
+
+    def test_segment_builds_its_density_once(self):
+        S = mk_segment(3)
+        assert S.r is S.r and type(S.r) is Fraction and S.r == 3
+        assert copy.copy(S).r == pickle.loads(pickle.dumps(S)).r == 3
 
     def test_all_naturals_is_the_one_instance(self):
         assert mk_inf_type(ONE) is ALL_NATURALS and parse_set("N") is ALL_NATURALS

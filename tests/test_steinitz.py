@@ -398,6 +398,11 @@ class TestPrimeKernel:
     def test_factorize_mersenne_composite(self):
         assert factorize(2**67 - 1) == ((193707721, 1), (761838257287, 1))
 
+    def test_factorize_refuses_a_cofactor_past_4096_bits(self):
+        # 1009 is the least prime past trial division, so all of 1009^420 is one cofactor.
+        with pytest.raises(ValueError, match="^integer of 4192 bits is too large to factor$"):
+            factorize(1009**420)
+
     def test_factorize_roundtrip(self):
         rng = random.Random(20)
         for n in [1, 2, 999_983**2, 2**64 + 1] + [rng.randint(1, 10**20) for _ in range(150)]:
