@@ -51,9 +51,9 @@ __version__ = "0.1.0"
 # above stay eager: the name ``density`` is the function saturated.density, and
 # a first import of the submodule locmat.density later would rebind it.
 _ALGEBRA_NAMES = (
-    "AlgebraDescriptor", "ChainPresentation", "Stage", "check_certificate", "corner", "embeds_as_approximative_corner",
-    "interleave", "is_unital", "isomorphic", "m_infinity", "matrix_over", "parse_descriptor", "realize", "spec_matrix",
-    "spec_unital", "spectrum_of_chain",
+    "AlgebraDescriptor", "ChainPresentation", "Stage", "corner", "embeds_as_approximative_corner", "is_unital",
+    "isomorphic", "m_infinity", "matrix_over", "parse_descriptor", "realize", "spec_matrix", "spec_unital",
+    "spectrum_of_chain",
 )
 _ORACLE_NAMES = (
     "AxiomViolation", "FiniteMatrixChain", "check_saturation_axioms", "equals_extensional", "sample_members",

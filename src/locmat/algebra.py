@@ -25,7 +25,6 @@ from .saturated import (
     _floor_count,
     _has_max,
     _included,
-    contains,
     equals_formal,
     format_set,
     max_element,
@@ -47,7 +46,6 @@ from .steinitz import (
     mul_natural,
     omega_contains,
     parse as parse_steinitz,
-    ratio_if_connected,
     scale,
 )
 
@@ -227,12 +225,6 @@ def _json_parsed(obj: dict, key: str, parse_fn):
         raise ParseError(e.message, value.start + (0 if value.escaped else e.pos)) from None
 
 
-def _json_stage(e, i: int) -> dict:
-    if type(e) is not dict:
-        raise ParseError(f"chain stage {i} must be an object, got {e!r}")
-    return e
-
-
 class ChainPresentation(_Value):
     """Finitely presented ascending chain of corners M_{k_i}(A_{s_i}).
 
@@ -260,9 +252,6 @@ class ChainPresentation(_Value):
         self._set("quotients", quotients)
         self._set("tail", tail)
 
-    def stage_numbers(self) -> list[SteinitzNumber]:
-        return [st.number for st in self.stages]
-
     def to_json_dict(self) -> dict:
         d: dict = {
             "stages": [
@@ -282,7 +271,10 @@ class ChainPresentation(_Value):
     def from_json_dict(cls, d: dict) -> "ChainPresentation":
         if type(d) is not dict:
             raise ParseError(f"chain JSON must be an object, got {d!r}")
-        entries = [_json_stage(e, i) for i, e in enumerate(_json_field(d, "stages", list))]
+        entries = _json_field(d, "stages", list)
+        for i, e in enumerate(entries):
+            if type(e) is not dict:
+                raise ParseError(f"chain stage {i} must be an object, got {e!r}")
         fields = [(_json_field(e, "k", int), _json_parsed(e, "s", parse_steinitz)) for e in entries]
         quotients = tuple(_json_field(e, "q", int) for e in entries[:-1])
         tail = None
@@ -291,7 +283,19 @@ class ChainPresentation(_Value):
             kind = _json_field(tail_d, "kind", str)
             r = _json_parsed(tail_d, "r", parse_density) if kind in ("attained", "approached") else None
             tail = TailRule(kind, r)  # an unknown kind is refused here, with no r read
-        return cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
+        chain = cls(tuple(Stage(k, s) for k, s in fields), quotients, tail)
+        # Last, so that a member's own error comes first: refuse what to_json_dict would not write.
+        objects = [(d, ("stages", "tail"), "JSON")]
+        objects += [(e, ("k", "s", "q"), f"stage {i}") for i, e in enumerate(entries)]
+        if tail is not None:
+            objects.append((tail_d, ("kind", "r") if r is not None else ("kind",), f"tail of kind {kind!r}"))
+        for obj, known, where in objects:
+            unknown = [key for key in obj if key not in known]
+            if unknown:
+                raise ParseError(f"chain {where} has an unknown member {unknown[0]!r}")
+        if entries[-1].get("q") is not None:
+            raise ParseError(f"chain field 'q' of the last stage must be null, got {entries[-1]['q']!r}")
+        return chain
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -368,43 +372,6 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     first stage, whose base the tail density is expressed at, and the last."""
     ends = chain.stages[:1] + chain.stages[1:][-1:]
     return union_chain([_unital_spectrum(st.number) for st in ends], chain.tail)
-
-
-def interleave(cA: ChainPresentation, cB: ChainPresentation) -> list[SteinitzNumber] | None:
-    """Isomorphism certificate for two chains with equal spectra.
-
-    Returns the merged ascending sequence of stage Steinitz numbers (each a
-    member of both spectra), or None when the spectra differ formally.  The
-    sequence is the matched st-chain a back-and-forth construction runs
-    through.
-    """
-    SA, SB = spectrum_of_chain(cA), spectrum_of_chain(cB)
-    if not equals_formal(SA, SB):
-        return None
-    numbers = cA.stage_numbers() + cB.stage_numbers()
-    ref = numbers[0]
-    numbers.sort(key=lambda t: ratio_if_connected(ref, t))
-    merged: list[SteinitzNumber] = []
-    for t in numbers:
-        if not merged or merged[-1] != t:
-            merged.append(t)
-    return merged
-
-
-def check_certificate(cert: list[SteinitzNumber], cA: ChainPresentation, cB: ChainPresentation) -> bool:
-    """Verify an interleave certificate: ascending, inside both spectra, and
-    dominating every stage of both chains."""
-    if not cert:
-        return False
-    SA, SB = spectrum_of_chain(cA), spectrum_of_chain(cB)
-    for t in cert:
-        if not (contains(SA, t) and contains(SB, t)):
-            return False
-    for a, b in zip(cert, cert[1:]):
-        if ratio_if_connected(a, b) < 1:  # members of SA, so connected
-            return False
-    covered = set(cert)
-    return all(t in covered for t in cA.stage_numbers() + cB.stage_numbers())
 
 
 #: ``alg(<set>)`` with the spaces around it; the set runs to the last ``)``.

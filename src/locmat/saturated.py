@@ -63,6 +63,10 @@ class Segment(SaturatedSet):
     strict = False
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise ValueError(f"segment length must be an int, got {n!r} ({type(n).__name__})")
+        if n < 1:
+            raise ValueError(f"segment length must be positive, got {n}")
         self._set("n", n)
         self._set("r", Fraction(n))
 
@@ -108,8 +112,6 @@ _UNIT_DENSITY = Fraction(1)
 
 
 def mk_segment(n: int) -> SaturatedSet:
-    if n < 1:
-        raise ValueError(f"segment length must be positive, got {n}")
     return Segment(n)
 
 

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locmat import algebra, saturated
+from locmat import saturated
 from locmat.algebra import (
     AlgebraDescriptor,
     ChainPresentation,
     Stage,
-    check_certificate,
     corner,
     embeds_as_approximative_corner,
-    interleave,
     is_unital,
     isomorphic,
     m_infinity,
@@ -44,7 +42,6 @@ from locmat.saturated import (
 from locmat.steinitz import (
     ONE,
     ParseError,
-    SteinitzNumber,
     mul_natural,
     parse,
     parse_scaled,
@@ -407,11 +404,30 @@ class TestChainJson:
             ('{"stages":[{"k":1,"s":"P","q":null}],"tail":[]}', "chain field 'tail' must be an object"),
             ('{"stages":["ab"],"tail":null}', "chain stage 0 must be an object, got 'ab'"),
             ("[1, 2]", "chain JSON must be an object"),
+            # A member that to_json_dict would not write is refused, not skipped.
+            (
+                '{"stages":[{"k":1,"s":"P","q":null}],"tial":{"kind":"unbounded"}}',
+                "chain JSON has an unknown member 'tial'",
+            ),
+            ('{"stages":[{"k":1,"s":"P","q":2,"x":1},{"k":2,"s":"2^0*P"}]}', "chain stage 0 has an unknown member 'x'"),
+            (
+                '{"stages":[{"k":1,"s":"P","q":"x"}],"tail":null}',
+                "chain field 'q' of the last stage must be null, got 'x'",
+            ),
+            (
+                '{"stages":[{"k":1,"s":"P","q":null}],"tail":{"kind":"unbounded","r":"3"}}',
+                "chain tail of kind 'unbounded' has an unknown member 'r'",
+            ),
         ],
     )
     def test_wrong_shape_names_the_field(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             ChainPresentation.from_json(text)
+
+    @pytest.mark.parametrize("tail", ["", ',"tail":null'], ids=["missing", "null"])
+    def test_last_quotient_and_tail_may_be_left_out(self, tail):
+        chain = ChainPresentation.from_json('{"stages":[{"k":1,"s":"P","q":2},{"k":2,"s":"2^0*P"}]%s}' % tail)
+        assert chain == ChainPresentation((Stage(1, P), Stage(2, parse("2^0*P"))), (2,))
 
     @pytest.mark.parametrize(
         "text,pos",
@@ -446,45 +462,6 @@ class TestChainJson:
         with pytest.raises(ParseError, match="malformed term 'x'") as e:
             ChainPresentation.from_json_dict(d)
         assert e.value.pos == 2
-
-
-class TestInterleave:
-    def test_two_realizations_produce_checkable_certificate(self):
-        S = mk_finite_type(Fraction(3, 2), P, True)
-        cA = realize(S, divisor_chain=[2, 6, 30])
-        cB = realize(S, divisor_chain=[6, 210])
-        cert = interleave(cA, cB)
-        assert cert is not None
-        assert check_certificate(cert, cA, cB)
-
-    def test_trivial_segment_certificate(self):
-        cA = realize(mk_segment(3))
-        cB = realize(mk_segment(3))
-        assert interleave(cA, cB) == [SteinitzNumber.from_int(3)]
-
-    def test_unequal_spectra(self):
-        cA = realize(mk_finite_type(Fraction(1), P, False))
-        cB = realize(mk_finite_type(Fraction(3, 2), P, True))
-        assert interleave(cA, cB) is None
-
-    def test_check_certificate_rejects_empty_before_any_spectrum(self, monkeypatch):
-        c = realize(mk_segment(3))
-        monkeypatch.setattr(algebra, "spectrum_of_chain", None)  # a call would raise TypeError
-        assert check_certificate([], c, c) is False
-
-    @pytest.mark.parametrize(
-        "broken",
-        [lambda cert: cert[::-1], lambda cert: cert[1:], lambda cert: cert + [mul_natural(cert[-1], 2)]],
-        ids=["descending", "missing-stage", "outside-spectrum"],
-    )
-    def test_check_certificate_rejects(self, broken):
-        # Two realizations of S(7/3, P) certified by [2^2*P, 3^0*7^2*P]; the
-        # first number is a stage of cA only, and (98/3)*P lies above 7/3.
-        S = mk_finite_type(Fraction(7, 3), P, False)
-        cA, cB = realize(S), realize(S, divisor_chain=[6, 30])
-        cert = interleave(cA, cB)
-        assert [str(t) for t in cert] == ["2^2*P", "3^0*7^2*P"] and check_certificate(cert, cA, cB)
-        assert check_certificate(broken(cert), cA, cB) is False
 
 
 class TestText:

@@ -68,6 +68,12 @@ GOLDEN = [
         2,
         "error: unknown tail kind 'spiral'",
     ),
+    # A misspelled member is refused: read as absent, "tial" would give S(1, P), not S(inf, P).
+    (
+        ["alg", "spectrum", '{"stages":[{"k":1,"s":"P","q":null}],"tial":{"kind":"unbounded"}}'],
+        2,
+        "error: chain JSON has an unknown member 'tial'",
+    ),
     (
         ["set", "member", "S((1+1*sqrt(2))/0,P)", "P"],
         2,

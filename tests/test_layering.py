@@ -64,6 +64,35 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in {name.split(".")[0] for name in imports}
 
 
+def unused_imports(tree: ast.Module) -> set[str]:
+    """The names an import statement anywhere in the tree binds that no
+    ``ast.Name`` in the tree reads; a ``__future__`` import binds nothing."""
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_reads_names_not_attributes():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nfrom x import y, z as w\nos.sep\ny.w\n")
+    assert unused_imports(tree) == {"w"}
+
+
+ROOT = SRC.parent.parent
+# locmat/__init__.py is left out: the names it imports are its exports.
+CHECKED = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for folder in ("tests", "tools") for p in (ROOT / folder).glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
 def loaded_modules(code: str) -> set[str]:
     """The modules loaded after running ``code`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

@@ -38,10 +38,10 @@ PUBLIC_NAMES = {
     "ALL_NATURALS", "AlgebraDescriptor", "AllNaturals", "AxiomViolation", "ChainPresentation",
     "Density", "FiniteMatrixChain", "FiniteType", "INF", "INFINITY", "Inclusion",
     "InfType", "ONE", "ParseError", "SaturatedSet", "Segment", "Stage", "SteinitzNumber", "Surd",
-    "TailRule", "check_certificate", "check_saturation_axioms", "cmp_density",
+    "TailRule", "check_saturation_axioms", "cmp_density",
     "compare_inclusion", "contains", "corner", "density", "divide_by", "divides",
     "embeds_as_approximative_corner", "enumerate_omega", "equals_extensional", "equals_formal",
-    "format_density", "format_set", "interleave",
+    "format_density", "format_set",
     "is_unital", "isomorphic", "lcm", "m_infinity", "matrix_over", "max_element",
     "mk_finite_type", "mk_inf_type", "mk_segment", "mul_natural",
     "omega_contains", "parse", "parse_density", "parse_descriptor", "parse_scaled", "parse_set",

@@ -57,6 +57,10 @@ S32_STRICT = mk_finite_type(Fraction(3, 2), P, True)
 SSQRT2 = mk_finite_type(SQRT2, P, False)
 
 
+#: The normalizing and the raw constructor of S(r, P), as functions of r.
+_FINITE_TYPE_BUILDS = (lambda r: mk_finite_type(r, P, False), lambda r: FiniteType(r, P, False))
+
+
 class TestConstructors:
     def test_inf_type_of_natural_is_all_naturals(self):
         assert mk_inf_type(parse("2*3")) == ALL_NATURALS
@@ -93,17 +97,26 @@ class TestConstructors:
         assert mk_finite_type(INFINITY, P, False) == InfType(P)
 
     @pytest.mark.parametrize(
-        "r,got",
-        [(2.5, "2.5 (float)"), (float("inf"), "inf (float)"), ("3/2", "'3/2' (str)")],
-        ids=["float", "float-inf", "str"],
+        "builds,r,message",
+        [
+            (_FINITE_TYPE_BUILDS, 2.5, "density must be an int, a Fraction or a Surd, got 2.5 (float)"),
+            (_FINITE_TYPE_BUILDS, float("inf"), "density must be an int, a Fraction or a Surd, got inf (float)"),
+            (_FINITE_TYPE_BUILDS, "3/2", "density must be an int, a Fraction or a Surd, got '3/2' (str)"),
+            # A segment's density is its length n: [1..n] = S(n, 1).
+            ((mk_segment, Segment), 0, "segment length must be positive, got 0"),
+            ((mk_segment, Segment), -2, "segment length must be positive, got -2"),
+            ((mk_segment, Segment), 2.5, "segment length must be an int, got 2.5 (float)"),
+            ((mk_segment, Segment), True, "segment length must be an int, got True (bool)"),
+        ],
+        ids=["float", "float-inf", "str", "segment-zero", "segment-negative", "segment-float", "segment-bool"],
     )
-    def test_density_of_another_type_refused(self, r, got):
+    def test_density_of_another_type_refused(self, builds, r, message):
         # A float inf equals INFINITY but is not that object, so it is refused too.
         # A raw set is refused as it is built, not by the first decision on it.
-        for build in (mk_finite_type, FiniteType):
+        for build in builds:
             with pytest.raises(ValueError) as e:
-                build(r, P, False)
-            assert str(e.value) == f"density must be an int, a Fraction or a Surd, got {got}"
+                build(r)
+            assert str(e.value) == message
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_raw_set_refuses_the_infinite_density(self, strict):
