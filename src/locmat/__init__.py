@@ -4,7 +4,7 @@ algebra spectra."""
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .density import INFINITY, Density, Surd, cmp_density, format_density, parse_density
+from .density import INFINITY, Surd, cmp_density, format_density, parse_density
 from .saturated import (
     ALL_NATURALS,
     AllNaturals,
@@ -22,13 +22,10 @@ from .saturated import (
     max_element,
     mk_finite_type,
     mk_inf_type,
-    mk_segment,
     parse_set,
     r_sub,
-    union_chain,
 )
 from .steinitz import (
-    INF,
     ONE,
     ParseError,
     SteinitzNumber,

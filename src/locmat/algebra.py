@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .density import INFINITY, format_density, parse_density, scale_density
+from .density import INFINITY, cmp_density, format_density, parse_density, scale_density
 from .saturated import (
     InfType,
     SaturatedSet,
@@ -30,9 +30,7 @@ from .saturated import (
     max_element,
     mk_finite_type,
     mk_inf_type,
-    mk_segment,
     parse_set,
-    union_chain,
 )
 from .steinitz import (
     ONE,
@@ -41,11 +39,13 @@ from .steinitz import (
     _SMALL_PRIMES,
     _parse_at,
     _parse_int,
+    _positive_int,
     _Value,
     divide_by,
     mul_natural,
     omega_contains,
     parse as parse_steinitz,
+    ratio_if_connected,
     scale,
 )
 
@@ -90,11 +90,11 @@ class AlgebraDescriptor(_Value):
 
 def spec_matrix(n: int) -> AlgebraDescriptor:
     """The full matrix algebra of size n: spectrum {1, ..., n}."""
-    return AlgebraDescriptor(mk_segment(n))
+    return AlgebraDescriptor(Segment(n))
 
 
 def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
-    return mk_segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
+    return Segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
 
 
 def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:
@@ -123,8 +123,7 @@ def m_infinity(A: AlgebraDescriptor) -> AlgebraDescriptor:
 
 def matrix_over(A: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
     """M_n(A) for unital A: st multiplies by n."""
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
+    _positive_int("matrix size", n)
     return spec_unital(mul_natural(_require_st(A, "matrix_over"), n))
 
 
@@ -167,9 +166,7 @@ class Stage(_Value):
     __slots__ = __match_args__ = ("k", "s")
 
     def __init__(self, k: int, s: SteinitzNumber):
-        if k < 1:
-            raise ValueError(f"stage size must be positive, got {k}")
-        self._set("k", k)
+        self._set("k", _positive_int("stage size", k))
         self._set("s", s)
 
     @property
@@ -242,8 +239,7 @@ class ChainPresentation(_Value):
             raise ValueError("need exactly one quotient per consecutive stage pair")
         for i, q in enumerate(quotients):
             a, b = stages[i], stages[i + 1]
-            if q < 1:
-                raise ValueError(f"quotient must be positive, got {q}")
+            _positive_int("quotient", q)
             if mul_natural(b.s, q) != a.s:
                 raise ValueError(f"stage {i}: {a.s} != {q} * {b.s}")
             if a.k * q > b.k:
@@ -340,9 +336,7 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     an instance of r_s(b)*(c/b) <= r_s(c).  Segment and infinite-type
     spectra use the single-stage and growing-size constructions.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be positive, got {depth}")
-    if depth > _MAX_DEPTH:
+    if _positive_int("depth", depth) > _MAX_DEPTH:
         raise ValueError(f"depth must be at most {_MAX_DEPTH}, got {depth}")
     if isinstance(S, Segment):
         return ChainPresentation((Stage(S.n, ONE),), ())
@@ -368,10 +362,28 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
 
 def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     """Union of the stage spectra, with the declared tail: Spec of the
-    chain's union algebra.  The stages ascend, so their union is fixed by the
-    first stage, whose base the tail density is expressed at, and the last."""
-    ends = chain.stages[:1] + chain.stages[1:][-1:]
-    return union_chain([_unital_spectrum(st.number) for st in ends], chain.tail)
+    chain's union algebra.  The corner rule makes each stage number
+    n_i = (k_i*q_i/k_{i+1})*n_{i+1} a corner of the next, so the stages ascend
+    and the union is the last stage's spectrum, or the tail's limit, which
+    must contain it.  A tail density is expressed at the first stage's
+    number s_0; inf declares S(inf, s_0), which is N over natural stages."""
+    first, last = chain.stages[0].number, chain.stages[-1].number
+    tail = chain.tail
+    if tail is None:
+        return _unital_spectrum(last)
+    if tail.kind == "unbounded" or tail.r is INFINITY:
+        return mk_inf_type(first)
+    if first.is_natural:
+        raise ValueError("a density tail needs a chain of based sets")
+    if not first.is_infinity_free:  # every stage spectrum is S(inf, s_0)
+        raise ValueError("a density tail is inconsistent with an infinite-type prefix")
+    # The last spectrum, S(1, last), is closed and has the density last/s_0 at s_0.
+    c = cmp_density(ratio_if_connected(first, last), tail.r)
+    approached = tail.kind == "approached"
+    if c > 0 or (c == 0 and approached):
+        limit = f"S{'+' if approached else ''}({format_density(tail.r)}, {first})"
+        raise ValueError(f"prefix set {format_set(_unital_spectrum(last))} is not inside the tail limit {limit}")
+    return mk_finite_type(tail.r, first, approached)
 
 
 #: ``alg(<set>)`` with the spaces around it; the set runs to the last ``)``.

@@ -25,12 +25,12 @@ from .saturated import (
     format_set,
     mk_finite_type,
     mk_inf_type,
-    mk_segment,
     r_sub,
 )
 from .steinitz import (
     INF,
     SteinitzNumber,
+    _positive_int,
     _Value,
     divide_by,
     enumerate_omega,
@@ -199,8 +199,10 @@ def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) ->
 
     Samples up to ``budget`` members of each set and checks them against the
     other; membership of raw infinite-prime finite types is decided by
-    representation search.  True means no disagreement was found.
+    representation search.  True means no disagreement was found, so a
+    budget below 1, which samples nothing, is refused.
     """
+    _positive_int("budget", budget)
     for left, right in ((S1, S2), (S2, S1)):
         for t in sample_members(left, den_bound=256, limit=budget):
             if not _probe_contains(right, t):
@@ -413,8 +415,7 @@ def saturation_fuzz(S, trials: int = 1000, seed: int = 0) -> Report:
     ``S`` may also be a literal member collection; those get the axiom check
     only (there is no closed form to cross-check).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _positive_int("trials", trials)
     report = Report()
     is_canonical = isinstance(S, SaturatedSet)
     if not is_canonical:
@@ -463,8 +464,8 @@ def acceptance_corpus() -> list[tuple[str, SaturatedSet]]:
     sqrt2 = Surd.make(0, 1, 2, 1)
     sqrt5 = Surd.make(0, 1, 5, 1)
     return [
-        ("segment-4", mk_segment(4)),
-        ("segment-50", mk_segment(50)),
+        ("segment-4", Segment(4)),
+        ("segment-50", Segment(50)),
         ("naturals", ALL_NATURALS),
         ("inf-2adic", mk_inf_type(parse("2^inf"))),
         ("inf-2adic-3", mk_inf_type(parse("2^inf*3"))),

@@ -39,6 +39,7 @@ from .steinitz import (
     SteinitzNumber,
     _parse_at,
     _parse_int,
+    _positive_int,
     _ratio_pair,
     _Value,
     omega_contains,
@@ -63,11 +64,7 @@ class Segment(SaturatedSet):
     strict = False
 
     def __init__(self, n: int):
-        if type(n) is not int:
-            raise ValueError(f"segment length must be an int, got {n!r} ({type(n).__name__})")
-        if n < 1:
-            raise ValueError(f"segment length must be positive, got {n}")
-        self._set("n", n)
+        self._set("n", _positive_int("segment length", n))
         self._set("r", Fraction(n))
 
 
@@ -91,16 +88,24 @@ class InfType(SaturatedSet):
         self._set("base", base)
 
 
+def _finite_density(r: Fraction | Surd) -> Fraction | Surd:
+    """r, when it is an int (not a bool), a Fraction or a Surd: a finite
+    density that decisions read.  The float INFINITY is refused too."""
+    if type(r) is bool or not isinstance(r, (int, Fraction, Surd)):
+        raise ValueError(f"density must be an int, a Fraction or a Surd, got {r!r} ({type(r).__name__})")
+    return r
+
+
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
-    it normalizes nothing, but takes only a finite density of a type that
-    decisions read: S(inf, base) has one spelling, InfType."""
+    it normalizes nothing, but takes only a finite density of at least 1 and
+    of a type that decisions read: S(inf, base) has one spelling, InfType."""
 
     __slots__ = __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
-        if not isinstance(r, (int, Fraction, Surd)):
-            raise ValueError(f"density must be an int, a Fraction or a Surd, got {r!r} ({type(r).__name__})")
+        if cmp_density(_finite_density(r), _UNIT_DENSITY) < 0:
+            raise ValueError(f"density must be at least 1, got {format_density(r)}")
         self._set("r", r)
         self._set("base", base)
         self._set("strict", strict)
@@ -109,10 +114,6 @@ class FiniteType(SaturatedSet):
 ALL_NATURALS = AllNaturals()
 #: The least finite-type density, and the density of a unital algebra's spectrum.
 _UNIT_DENSITY = Fraction(1)
-
-
-def mk_segment(n: int) -> SaturatedSet:
-    return Segment(n)
 
 
 def mk_inf_type(s: SteinitzNumber) -> SaturatedSet:
@@ -135,10 +136,8 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
         return mk_inf_type(s)
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
-    S = FiniteType(Fraction(r) if isinstance(r, int) else r, s, strict)  # which checks the density's type
+    S = FiniteType(Fraction(r) if type(r) is int else r, s, strict)  # which checks the density
     r = S.r  # an int density answers as the Fraction it equals
-    if cmp_density(r, _UNIT_DENSITY) < 0:
-        raise ValueError(f"density must be at least 1, got {format_density(r)}")
     if not s.is_infinity_free:
         return InfType(s)
     if strict and (isinstance(r, Surd) or not omega_contains(s, r.denominator)):
@@ -273,34 +272,7 @@ class TailRule(_Value):
         if r is not None and kind == "unbounded":
             raise ValueError("an unbounded tail takes no density")
         self._set("kind", kind)
-        self._set("r", r)
-
-
-def union_chain(prefix: list[SaturatedSet], tail: TailRule | None = None) -> SaturatedSet:
-    """Union of an ascending chain given a finite prefix and a declared tail.
-
-    A density tail of inf declares S(inf, base), which is N over natural sets;
-    a finite one needs based sets, none of infinite type, each inside the raw
-    limit: the prefix ascends, so the last set alone is tested."""
-    if not prefix:
-        raise ValueError("empty chain prefix")
-    for a, b in zip(prefix, prefix[1:]):
-        if not _included(a, b):
-            raise ValueError(f"chain prefix is not ascending at {format_set(a)} vs {format_set(b)}")
-    if tail is None:
-        return prefix[-1]
-    base = prefix[0].base
-    if tail.kind == "unbounded" or tail.r is INFINITY:
-        return mk_inf_type(base)
-    if base.is_natural:
-        raise ValueError("a density tail needs a chain of based sets")
-    last = prefix[-1]
-    if last.r is INFINITY:
-        raise ValueError("a density tail is inconsistent with an infinite-type prefix")
-    limit = FiniteType(tail.r, base, tail.kind == "approached")
-    if not _included(last, limit):
-        raise ValueError(f"prefix set {format_set(last)} is not inside the tail limit {format_set(limit)}")
-    return mk_finite_type(limit.r, base, limit.strict)
+        self._set("r", r if r is None or r is INFINITY else _finite_density(r))
 
 
 def format_set(S: SaturatedSet) -> str:
@@ -337,7 +309,7 @@ def parse_set(text: str) -> SaturatedSet:
         n_pos = m.start("n")
         n = _parse_int(m["n"], n_pos)
         try:
-            return mk_segment(n)
+            return Segment(n)
         except ValueError as e:
             raise ParseError(str(e), n_pos) from None
     if m["bad"] is not None:

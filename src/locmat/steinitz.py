@@ -99,6 +99,18 @@ def _parse_int(text: str, pos: int) -> int:
         raise ParseError(f"malformed integer {text!r}", pos) from None
 
 
+def _positive_int(name: str, v: int) -> int:
+    """v, when it is an int of at least 1: the one check of a count argument.
+    A bool is refused, though Python counts it as an int.  The membership-test
+    primitives ``mul_natural``, ``divide_by`` and ``omega_contains`` compare
+    inline instead, as a call here costs a frame on every membership test."""
+    if type(v) is not int:
+        raise ValueError(f"{name} must be an int, got {v!r} ({type(v).__name__})")
+    if v < 1:
+        raise ValueError(f"{name} must be positive, got {v}")
+    return v
+
+
 _TRIAL_LIMIT = 1000
 _sieve = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_LIMIT - 2)  # Eratosthenes: 1 marks a prime
 for _p in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
@@ -387,9 +399,7 @@ class SteinitzNumber:
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":
         """The natural number n viewed as a Steinitz number."""
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        return _coset(ONE, n, 1)
+        return _coset(ONE, _positive_int("n", n), 1)
 
     @property
     def default(self) -> Exponent:
@@ -664,8 +674,7 @@ def iter_omega(s: SteinitzNumber, bound: int) -> Iterator[int]:
     """The n <= bound dividing s, ascending and lazily: each n is tested
     only when the caller asks for the next one, so a sweep that stops early
     tests no n past where it stopped.  The bound is checked at the call."""
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+    _positive_int("bound", bound)
     return (n for n in range(1, bound + 1) if omega_contains(s, n))
 
 

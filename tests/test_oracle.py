@@ -27,10 +27,10 @@ from locmat.oracle import (
 )
 from locmat.saturated import (
     InfType,
+    Segment,
     contains,
     mk_finite_type,
     mk_inf_type,
-    mk_segment,
     r_sub,
 )
 from locmat.steinitz import SteinitzNumber, divide_by, enumerate_omega, mul_natural, parse, ratio_if_connected, scale
@@ -51,7 +51,7 @@ class TestEnumerateMembers:
 
     def test_segment_window(self):
         w = EnumWindow(numerator_bound=10)
-        assert [r for r, _ in enumerate_members(mk_segment(4), w)] == [1, 2, 3, 4]
+        assert [r for r, _ in enumerate_members(Segment(4), w)] == [1, 2, 3, 4]
 
     def test_strict_boundary(self):
         w = EnumWindow(numerator_bound=8, denominator_bound=6)
@@ -263,7 +263,7 @@ class TestRebasedClosedForm:
                     assert closed == r_sub_brute(S, t, b, 3 * b0 * b + 80), (S, t, b)
 
     def test_segment_closed_form_matches_brute_at_non_base_members(self):
-        S = mk_segment(36)
+        S = Segment(36)
         for t in (SteinitzNumber.from_int(12), SteinitzNumber.from_int(30)):
             for b in enumerate_omega(t, 40):
                 assert r_sub(S, t, b) == r_sub_brute(S, t, b, 200)

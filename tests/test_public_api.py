@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,31 +29,46 @@ from locmat import (
     InfType,
     Segment,
     Stage,
+    SteinitzNumber,
     Surd,
     TailRule,
+    enumerate_omega,
+    equals_extensional,
+    matrix_over,
+    mk_finite_type,
     parse,
+    realize,
+    spec_unital,
 )
-from locmat.oracle import CheckResult, EnumWindow, Report
+from locmat.oracle import CheckResult, EnumWindow, Report, saturation_fuzz
 
 PUBLIC_NAMES = {
     "ALL_NATURALS", "AlgebraDescriptor", "AllNaturals", "AxiomViolation", "ChainPresentation",
-    "Density", "FiniteMatrixChain", "FiniteType", "INF", "INFINITY", "Inclusion",
+    "FiniteMatrixChain", "FiniteType", "INFINITY", "Inclusion",
     "InfType", "ONE", "ParseError", "SaturatedSet", "Segment", "Stage", "SteinitzNumber", "Surd",
     "TailRule", "check_saturation_axioms", "cmp_density",
     "compare_inclusion", "contains", "corner", "density", "divide_by", "divides",
     "embeds_as_approximative_corner", "enumerate_omega", "equals_extensional", "equals_formal",
     "format_density", "format_set",
     "is_unital", "isomorphic", "lcm", "m_infinity", "matrix_over", "max_element",
-    "mk_finite_type", "mk_inf_type", "mk_segment", "mul_natural",
+    "mk_finite_type", "mk_inf_type", "mul_natural",
     "omega_contains", "parse", "parse_density", "parse_descriptor", "parse_scaled", "parse_set",
     "r_sub", "ratio_if_connected", "realize", "sample_members", "scale",
-    "spec_matrix", "spec_unital", "spectrum_of_chain", "union_chain",
+    "spec_matrix", "spec_unital", "spectrum_of_chain",
 }
 
 
 def test_exported_names_are_pinned():
     exported = {n for n in dir(locmat) if not n.startswith("_") and not inspect.ismodule(getattr(locmat, n))}
     assert exported == PUBLIC_NAMES
+
+
+def test_no_two_exported_names_share_an_object():
+    # One name per concept: a second name bound to the same object is a second spelling.
+    names_by_object = {}
+    for name in locmat.__all__:
+        names_by_object.setdefault(id(getattr(locmat, name)), []).append(name)
+    assert [names for names in names_by_object.values() if len(names) > 1] == []
 
 
 # Run in a fresh interpreter: a star import, then the submodules, then what
@@ -173,3 +189,31 @@ def test_report_is_mutable_and_unhashable():
     assert a == b and repr(a) == "Report(results=[CheckResult(ok=True, name='x', witness='')])"
     with pytest.raises(TypeError):
         hash(a)
+
+
+_S32 = mk_finite_type(Fraction(3, 2), parse("P"))
+#: Each count argument, by the name its refusal gives it, and a call that passes it.
+_COUNTS = {
+    "segment length": Segment,
+    "stage size": lambda v: Stage(v, parse("P")),
+    "quotient": lambda v: ChainPresentation((Stage(1, parse("P")), Stage(1, parse("P"))), (v,)),
+    "matrix size": lambda v: matrix_over(spec_unital(parse("P")), v),
+    "depth": lambda v: realize(_S32, depth=v),
+    "trials": lambda v: saturation_fuzz(_S32, trials=v),
+    "n": SteinitzNumber.from_int,
+    "bound": lambda v: enumerate_omega(parse("P"), v),
+    "budget": lambda v: equals_extensional(_S32, mk_finite_type(Fraction(2), parse("P")), v),
+}
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+@pytest.mark.parametrize("value", [0, -1, True, 2.5, None], ids=["zero", "negative", "bool", "float", "none"])
+def test_every_count_argument_has_one_contract(name, value):
+    # A count is an int of at least 1; a bool is refused, though Python counts it
+    # as an int.  A budget of 0 would sample nothing and call S(3/2, P) and S(2, P) equal.
+    if type(value) is int:
+        message = f"{name} must be positive, got {value}"
+    else:
+        message = f"{name} must be an int, got {value!r} ({type(value).__name__})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _COUNTS[name](value)

@@ -2,14 +2,15 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locmat import oracle, steinitz
+from locmat.algebra import ChainPresentation, Stage, realize, spec_unital, spectrum_of_chain
 from locmat.density import INFINITY, Surd, cmp_density, floor_times, scale_density
 from locmat.oracle import _existential_contains, check_saturation_axioms, equals_extensional, sample_members
 from locmat.saturated import (
@@ -28,10 +29,8 @@ from locmat.saturated import (
     max_element,
     mk_finite_type,
     mk_inf_type,
-    mk_segment,
     parse_set,
     r_sub,
-    union_chain,
 )
 from locmat.steinitz import (
     INF,
@@ -102,13 +101,20 @@ class TestConstructors:
             (_FINITE_TYPE_BUILDS, 2.5, "density must be an int, a Fraction or a Surd, got 2.5 (float)"),
             (_FINITE_TYPE_BUILDS, float("inf"), "density must be an int, a Fraction or a Surd, got inf (float)"),
             (_FINITE_TYPE_BUILDS, "3/2", "density must be an int, a Fraction or a Surd, got '3/2' (str)"),
+            (_FINITE_TYPE_BUILDS, True, "density must be an int, a Fraction or a Surd, got True (bool)"),
+            (_FINITE_TYPE_BUILDS, 0, "density must be at least 1, got 0"),
+            (_FINITE_TYPE_BUILDS, -1, "density must be at least 1, got -1"),
+            (_FINITE_TYPE_BUILDS, Fraction(1, 2), "density must be at least 1, got 1/2"),
             # A segment's density is its length n: [1..n] = S(n, 1).
-            ((mk_segment, Segment), 0, "segment length must be positive, got 0"),
-            ((mk_segment, Segment), -2, "segment length must be positive, got -2"),
-            ((mk_segment, Segment), 2.5, "segment length must be an int, got 2.5 (float)"),
-            ((mk_segment, Segment), True, "segment length must be an int, got True (bool)"),
+            ((Segment,), 0, "segment length must be positive, got 0"),
+            ((Segment,), -2, "segment length must be positive, got -2"),
+            ((Segment,), 2.5, "segment length must be an int, got 2.5 (float)"),
+            ((Segment,), True, "segment length must be an int, got True (bool)"),
         ],
-        ids=["float", "float-inf", "str", "segment-zero", "segment-negative", "segment-float", "segment-bool"],
+        ids=[
+            "float", "float-inf", "str", "bool", "zero", "negative", "half",
+            "segment-zero", "segment-negative", "segment-float", "segment-bool",
+        ],
     )
     def test_density_of_another_type_refused(self, builds, r, message):
         # A float inf equals INFINITY but is not that object, so it is refused too.
@@ -125,7 +131,7 @@ class TestConstructors:
             FiniteType(INFINITY, P, strict)
 
     def test_segment_builds_its_density_once(self):
-        S = mk_segment(3)
+        S = Segment(3)
         assert S.r is S.r and type(S.r) is Fraction and S.r == 3
         assert copy.copy(S).r == pickle.loads(pickle.dumps(S)).r == 3
 
@@ -136,9 +142,9 @@ class TestConstructors:
 
 class TestContains:
     def test_segment(self):
-        assert contains(mk_segment(4), SteinitzNumber.from_int(3))
-        assert not contains(mk_segment(4), SteinitzNumber.from_int(5))
-        assert not contains(mk_segment(4), P)
+        assert contains(Segment(4), SteinitzNumber.from_int(3))
+        assert not contains(Segment(4), SteinitzNumber.from_int(5))
+        assert not contains(Segment(4), P)
 
     def test_all_naturals(self):
         assert contains(ALL_NATURALS, SteinitzNumber.from_int(10**9))
@@ -177,7 +183,7 @@ class TestRebase:
         with pytest.raises(ValueError, match=r"^2\^2\*P is not a member of S\(3/2, P\)$"):
             density(S32, parse_scaled("(2/1)*P"))
 
-    @pytest.mark.parametrize("S", [mk_segment(5), ALL_NATURALS], ids=["segment", "naturals"])
+    @pytest.mark.parametrize("S", [Segment(5), ALL_NATURALS], ids=["segment", "naturals"])
     def test_natural_base_refused(self, S):
         # Every member of a set over the base 1 is natural, so none has a density.
         with pytest.raises(ValueError, match=r"^density is defined at infinite members only, got 3$"):
@@ -196,7 +202,7 @@ class TestDensity:
 
     def test_natural_member_rejected(self):
         with pytest.raises(ValueError):
-            density(mk_segment(5), SteinitzNumber.from_int(3))
+            density(Segment(5), SteinitzNumber.from_int(3))
 
 
 class TestEqualsFormal:
@@ -207,11 +213,11 @@ class TestEqualsFormal:
         assert not equals_formal(S32, S32_STRICT)
 
     def test_reflexive(self):
-        for S in (S32, S32_STRICT, SSQRT2, mk_segment(7), ALL_NATURALS, mk_inf_type(P)):
+        for S in (S32, S32_STRICT, SSQRT2, Segment(7), ALL_NATURALS, mk_inf_type(P)):
             assert equals_formal(S, S)
 
     def test_cross_kind(self):
-        assert not equals_formal(mk_segment(3), ALL_NATURALS)
+        assert not equals_formal(Segment(3), ALL_NATURALS)
         assert not equals_formal(mk_inf_type(P), S32)
 
     def test_surd_vs_rational_density(self):
@@ -229,12 +235,12 @@ class TestCompareInclusion:
         assert compare_inclusion(mk_inf_type(parse("2^inf")), mk_inf_type(P)) == Inclusion.DISJOINT
 
     def test_segments(self):
-        assert compare_inclusion(mk_segment(3), mk_segment(5)) == Inclusion.LEFT_IN_RIGHT
-        assert compare_inclusion(mk_segment(5), mk_segment(5)) == Inclusion.EQUAL
-        assert compare_inclusion(ALL_NATURALS, mk_segment(5)) == Inclusion.RIGHT_IN_LEFT
+        assert compare_inclusion(Segment(3), Segment(5)) == Inclusion.LEFT_IN_RIGHT
+        assert compare_inclusion(Segment(5), Segment(5)) == Inclusion.EQUAL
+        assert compare_inclusion(ALL_NATURALS, Segment(5)) == Inclusion.RIGHT_IN_LEFT
 
     def test_natural_vs_based_disjoint(self):
-        assert compare_inclusion(mk_segment(5), mk_inf_type(P)) == Inclusion.DISJOINT
+        assert compare_inclusion(Segment(5), mk_inf_type(P)) == Inclusion.DISJOINT
 
     def test_finite_inside_infinite(self):
         assert compare_inclusion(S32, mk_inf_type(P)) == Inclusion.LEFT_IN_RIGHT
@@ -259,7 +265,7 @@ class TestRSub:
         assert r_sub(ALL_NATURALS, SteinitzNumber.from_int(6), 2) is INFINITY
 
     def test_segment(self):
-        assert r_sub(mk_segment(7), SteinitzNumber.from_int(6), 2) == 2
+        assert r_sub(Segment(7), SteinitzNumber.from_int(6), 2) == 2
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -270,7 +276,7 @@ class TestRSub:
 
 class TestMaxElement:
     def test_segment(self):
-        assert max_element(mk_segment(7)) == SteinitzNumber.from_int(7)
+        assert max_element(Segment(7)) == SteinitzNumber.from_int(7)
 
     def test_attained_closed_bound(self):
         assert max_element(S32) == mul_natural(divide_by(P, 2), 3)
@@ -291,41 +297,48 @@ class TestMaxElement:
 
 
 class TestUnionChain:
+    # The union of a chain's stage spectra: (k, s) stages build M_k(A_s), whose
+    # spectrum is S(1, k*s), and HALF_P*3 = (3/2)*P.
     def test_finite_prefix(self):
-        assert union_chain([S1, S32]) == S32
+        chain = ChainPresentation((Stage(2, HALF_P), Stage(3, HALF_P)), (1,))
+        assert equals_formal(spectrum_of_chain(chain), S32)
 
     def test_approached_tail(self):
-        assert union_chain([S1], TailRule("approached", Fraction(2))) == mk_finite_type(Fraction(2), P, True)
+        chain = ChainPresentation((Stage(1, P),), (), TailRule("approached", Fraction(2)))
+        assert spectrum_of_chain(chain) == mk_finite_type(Fraction(2), P, True)
 
     def test_unbounded_tail(self):
-        assert union_chain([S1], TailRule("unbounded")) == InfType(P)
+        assert spectrum_of_chain(ChainPresentation((Stage(1, P),), (), TailRule("unbounded"))) == InfType(P)
 
     def test_segments_to_naturals(self):
-        assert union_chain([mk_segment(1), mk_segment(4)], TailRule("unbounded")) == ALL_NATURALS
+        chain = ChainPresentation((Stage(1, ONE), Stage(4, ONE)), (1,), TailRule("unbounded"))
+        assert spectrum_of_chain(chain) is ALL_NATURALS
 
     def test_non_ascending_rejected(self):
-        with pytest.raises(ValueError):
-            union_chain([S32, S1])
+        # Ends S(3/2, P) then S(1, P): the corner rule refuses the chain as it is built.
+        with pytest.raises(ValueError, match=r"^stage 0: corner inequality 3\*1 <= 2 fails$"):
+            ChainPresentation((Stage(3, HALF_P), Stage(2, HALF_P)), (1,))
 
     def test_tail_below_prefix_rejected(self):
+        # A tail density is expressed at the first stage's number, here P.
+        stages = (Stage(2, HALF_P), Stage(3, HALF_P))
         with pytest.raises(ValueError):
-            union_chain([S32], TailRule("attained", Fraction(1)))
+            spectrum_of_chain(ChainPresentation(stages, (1,), TailRule("attained", Fraction(1))))
         with pytest.raises(ValueError):
-            union_chain([S32], TailRule("approached", Fraction(3, 2)))
+            spectrum_of_chain(ChainPresentation(stages, (1,), TailRule("approached", Fraction(3, 2))))
 
     def test_tail_below_prefix_names_the_last_set(self):
-        # The prefix ascends, so the last set is the one tested against the tail.
-        with pytest.raises(ValueError, match=r"^prefix set S\(3/2, P\) is not inside the tail limit S\(1/2, P\)$"):
-            union_chain([S1, S32], TailRule("attained", Fraction(1, 2)))
-
-    def test_empty_prefix_refused(self):
-        with pytest.raises(ValueError, match="^empty chain prefix$"):
-            union_chain([])
+        # The stages ascend, so the last one is tested against the tail, and a
+        # limit of density below 1 is named without being built.
+        chain = ChainPresentation((Stage(2, HALF_P), Stage(3, HALF_P)), (1,), TailRule("attained", Fraction(1, 2)))
+        message = r"^prefix set S\(1, 2\^0\*3\^2\*P\) is not inside the tail limit S\(1/2, P\)$"
+        with pytest.raises(ValueError, match=message):
+            spectrum_of_chain(chain)
 
 
 class TestSaturationAxioms:
     def test_canonical_sets_pass(self):
-        for S in (S32, S32_STRICT, SSQRT2, mk_segment(9), ALL_NATURALS, mk_inf_type(parse("2^inf"))):
+        for S in (S32, S32_STRICT, SSQRT2, Segment(9), ALL_NATURALS, mk_inf_type(parse("2^inf"))):
             assert check_saturation_axioms(S, samples=400, seed=3) is None
 
     def test_raw_strict_surd_passes(self):
@@ -364,7 +377,7 @@ class TestCollapseProbe:
 
 class TestText:
     def test_canonical_roundtrips(self):
-        for S in (mk_segment(4), ALL_NATURALS, mk_inf_type(parse("2^inf")), S32, S32_STRICT, SSQRT2):
+        for S in (Segment(4), ALL_NATURALS, mk_inf_type(parse("2^inf")), S32, S32_STRICT, SSQRT2):
             assert parse_set(format_set(S)) == S
 
     def test_normalizing_parse(self):
@@ -376,7 +389,7 @@ BASES = [P, parse("P^1*2^3"), parse("P^2"), parse("2^inf"), parse("2^inf*3")]
 DENSITIES = [Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(5, 2), SQRT2, SQRT5]
 
 saturated_sets = st.one_of(
-    st.builds(mk_segment, st.integers(min_value=1, max_value=40)),
+    st.builds(Segment, st.integers(min_value=1, max_value=40)),
     st.just(ALL_NATURALS),
     st.builds(mk_inf_type, st.sampled_from(BASES)),
     st.builds(mk_finite_type, st.sampled_from(DENSITIES), st.sampled_from(BASES), st.booleans()),
@@ -480,7 +493,7 @@ def test_max_element_dominates_members(S):
             assert q <= 1
 
 
-natural_sets = st.one_of(st.builds(mk_segment, st.integers(min_value=1, max_value=60)), st.just(ALL_NATURALS))
+natural_sets = st.one_of(st.builds(Segment, st.integers(min_value=1, max_value=60)), st.just(ALL_NATURALS))
 
 
 def _top(S):
@@ -508,45 +521,56 @@ def test_natural_sets_match_integer_arithmetic(Sa, Sb, m, b):
     assert compare_inclusion(Sa, S32) is Inclusion.DISJOINT
 
 
-# union_chain against the rule it has always applied to a density tail: each
-# prefix set's density, rebased to the base of the first set, must lie below
-# the declared density (or equal it, unless a closed set meets an approached
-# tail), and an infinite-type prefix admits no density tail.
-CHAIN_BASES = [P, parse("2^3*P"), HALF_P, parse("2^inf*3")]
+# Chains over a base s: quotients q_i, then s_i = q_i*s_{i+1} back from the
+# last stage s, then sizes with k_i*q_i <= k_{i+1}.  The bases are natural,
+# infinity-free, or 2^inf*3, whose unital spectra collapse to S(inf, .).
+CHAIN_BASES = ["1", "2*3", "P", "2^3*P", "(1/2)*P", "2^inf*3"]
 CHAIN_DENSITIES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3), SQRT2, SQRT5]
 
 
-@st.composite
-def chain_sets(draw):
-    shape = draw(st.sampled_from(["segment", "inf-type", "normalized", "raw", "normalized", "raw"]))
-    if shape == "segment":
-        return mk_segment(draw(st.integers(min_value=1, max_value=6)))
-    base = draw(st.sampled_from(CHAIN_BASES))
-    if shape == "inf-type":
-        return mk_inf_type(base)
-    make = mk_finite_type if shape == "normalized" else FiniteType
-    return make(draw(st.sampled_from(CHAIN_DENSITIES)), base, draw(st.booleans()))
+def arbitrary_stages(rng, base):
+    quotients = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(0, 3)))
+    numbers = [parse_scaled(base)]
+    for q in reversed(quotients):
+        numbers.insert(0, mul_natural(numbers[0], q))
+    sizes = [rng.randint(1, 4)]
+    for q in quotients:
+        sizes.append(sizes[-1] * q + rng.choice((0, 0, 1, 2)))
+    return tuple(map(Stage, sizes, numbers)), quotients
+
+
+def seeded_chains(rng, count):
+    tails = [None, TailRule("unbounded"), TailRule("attained", Fraction(3)), TailRule("approached", Fraction(2))]
+    return [ChainPresentation(*arbitrary_stages(rng, rng.choice(CHAIN_BASES)), rng.choice(tails)) for _ in range(count)]
+
+
+#: A seeded set of chains, with and without a tail, and the realized chains of the acceptance corpus.
+CHAINS = seeded_chains(random.Random(20261020), 300) + [realize(S) for _, S in oracle.acceptance_corpus()]
+
+
+def test_chain_ends_ascend():
+    # The stage number n_i = k_i*s_i is (k_i*q_i/k_{i+1})*n_{i+1}, a ratio at
+    # most 1 whose denominator divides k_{i+1}, so n_{i+1}: n_i is a corner of
+    # n_{i+1}.  So the first stage's spectrum lies inside the last stage's,
+    # and spectrum_of_chain tests no ascent.
+    for chain in CHAINS:
+        first, last = (spec_unital(stage.number).spectrum for stage in (chain.stages[0], chain.stages[-1]))
+        assert compare_inclusion(first, last) in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT), chain
 
 
 # (kind, r) pairs, a kind of None meaning no tail; the test builds the TailRule.
 # r is None for some draws, so that an unbounded tail is also accepted.
 chain_tails = st.tuples(
     st.sampled_from([None, "attained", "approached", "attained", "approached", "unbounded", "spiral"]),
-    st.sampled_from(CHAIN_DENSITIES + [INFINITY, None]),
+    st.sampled_from(CHAIN_DENSITIES + [Fraction(1, 2), INFINITY, None]),
 )
 
 
-def _inclusion_order(a, b):
-    return {Inclusion.LEFT_IN_RIGHT: -1, Inclusion.RIGHT_IN_LEFT: 1}.get(compare_inclusion(a, b), 0)
-
-
-# Half the prefixes are sorted by inclusion, so that many chains ascend.
-_chain_lists = st.lists(chain_sets(), min_size=1, max_size=3)
-chain_prefixes = st.one_of(_chain_lists, _chain_lists.map(lambda xs: sorted(xs, key=cmp_to_key(_inclusion_order))))
-
-
 def union_by_rebased_densities(prefix, kind, r):
-    """The union the chain declares, or None when it is rejected."""
+    """The union the chain declares, or None when it is rejected: each prefix
+    set's density, rebased to the base of the first set, must lie below the
+    declared density (or equal it, unless a closed set meets an approached
+    tail), and an infinite-type prefix admits no density tail."""
     for a, b in zip(prefix, prefix[1:]):
         if compare_inclusion(a, b) not in (Inclusion.EQUAL, Inclusion.LEFT_IN_RIGHT):
             return None
@@ -572,24 +596,33 @@ def union_by_rebased_densities(prefix, kind, r):
 
 
 @settings(max_examples=400, deadline=None)
-@given(chain_prefixes, chain_tails)
-@example([mk_segment(3)], ("attained", INFINITY))
-@example([mk_segment(3)], ("approached", INFINITY))
-def test_union_chain_matches_rebased_density_rule(prefix, tail):
+@given(st.sampled_from(CHAIN_BASES), st.integers(min_value=0), chain_tails)
+@example("2*3", 0, ("attained", INFINITY))
+@example("2*3", 0, ("approached", INFINITY))
+def test_union_chain_matches_rebased_density_rule(base, seed, tail):
     kind, r = tail
-    want = union_by_rebased_densities(prefix, kind, r)
+    stages, quotients = arbitrary_stages(random.Random(seed), base)
+    want = union_by_rebased_densities([spec_unital(stage.number).spectrum for stage in stages], kind, r)
+
+    def union():
+        return spectrum_of_chain(ChainPresentation(stages, quotients, None if kind is None else TailRule(kind, r)))
+
     if want is None:
         with pytest.raises(ValueError):
-            union_chain(prefix, None if kind is None else TailRule(kind, r))
+            union()
     else:
-        assert union_chain(prefix, None if kind is None else TailRule(kind, r)) == want
+        assert union() == want
 
 
 @pytest.mark.parametrize("kind", ["attained", "approached"])
-@pytest.mark.parametrize("prefix", [[S1], [S1, S32], [mk_inf_type(P)]], ids=["one", "two", "inf-type"])
-def test_union_chain_density_tail_without_density(kind, prefix):
+@pytest.mark.parametrize(
+    "stages",
+    [(Stage(1, P),), (Stage(1, P), Stage(2, P)), (Stage(1, parse("2^inf*3")),)],
+    ids=["one", "two", "inf-type"],
+)
+def test_union_chain_density_tail_without_density(kind, stages):
     with pytest.raises(ValueError, match="density"):
-        union_chain(prefix, TailRule(kind))
+        spectrum_of_chain(ChainPresentation(stages, (1,) * (len(stages) - 1), TailRule(kind)))
 
 
 # sample_members against the sweep it has always defined: Omega(base) listed
@@ -625,7 +658,7 @@ def sample_by_definition(S, den_bound, limit):
 
 
 sampled_sets = st.one_of(
-    st.builds(mk_segment, st.integers(min_value=1, max_value=60)),
+    st.builds(Segment, st.integers(min_value=1, max_value=60)),
     st.just(ALL_NATURALS),
     st.builds(mk_inf_type, st.sampled_from(SAMPLE_BASES)),
     st.builds(mk_finite_type, st.sampled_from(DENSITIES), st.sampled_from(SAMPLE_BASES), st.booleans()),
@@ -705,7 +738,7 @@ def test_sample_members_at_default_inf_builds_only_unabsorbed_numerators(monkeyp
 @pytest.mark.parametrize(
     "S",
     [S32, mk_finite_type(Fraction(3, 2), P, True), mk_finite_type(Surd.make(1, 1, 2, 1), parse("P^2*2^3"), False),
-     mk_inf_type(P), mk_segment(40)],
+     mk_inf_type(P), Segment(40)],
     ids=["closed", "strict", "surd", "inf-type", "segment"],
 )
 def test_sample_members_over_an_infinity_free_base_hashes_nothing(monkeypatch, S):
@@ -722,7 +755,7 @@ def test_sample_members_over_an_infinity_free_base_hashes_nothing(monkeypatch, S
     members = sample_members(S, den_bound=256, limit=100)
     assert hashes == []
     monkeypatch.undo()
-    assert len(members) == len(set(members)) == (40 if S == mk_segment(40) else 100)
+    assert len(members) == len(set(members)) == (40 if S == Segment(40) else 100)
 
 
 def test_representation_search_stops_at_the_first_representation(omega_tests):

@@ -52,7 +52,7 @@ def _density(rng: random.Random):
 def _set(rng: random.Random) -> tuple[str, locmat.SaturatedSet]:
     pick = rng.random()
     if pick < 0.05:
-        return "segment", locmat.mk_segment(rng.randint(1, 60))
+        return "segment", locmat.Segment(rng.randint(1, 60))
     if pick < 0.08:
         return "naturals", locmat.ALL_NATURALS
     if pick < 0.25:
@@ -82,9 +82,9 @@ def _rebased(S: locmat.SaturatedSet, b: int) -> locmat.SaturatedSet:
 def _partners(rng: random.Random, kind: str, S: locmat.SaturatedSet):
     """An equal set and a different one (larger, or over another class)."""
     if kind == "segment":
-        return locmat.mk_segment(S.n), locmat.mk_segment(S.n + rng.randint(1, 3))
+        return locmat.Segment(S.n), locmat.Segment(S.n + rng.randint(1, 3))
     if kind == "naturals":
-        return S, locmat.mk_segment(rng.randint(1, 60))
+        return S, locmat.Segment(rng.randint(1, 60))
     b = rng.choice(enumerate_omega(S.base, 12))
     equal = locmat.mk_inf_type(S.base) if kind == "raw" and rng.random() < 0.5 else _rebased(S, b)
     if rng.random() < 0.5:
