@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .density import INFINITY, cmp_density, format_density, parse_density, scale_density
+from .density import INFINITY, cmp_ratio, format_density, parse_density, scale_density
 from .saturated import (
     InfType,
     SaturatedSet,
@@ -23,7 +23,7 @@ from .saturated import (
     TailRule,
     _UNIT_DENSITY,
     _floor_count,
-    _has_max,
+    _max_offset,
     _included,
     equals_formal,
     format_set,
@@ -40,12 +40,13 @@ from .steinitz import (
     _parse_at,
     _parse_int,
     _positive_int,
+    _ratio_pair,
+    _rational_parts,
     _Value,
     divide_by,
     mul_natural,
     omega_contains,
     parse as parse_steinitz,
-    ratio_if_connected,
     scale,
 )
 
@@ -133,11 +134,11 @@ def corner(A: AlgebraDescriptor, q: Fraction) -> AlgebraDescriptor:
     Requires 0 < q <= 1 with the reduced denominator dividing st(A).
     """
     s = _require_st(A, "corner")
-    q = Fraction(q)
-    if not 0 < q <= 1:
+    n, d = _rational_parts("relative rank", q)
+    if not 0 < n <= d:
         raise ValueError(f"relative rank must be in (0, 1], got {q}")
-    if not omega_contains(s, q.denominator):
-        raise ValueError(f"denominator {q.denominator} is not in Omega({s})")
+    if not omega_contains(s, d):
+        raise ValueError(f"denominator {d} is not in Omega({s})")
     return spec_unital(scale(s, q))
 
 
@@ -145,7 +146,7 @@ def is_unital(A: AlgebraDescriptor) -> bool:
     """Unital iff the spectrum has a largest element (segment, or closed
     rational bound attained at the base), or normalization collapsed the
     spectrum of a unital algebra: the two facts ``st`` reads."""
-    return A.collapsed or _has_max(A.spectrum)
+    return A.collapsed or _max_offset(A.spectrum) is not None
 
 
 def isomorphic(A: AlgebraDescriptor, B: AlgebraDescriptor) -> bool:
@@ -348,8 +349,9 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
         divisor_chain = _default_divisor_chain(base, depth)
     if not divisor_chain:
         raise ValueError("empty divisor chain")
+    divisor_chain = [_positive_int("divisor", b) for b in divisor_chain]
     # Stage rejects a size of 0 (S+(1, s) at b = 1), before b1/k1 below; divide_by
-    # rejects a divisor outside Omega(base), zero and negatives included.
+    # rejects a divisor outside Omega(base).
     stages = tuple(Stage(_floor_count(S.r, S.strict, b), divide_by(base, b)) for b in divisor_chain)
     for b, c in zip(divisor_chain, divisor_chain[1:]):
         if c % b != 0:
@@ -378,7 +380,7 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     if not first.is_infinity_free:  # every stage spectrum is S(inf, s_0)
         raise ValueError("a density tail is inconsistent with an infinite-type prefix")
     # The last spectrum, S(1, last), is closed and has the density last/s_0 at s_0.
-    c = cmp_density(ratio_if_connected(first, last), tail.r)
+    c = cmp_ratio(*_ratio_pair(first, last), tail.r)
     approached = tail.kind == "approached"
     if c > 0 or (c == 0 and approached):
         limit = f"S{'+' if approached else ''}({format_density(tail.r)}, {first})"

@@ -113,16 +113,16 @@ def _parts(r: int | Fraction | Surd) -> tuple[int, int, int, int]:
     return r.numerator, 0, 1, r.denominator
 
 
-def cmp_density(a: Density, b: Density) -> int:
-    """Three-way comparison across all density kinds (INFINITY is largest)."""
+def _cmp_scaled(a: Density, b: Density, n: int, d: int) -> int:
+    """Sign of a - b*n/d for ints n, d > 0: b's parts scale to (x*n, y*n, D, z*d), unreduced."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return _sign(a.numerator * b.denominator - b.numerator * a.denominator)
+        return _sign(a.numerator * b.denominator * d - b.numerator * n * a.denominator)
     if a is INFINITY or b is INFINITY:
         return (a is INFINITY) - (b is INFINITY)
     x1, y1, d1, z1 = _parts(a)
     x2, y2, d2, z2 = _parts(b)
-    # a - b has the sign of r + p*sqrt(d1) - q*sqrt(d2), with p, q >= 0.
-    r, p, q = x1 * z2 - x2 * z1, y1 * z2, y2 * z1
+    # a - b*n/d has the sign of r + p*sqrt(d1) - q*sqrt(d2), with p, q >= 0.
+    r, p, q = x1 * z2 * d - x2 * n * z1, y1 * z2 * d, y2 * n * z1
     if d1 == d2 or 1 in (d1, d2):  # one radicand: the other side has q or p = 0
         return _sign_single(r, p - q, max(d1, d2))
     # Distinct radicands: t = p*sqrt(d1) - q*sqrt(d2) against -r.  Where the
@@ -132,6 +132,11 @@ def cmp_density(a: Density, b: Density) -> int:
         return s_t
     g = math.gcd(d1, d2)
     return s_t * _sign_single(p * p * d1 + q * q * d2 - r * r, -2 * p * q * g, (d1 // g) * (d2 // g))
+
+
+def cmp_density(a: Density, b: Density) -> int:
+    """Three-way comparison across all density kinds (INFINITY is largest)."""
+    return _cmp_scaled(a, b, 1, 1)
 
 
 def cmp_ratio(n: int, d: int, r: Fraction | Surd) -> int:
@@ -158,23 +163,23 @@ def scale_density(r: Density, q: Fraction) -> Density:
     return Surd.make(x * q.numerator, y * q.numerator, d, z * q.denominator)
 
 
-def floor_times(r: Fraction | Surd, b: int) -> int:
-    """floor(r * b), exactly.
+def floor_times(r: Fraction | Surd, b: int, c: int = 1) -> int:
+    """floor(r * b / c) for c > 0, exactly.
 
     For a surd (x + y*sqrt(d))/z the value x*b + y*b*sqrt(d) lies strictly
     between consecutive integers K and K+1 with K = x*b + isqrt((y*b)^2 d)
     (the radicand is never a perfect square), and floor of anything in that
-    open interval divided by z is K // z.  A rational has y = 0.
+    open interval divided by z*c is K // (z*c).  A rational has y = 0.
     """
     x, y, d, z = _parts(r)
     t = y * b
-    return (x * b + math.isqrt(t * t * d)) // z
+    return (x * b + math.isqrt(t * t * d)) // (z * c)
 
 
-def times_is_integer(r: Fraction | Surd, b: int) -> bool:
-    """Whether r * b is an integer (never, for surds)."""
+def times_is_integer(r: Fraction | Surd, b: int, c: int = 1) -> bool:
+    """Whether r * b / c is an integer (never, for surds)."""
     x, y, _, z = _parts(r)
-    return y == 0 and x * b % z == 0
+    return y == 0 and x * b % (z * c) == 0
 
 
 #: One form with the spaces around it, or ``bad`` from the first character on.

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
 
 from .density import INFINITY, Surd, cmp_density, cmp_ratio, floor_times
 from .saturated import (
@@ -119,48 +121,45 @@ def _products(primes: tuple[int, ...], hi: int) -> list[int]:
 
 
 def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = None) -> list[SteinitzNumber]:
-    """Deterministic member sample.
+    """The first ``limit`` members of the sweep, or all of them when ``limit`` is None (200 for N)."""
+    if limit is not None:
+        _positive_int("limit", limit)
+    elif isinstance(S, AllNaturals):
+        limit = 200
+    return list(islice(_sweep(S, den_bound), limit))
 
-    Sets are swept as (a/b)*base with b from Omega(base) up to den_bound
-    and a up to the density bound (plus one, to probe the boundary),
-    filtering by the defining inequality; infinite types cap a at
-    _INF_CAP*b+1.  A segment [1..n] = S(n, 1) is the sweep at b = 1, as
-    Omega(1) = {1}; all naturals are the first ``limit`` (or 200) integers.
 
-    The sweep is lazy: Omega(base) is tested one b at a time, so it stops
-    at ``limit`` without testing the b it never reaches.  It visits each
-    ratio once, in lowest terms: Omega is divisor-closed and b ascends, so
-    a/b with gcd(a, b) = g > 1 was met as (a/g)/(b/g) at a smaller b.  Over
-    a base with an infinite prime it skips each a with a factor the base
-    absorbs (at default INF, only products of the finite primes are built):
-    the rest k < a of a names the same number at the same b.  ``seen`` stays
-    there, as distinct ratios can still name one number (1/2 and 1 over 2^inf);
-    over an infinity-free base the ratio is unique, so no set is kept.
-    """
+def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
+    """The members (a/b)*base of S, lazily: b in Omega(base) up to den_bound,
+    tested one at a time, and a up to floor(r*b), of which only the top is
+    compared with r; infinite types take a up to _INF_CAP*b+1, and N is 1, 2,
+    3, ... on end.  Each ratio is met once, in lowest terms (Omega is
+    divisor-closed and b ascends).  Over a base with an infinite prime an a
+    with a factor the base absorbs names what its rest names (at default INF
+    only products of the finite primes are built), and ``seen`` drops ratios
+    that name one number (1/2 and 1 over 2^inf); over an infinity-free base
+    ratios are unique, so no set is kept."""
     if isinstance(S, AllNaturals):
-        return [SteinitzNumber.from_int(i) for i in range(1, (200 if limit is None else limit) + 1)]
-    out: list[SteinitzNumber] = []
-    base, r = S.base, S.r
-    seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
-    inf_default = base.default == INF
-    absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
-    for b in iter_omega(base, den_bound):
-        u = divide_by(base, b)
-        hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b) + 1
-        for a in _products(base._core[1], hi) if inf_default else range(1, hi + 1):
-            if math.gcd(a, b * absorbed) > 1:
+        yield from map(SteinitzNumber.from_int, count(1))
+    else:
+        base, r = S.base, S.r
+        seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
+        inf_default = base.default == INF
+        absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
+        for b in iter_omega(base, den_bound):
+            hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b)
+            if S.strict and cmp_ratio(hi, b, r) == 0:  # a = r*b, off a strict bound (a finite r)
+                hi -= 1
+            if hi < 1:  # no member at this b, though _products(primes, 0) gives [1]
                 continue
-            if r is not INFINITY:
-                c = cmp_ratio(a, b, r)
-                if c > 0 or (c == 0 and S.strict):
+            u = divide_by(base, b)
+            for a in _products(base._core[1], hi) if inf_default else range(1, hi + 1):
+                if math.gcd(a, b * absorbed) > 1:
                     continue
-            t = mul_natural(u, a)
-            if seen is not None and (t in seen or seen.add(t)):  # add returns None, so a new t goes on
-                continue
-            out.append(t)
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+                t = mul_natural(u, a)
+                if seen is not None and (t in seen or seen.add(t)):  # add returns None, so a new t goes on
+                    continue
+                yield t
 
 
 def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
@@ -197,14 +196,14 @@ def _probe_contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
 def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) -> bool:
     """Semi-decision of set equality by bidirectional membership sampling.
 
-    Samples up to ``budget`` members of each set and checks them against the
-    other; membership of raw infinite-prime finite types is decided by
-    representation search.  True means no disagreement was found, so a
-    budget below 1, which samples nothing, is refused.
+    Samples up to ``budget`` members of each set, one at a time, and checks
+    each against the other until one disagrees; membership of raw
+    infinite-prime finite types is decided by representation search.  True
+    means no disagreement was found, so a budget below 1 is refused.
     """
     _positive_int("budget", budget)
     for left, right in ((S1, S2), (S2, S1)):
-        for t in sample_members(left, den_bound=256, limit=budget):
+        for t in islice(_sweep(left, 256), budget):
             if not _probe_contains(right, t):
                 return False
     return True
@@ -225,6 +224,7 @@ def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
     SteinitzNumbers (membership by equality).  Returns the first
     AxiomViolation found, or None.  Deterministic for a fixed seed.
     """
+    _positive_int("samples", samples)
     if isinstance(S, SaturatedSet):
         pool = sample_members(S, den_bound=_AXIOM_DEN_BOUND, limit=max(40, samples // 10))
         member = lambda t: _probe_contains(S, t)

@@ -25,6 +25,7 @@ from .density import (
     INFINITY,
     Density,
     Surd,
+    _cmp_scaled,
     cmp_density,
     cmp_ratio,
     floor_times,
@@ -37,15 +38,16 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
+    _coset,
     _parse_at,
     _parse_int,
     _positive_int,
+    _quotient,
     _ratio_pair,
     _Value,
+    mul_natural,
     omega_contains,
     parse_scaled,
-    ratio_if_connected,
-    scale,
 )
 
 
@@ -166,56 +168,55 @@ def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
     return c < 0 or (c == 0 and not S.strict)
 
 
-def _rebased(S: SaturatedSet, t: SteinitzNumber) -> Density:
-    """The density of S expressed at the member t = q*base: r / q."""
+def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
+    """The density limit r_S(t) at an infinite member t = q*base: the density
+    r/q of S rebased to t.  The strictness of S is the same at every member."""
+    if t.is_natural:
+        raise ValueError(f"density is defined at infinite members only, got {t}")
     if not contains(S, t):
         raise ValueError(f"{t} is not a member of {format_set(S)}")
     qn, qd = _ratio_pair(S.base, t)
     return scale_density(S.r, Fraction(qd, qn))
 
 
-def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
-    """The density limit r_S(t) at an infinite member t: the density of S
-    rebased to t.  The strictness of S is the same at every member."""
-    if t.is_natural:
-        raise ValueError(f"density is defined at infinite members only, got {t}")
-    return _rebased(S, t)
+def _floor_count(r: Density, strict: bool, b: int, c: int = 1) -> int | float:
+    """max { i : i <= r*b/c }, or i < r*b/c when strict: the floor dichotomy.
 
-
-def _floor_count(r: Density, strict: bool, b: int) -> int | float:
-    """max { i : i/b <= r }, or i/b < r when strict: the floor dichotomy.
-
-    floor(r*b) when r is irrational or its reduced denominator does not
-    divide b; exactly r*b (closed) or r*b - 1 (strict) when it does.
-    Infinite densities give infinity.
+    floor(r*b/c) when r*b/c is not an integer (always, for an irrational r);
+    exactly r*b/c (closed) or r*b/c - 1 (strict) when it is.  Infinite
+    densities give infinity.
     """
     if r is INFINITY:
         return INFINITY
-    k = floor_times(r, b)
-    return k - 1 if strict and times_is_integer(r, b) else k
+    k = floor_times(r, b, c)
+    return k - 1 if strict and times_is_integer(r, b, c) else k
 
 
 def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
-    """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form: the floor
-    dichotomy at the density r rebased to the member t.  Segments
-    [1..n] = S(n, 1) and N = S(inf, 1) included."""
-    r = _rebased(S, t)
+    """r_t(b) = max { i >= 1 : i * t/b in S }, in closed form: the floor dichotomy
+    of r*(qd*b)/qn, the density of S rebased to the member t = (qn/qd)*base, at b.
+    Segments [1..n] = S(n, 1) and N = S(inf, 1) included."""
+    if not contains(S, t):
+        raise ValueError(f"{t} is not a member of {format_set(S)}")
     if not omega_contains(t, b):
         raise ValueError(f"{b} is not in Omega({t})")
-    return _floor_count(r, S.strict, b)
+    qn, qd = _ratio_pair(S.base, t)
+    return _floor_count(S.r, S.strict, qd * b, qn)
 
 
-def _has_max(S: SaturatedSet) -> bool:
-    """Whether the bound is attained: closed, r rational and its reduced
-    denominator in Omega(base).  Builds no element, so factors nothing.
-    Rational is "finite and not a Surd", so a raw int density counts."""
+def _max_offset(S: SaturatedSet) -> tuple[int, int] | None:
+    """The offset of base/v when the bound r = u/v is attained (closed, r rational,
+    a raw int included, and v in Omega(base)), else None.  Builds no element."""
     r = S.r
-    return not S.strict and r is not INFINITY and not isinstance(r, Surd) and omega_contains(S.base, r.denominator)
+    if S.strict or r is INFINITY or isinstance(r, Surd):
+        return None
+    return _quotient(S.base, r.denominator)
 
 
 def max_element(S: SaturatedSet) -> SteinitzNumber | None:
-    """The largest member, when one exists (segments and attained closed bounds)."""
-    return scale(S.base, S.r) if _has_max(S) else None
+    """The largest member, (u/v)*base, when one exists (segments and attained closed bounds)."""
+    m = _max_offset(S)
+    return None if m is None else mul_natural(_coset(S.base, *m), S.r.numerator)
 
 
 class Inclusion(Enum):
@@ -227,11 +228,11 @@ class Inclusion(Enum):
 
 def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     """Exact trichotomy: saturated sets are disjoint or nested."""
-    q = ratio_if_connected(S1.base, S2.base)
+    q = _ratio_pair(S1.base, S2.base)
     if q is None:
         return Inclusion.DISJOINT
-    # S2.base = q * S1.base, so S2's density at S1's base is S2.r * q.
-    c = cmp_density(S1.r, scale_density(S2.r, q))
+    # S2.base = (n/d) * S1.base, so S2's density at S1's base is S2.r * n/d.
+    c = _cmp_scaled(S1.r, S2.r, *q)
     if c < 0:
         return Inclusion.LEFT_IN_RIGHT
     if c > 0:

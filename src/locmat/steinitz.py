@@ -640,12 +640,19 @@ def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
     return _coset(s, *m)
 
 
+def _rational_parts(name: str, q: Fraction | int) -> tuple[int, int]:
+    """(numerator, denominator) of an int (not a bool) or a Fraction q, with no Fraction built."""
+    if type(q) is not int and not isinstance(q, Fraction):
+        raise ValueError(f"{name} must be an int or a Fraction, got {q!r} ({type(q).__name__})")
+    return q.numerator, q.denominator
+
+
 def scale(s: SteinitzNumber, q: Fraction | int) -> SteinitzNumber:
     """Multiply by a positive rational whose reduced denominator divides s."""
-    q = Fraction(q)
-    if q <= 0:
+    n, d = _rational_parts("scale factor", q)
+    if n < 1:
         raise ValueError(f"scale factor must be positive, got {q}")
-    return mul_natural(divide_by(s, q.denominator), q.numerator)
+    return mul_natural(divide_by(s, d), n)
 
 
 def _ratio_pair(s1: SteinitzNumber, s2: SteinitzNumber) -> tuple[int, int] | None:

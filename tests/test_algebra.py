@@ -132,6 +132,13 @@ class TestConstructors:
         with pytest.raises(ValueError):
             corner(spec_unital(P), Fraction(1, 4))
 
+    @pytest.mark.parametrize("q", [True, 0.5], ids=["bool", "float"])
+    def test_corner_takes_only_an_int_or_a_fraction(self, q):
+        # Read as a Fraction, True would be the rank 1 and 0.5 the rank 1/2.
+        message = f"relative rank must be an int or a Fraction, got {q!r} ({type(q).__name__})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            corner(spec_unital(P), q)
+
 
 class TestDecisions:
     def test_unital(self):

@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from locmat.density import (
     INFINITY,
     Surd,
+    _cmp_scaled,
     cmp_density,
     cmp_ratio,
     floor_times,
@@ -151,6 +152,39 @@ def test_floor_times_matches_decimal_oracle(r, b):
         else scaled.numerator // scaled.denominator
     )
     assert floor_times(r, b) == expected
+
+
+@given(values, st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=60))
+def test_floor_times_divides_by_its_divisor(r, b, c):
+    # floor(x/c) = floor(floor(x)/c) for an integer c > 0, and x/c is an
+    # integer exactly when x is one that c divides.
+    assert floor_times(r, b, c) == floor_times(r, b) // c
+    assert times_is_integer(r, b, c) == (times_is_integer(r, b) and floor_times(r, b) % c == 0)
+
+
+#: Every kind a density comes in: rationals, raw ints, surds with x of either
+#: sign (over two radicands, so that two draws often share one), and INFINITY.
+kernel_densities = st.one_of(
+    rationals,
+    st.integers(min_value=1, max_value=60),
+    surds,
+    st.builds(Surd.make, st.integers(-20, 20), st.integers(1, 10), st.sampled_from([2, 3]), st.integers(1, 12)),
+    st.just(INFINITY),
+)
+
+
+@given(kernel_densities, kernel_densities, st.integers(1, 60), st.integers(1, 60), st.booleans())
+@example(SQRT2, Surd.make(0, 1, 8, 1), 1, 2, False)  # sqrt(2) against 2*sqrt(2)*(1/2): one radicand, equal
+@example(SQRT2, SQRT5, 5, 8, False)  # distinct radicands, near: sqrt(2) against sqrt(5)*5/8
+@example(Surd.make(-1, 1, 5, 2), 3, 1, 5, False)  # (sqrt(5)-1)/2 against 3/5
+def test_cmp_scaled_matches_cmp_density_of_the_scaled_value(a, b, n, d, at_b):
+    # at_b puts a at b*n/d itself, where a rational or one-radicand kernel answers 0.
+    scaled = scale_density(b, Fraction(n, d))
+    if at_b:
+        a = scaled
+    assert _cmp_scaled(a, b, n, d) == cmp_density(a, scaled)
+    if INFINITY not in (a, b):
+        assert _cmp_scaled(a, b, n, d) == oracle_cmp(a, scaled)
 
 
 def test_scale_density_refuses_a_zero_factor():

@@ -32,6 +32,7 @@ from locmat import (
     SteinitzNumber,
     Surd,
     TailRule,
+    check_saturation_axioms,
     enumerate_omega,
     equals_extensional,
     matrix_over,
@@ -203,6 +204,8 @@ _COUNTS = {
     "n": SteinitzNumber.from_int,
     "bound": lambda v: enumerate_omega(parse("P"), v),
     "budget": lambda v: equals_extensional(_S32, mk_finite_type(Fraction(2), parse("P")), v),
+    "samples": lambda v: check_saturation_axioms(_S32, samples=v),
+    "divisor": lambda v: realize(_S32, divisor_chain=[v]),
 }
 
 
@@ -210,7 +213,8 @@ _COUNTS = {
 @pytest.mark.parametrize("value", [0, -1, True, 2.5, None], ids=["zero", "negative", "bool", "float", "none"])
 def test_every_count_argument_has_one_contract(name, value):
     # A count is an int of at least 1; a bool is refused, though Python counts it
-    # as an int.  A budget of 0 would sample nothing and call S(3/2, P) and S(2, P) equal.
+    # as an int.  A budget of 0 would sample nothing and call S(3/2, P) and S(2, P)
+    # equal, and 0 samples would report no axiom violation after checking nothing.
     if type(value) is int:
         message = f"{name} must be positive, got {value}"
     else:

@@ -3,10 +3,11 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locmat import oracle, steinitz
@@ -21,6 +22,7 @@ from locmat.saturated import (
     InfType,
     Segment,
     TailRule,
+    _floor_count,
     compare_inclusion,
     contains,
     density,
@@ -680,6 +682,84 @@ def test_sample_members_matches_definition_sweep(S, den_bound, limit):
         # on a 2-core Xeon).
         den_bound = min(den_bound, 64)
     assert sample_members(S, den_bound=den_bound, limit=limit) == sample_by_definition(S, den_bound, limit)
+
+
+@st.composite
+def members_and_divisors(draw):
+    """(S, t, b): a set of any kind, one of its sampled members t, and b in Omega(t).
+    Over a raw set's base with an infinite prime, a sampled number need not be a member."""
+    S = draw(sampled_sets)
+    t = draw(st.sampled_from([t for t in sample_members(S, den_bound=12, limit=30) if contains(S, t)] or [None]))
+    assume(t is not None)
+    return S, t, draw(st.sampled_from(enumerate_omega(t, 60)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(members_and_divisors())
+def test_r_sub_matches_the_rebased_density_path(case):
+    # The path r_sub once took: the density r/q of S rebased to the member
+    # t = q*base, built as a value, then the floor dichotomy of it at b.
+    S, t, b = case
+    rebased = scale_density(S.r, 1 / ratio_if_connected(S.base, t))
+    assert r_sub(S, t, b) == _floor_count(rebased, S.strict, b)
+
+
+def test_decisions_build_no_fraction_and_no_surd(monkeypatch):
+    # Each of these decisions compares a density with a ratio of two integers,
+    # so it reads integer parts: building a normalized Fraction or Surd only to
+    # compare or floor it costs more than the comparison.
+    closed_b8 = mk_finite_type(Fraction(5, 2), parse("P^1*2^3"))
+    surd_b8 = mk_finite_type(Surd.make(1, 1, 5, 2), parse("P^1*2^3"))
+    three_halves = Fraction(3, 2)
+    built = []
+    new, make = Fraction.__new__, Surd.make
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(("Fraction", args))
+        return new(cls, *args, **kwargs)
+
+    def counted_make(cls, *args):
+        built.append(("Surd", args))
+        return make(*args)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Surd, "make", classmethod(counted_make))
+    for left, right in ((S32, closed_b8), (SSQRT2, surd_b8), (S32_STRICT, SSQRT2), (surd_b8, S1)):
+        compare_inclusion(left, right)
+        equals_formal(left, right)
+    for S in (S32, S32_STRICT, SSQRT2, closed_b8, surd_b8):
+        r_sub(S, P, 6)
+        r_sub(S, HALF_P, 15)
+        max_element(S)
+    scale(P, three_halves)
+    scale(P, 3)
+    monkeypatch.undo()
+    assert built == []
+
+
+@pytest.mark.parametrize("limit", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
+def test_sample_members_takes_a_count_as_its_limit(limit):
+    # A limit of 0 once returned one member, [P]: it was tested only after a member was taken.
+    if type(limit) is int:
+        message = f"limit must be positive, got {limit}"
+    else:
+        message = f"limit must be an int, got {limit!r} ({type(limit).__name__})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_members(S32, limit=limit)
+
+
+def test_equals_extensional_stops_at_the_first_disagreement(monkeypatch):
+    # The sweep of S(3/2, P) meets P, (1/2)*P, then (3/2)*P, which S(1, P) lacks:
+    # no later member is built, though the budget allows 100.
+    built = []
+
+    def counted(s, n):
+        built.append(n)
+        return mul_natural(s, n)
+
+    monkeypatch.setattr(oracle, "mul_natural", counted)
+    assert not equals_extensional(S32, S1, budget=100)
+    assert built == [1, 1, 3]
 
 
 @pytest.fixture

@@ -186,6 +186,13 @@ class TestMulDiv:
     def test_scale(self):
         assert scale(parse("2^inf*3"), Fraction(3, 4)) == parse("2^inf*3^2")
 
+    @pytest.mark.parametrize("q", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_scale_takes_only_an_int_or_a_fraction(self, q):
+        # Read as a Fraction, 2.5 would scale P by 5/2, "3" by 3 and True by 1.
+        message = f"scale factor must be an int or a Fraction, got {q!r} ({type(q).__name__})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scale(P_ALL, q)
+
     @pytest.mark.parametrize(
         "call,message",
         [
