@@ -133,7 +133,7 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
     """The members (a/b)*base of S, lazily: b in Omega(base) up to den_bound,
     tested one at a time, and a up to floor(r*b), of which only the top is
     compared with r; infinite types take a up to _INF_CAP*b+1, and N is 1, 2,
-    3, ... on end.  Each ratio is met once, in lowest terms (Omega is
+    3, ... without end.  Each ratio is met once, in lowest terms (Omega is
     divisor-closed and b ascends).  Over a base with an infinite prime an a
     with a factor the base absorbs names what its rest names (at default INF
     only products of the finite primes are built), and ``seen`` drops ratios
@@ -148,7 +148,7 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
         absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
         for b in iter_omega(base, den_bound):
             hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b)
-            if S.strict and cmp_ratio(hi, b, r) == 0:  # a = r*b, off a strict bound (a finite r)
+            if S.strict and cmp_ratio(hi, b, r) == 0:  # a = r*b is off a strict bound, whose r is finite
                 hi -= 1
             if hi < 1:  # no member at this b, though _products(primes, 0) gives [1]
                 continue
