@@ -17,13 +17,11 @@ from fractions import Fraction
 
 from .density import INFINITY, cmp_ratio, format_density, parse_density, scale_density
 from .saturated import (
-    InfType,
     SaturatedSet,
     Segment,
     TailRule,
     _UNIT_DENSITY,
     _floor_count,
-    _max_offset,
     _included,
     equals_formal,
     format_set,
@@ -37,55 +35,54 @@ from .steinitz import (
     ParseError,
     SteinitzNumber,
     _SMALL_PRIMES,
+    _coset,
     _parse_at,
     _parse_int,
     _positive_int,
+    _quotient,
     _ratio_pair,
     _rational_parts,
     _Value,
     divide_by,
     mul_natural,
-    omega_contains,
     parse as parse_steinitz,
-    scale,
 )
 
 
-class AlgebraDescriptor(_Value):
-    """A locally matrix algebra, known through its spectrum.
+def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
+    return Segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
 
-    ``unit_st`` is set when constructor normalization changed the canonical
-    form (a finite-type spectrum over a base with an infinite prime
-    collapses to the infinite type): it records the Steinitz number of the
-    modeled unital algebra, which the spectrum alone no longer determines.
-    The constructor accepts exactly what ``spec_unital`` produces: a
-    ``unit_st`` with an infinite prime exponent whose collapsed spectrum
-    S(inf, unit_st) equals ``spectrum``.
+
+class AlgebraDescriptor(_Value):
+    """A locally matrix algebra, known through its spectrum and ``st``: its
+    Steinitz number when it is unital, else None.
+
+    ``AlgebraDescriptor(spectrum)`` reads st as the spectrum's largest
+    element.  An explicit st is accepted exactly when its unital spectrum
+    equals ``spectrum``.  That keeps the st of a unital algebra over a number
+    with an infinite prime, whose spectrum is of infinite type and no longer
+    determines st.
     """
 
-    __slots__ = __match_args__ = ("spectrum", "unit_st")
+    __slots__ = __match_args__ = ("spectrum", "st")
 
-    def __init__(self, spectrum: SaturatedSet, unit_st: SteinitzNumber | None = None):
-        if unit_st is not None and (unit_st.is_infinity_free or not equals_formal(spectrum, mk_inf_type(unit_st))):
+    def __init__(self, spectrum: SaturatedSet, st: SteinitzNumber | None = None):
+        if not isinstance(spectrum, SaturatedSet):
+            raise ValueError(f"spectrum must be a SaturatedSet, got {spectrum!r} ({type(spectrum).__name__})")
+        if st is None:
+            st = max_element(spectrum)
+        elif not isinstance(st, SteinitzNumber):
+            raise ValueError(f"st must be a SteinitzNumber or None, got {st!r} ({type(st).__name__})")
+        elif not equals_formal(spectrum, _unital_spectrum(st)):
             raise ValueError(
-                f"unit_st {unit_st} is not the Steinitz number of a unital algebra "
-                f"whose spectrum collapsed to {format_set(spectrum)}"
+                f"st {st} is not the Steinitz number of a unital algebra with spectrum {format_set(spectrum)}"
             )
         self._set("spectrum", spectrum)
-        self._set("unit_st", unit_st)
-
-    @property
-    def collapsed(self) -> bool:
-        """Whether normalization dropped the modeled unital algebra's st."""
-        return self.unit_st is not None
-
-    @property
-    def st(self) -> SteinitzNumber | None:
-        """Steinitz number of the algebra, when it is unital (or collapsed)."""
-        m = max_element(self.spectrum)
-        return self.unit_st if m is None else m
+        self._set("st", st)
 
     def __str__(self) -> str:
+        if self.st is not None and self.spectrum.r is INFINITY:  # a spectrum that does not determine st
+            return f"alg(unital {self.st})"
         return f"alg({format_set(self.spectrum)})"
 
 
@@ -94,19 +91,14 @@ def spec_matrix(n: int) -> AlgebraDescriptor:
     return AlgebraDescriptor(Segment(n))
 
 
-def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
-    return Segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
-
-
 def spec_unital(s: SteinitzNumber) -> AlgebraDescriptor:
     """The unital locally matrix algebra with Steinitz number s.
 
     Natural s gives a segment; infinite s gives the closed density-1 set at
     base s, which collapses to the infinite type when s has an infinite
-    prime (the descriptor keeps the modeled st and a collapsed flag).
+    prime (the descriptor keeps s as its st).
     """
-    spec = _unital_spectrum(s)
-    return AlgebraDescriptor(spec, unit_st=s if isinstance(spec, InfType) else None)
+    return AlgebraDescriptor(_unital_spectrum(s), s)
 
 
 def _require_st(A: AlgebraDescriptor, op: str) -> SteinitzNumber:
@@ -137,21 +129,24 @@ def corner(A: AlgebraDescriptor, q: Fraction) -> AlgebraDescriptor:
     n, d = _rational_parts("relative rank", q)
     if not 0 < n <= d:
         raise ValueError(f"relative rank must be in (0, 1], got {q}")
-    if not omega_contains(s, d):
+    m = _quotient(s, d)
+    if m is None:
         raise ValueError(f"denominator {d} is not in Omega({s})")
-    return spec_unital(scale(s, q))
+    return spec_unital(mul_natural(_coset(s, *m), n))
 
 
 def is_unital(A: AlgebraDescriptor) -> bool:
-    """Unital iff the spectrum has a largest element (segment, or closed
-    rational bound attained at the base), or normalization collapsed the
-    spectrum of a unital algebra: the two facts ``st`` reads."""
-    return A.collapsed or _max_offset(A.spectrum) is not None
+    """Unital iff the algebra has a Steinitz number."""
+    return A.st is not None
 
 
 def isomorphic(A: AlgebraDescriptor, B: AlgebraDescriptor) -> bool:
-    """Equal spectra classify countable-dimensional algebras."""
-    return equals_formal(A.spectrum, B.spectrum)
+    """Descriptors model countable-dimensional algebras only.  A unital one is
+    classified by its Steinitz number (Glimm 1960; Dixmier 1967), a non-unital
+    one by its spectrum (the Dixmier-Baranov theorem).  Equal st and equal
+    spectra decide both cases, and no unital algebra is isomorphic to a
+    non-unital one."""
+    return A.st == B.st and equals_formal(A.spectrum, B.spectrum)
 
 
 def embeds_as_approximative_corner(B: AlgebraDescriptor, A: AlgebraDescriptor) -> bool:
@@ -388,13 +383,15 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     return mk_finite_type(tail.r, first, approached)
 
 
-#: ``alg(<set>)`` with the spaces around it; the set runs to the last ``)``.
-_DESCRIPTOR_RE = re.compile(r"\s*(?:alg\((?P<set>.*)\)\s*\Z|(?P<bad>.*))", re.DOTALL)
+#: ``alg(<set>)`` or ``alg(unital <st>)`` with the spaces around it; the set runs to the last ``)``.
+_DESCRIPTOR_RE = re.compile(r"\s*(?:alg\((?:unital\s+(?P<st>.*)|(?P<set>.*))\)\s*\Z|(?P<bad>.*))", re.DOTALL)
 
 
 def parse_descriptor(text: str) -> AlgebraDescriptor:
-    """Parse the ``alg(<saturated-set>)`` text form."""
+    """Parse the ``alg(<saturated-set>)`` and ``alg(unital <st>)`` text forms."""
     m = _DESCRIPTOR_RE.match(text)
     if m["bad"] is not None:
         raise ParseError(f"malformed algebra descriptor {text!r}, expected alg(<set>)", m.start("bad"))
+    if m["st"] is not None:
+        return spec_unital(_parse_at(parse_steinitz, m["st"], m.start("st")))
     return AlgebraDescriptor(_parse_at(parse_set, m["set"], m.start("set")))

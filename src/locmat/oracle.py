@@ -59,10 +59,8 @@ class EnumWindow(_Value):
     __slots__ = __match_args__ = ("numerator_bound", "denominator_bound")
 
     def __init__(self, numerator_bound: int = 64, denominator_bound: int = 30):
-        if min(numerator_bound, denominator_bound) < 1:
-            raise ValueError("window bounds must be positive")
-        self._set("numerator_bound", numerator_bound)
-        self._set("denominator_bound", denominator_bound)
+        self._set("numerator_bound", _positive_int("numerator bound of the window bounds", numerator_bound))
+        self._set("denominator_bound", _positive_int("denominator bound of the window bounds", denominator_bound))
 
 
 class CheckResult(_Value):

@@ -204,19 +204,14 @@ def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
     return _floor_count(S.r, S.strict, qd * b, qn)
 
 
-def _max_offset(S: SaturatedSet) -> tuple[int, int] | None:
-    """The offset of base/v when the bound r = u/v is attained (closed, r rational,
-    a raw int included, and v in Omega(base)), else None.  Builds no element."""
+def max_element(S: SaturatedSet) -> SteinitzNumber | None:
+    """The largest member, (u/v)*base, when the bound r = u/v is attained:
+    closed, r rational (a raw int included) and v in Omega(base)."""
     r = S.r
     if S.strict or r is INFINITY or isinstance(r, Surd):
         return None
-    return _quotient(S.base, r.denominator)
-
-
-def max_element(S: SaturatedSet) -> SteinitzNumber | None:
-    """The largest member, (u/v)*base, when one exists (segments and attained closed bounds)."""
-    m = _max_offset(S)
-    return None if m is None else mul_natural(_coset(S.base, *m), S.r.numerator)
+    m = _quotient(S.base, r.denominator)
+    return None if m is None else mul_natural(_coset(S.base, *m), r.numerator)
 
 
 class Inclusion(Enum):

@@ -33,6 +33,7 @@ from locmat.saturated import (
     Segment,
     TailRule,
     equals_formal,
+    format_set,
     max_element,
     mk_finite_type,
     mk_inf_type,
@@ -69,37 +70,51 @@ class TestConstructors:
     def test_spec_unital_infinite(self):
         A = spec_unital(P)
         assert A.spectrum == mk_finite_type(Fraction(1), P, False)
-        assert not A.collapsed
+        assert A.st == P == max_element(A.spectrum)
 
     def test_spec_unital_collapse(self):
         A = spec_unital(parse("2^inf"))
         assert A.spectrum == InfType(parse("2^inf"))
-        assert A.collapsed and A.unit_st == parse("2^inf")
+        assert A.st == parse("2^inf") and max_element(A.spectrum) is None
 
     @pytest.mark.parametrize(
         "spectrum,unit_st",
         [
             (mk_inf_type(P), P),  # spec_unital(P) is S(1, P), not S(inf, P)
-            (Segment(3), parse("3")),  # a segment has its own largest element
+            (Segment(3), parse("2")),  # a segment's st is its length
             (Segment(3), parse("2^inf")),
             (mk_inf_type(parse("2^inf")), parse("3^inf")),  # spec_unital(3^inf) is S(inf, 3^inf)
             (mk_finite_type(Fraction(1), P, False), parse("2^inf")),
         ],
     )
     def test_raw_unit_st_is_checked(self, spectrum, unit_st):
-        with pytest.raises(ValueError, match="unit_st"):
-            AlgebraDescriptor(spectrum, unit_st=unit_st)
+        message = f"st {unit_st} is not the Steinitz number of a unital algebra with spectrum {format_set(spectrum)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AlgebraDescriptor(spectrum, unit_st)
+
+    def test_raw_st_of_the_largest_element_is_accepted(self):
+        assert AlgebraDescriptor(Segment(3), parse("3")) == AlgebraDescriptor(Segment(3))
+        S = mk_finite_type(Fraction(3, 2), P)
+        assert AlgebraDescriptor(S, parse_scaled("(3/2)*P")) == AlgebraDescriptor(S)
+
+    @pytest.mark.parametrize(
+        "spectrum,s,name",
+        [("x", None, "spectrum"), (None, None, "spectrum"), (Segment(3), 3, "st"), (Segment(3), "3", "st")],
+    )
+    def test_raw_arguments_are_type_checked(self, spectrum, s, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            AlgebraDescriptor(spectrum, s)
 
     @pytest.mark.parametrize("text", ["2^inf", "2^inf*3", "2^inf*3^inf*5"])
     def test_collapsed_constructions_still_build(self, text):
         s = parse(text)
         A = spec_unital(s)
-        assert A.collapsed and A.unit_st == s
-        assert AlgebraDescriptor(A.spectrum, unit_st=s) == A
+        assert A.st == s and A.spectrum == InfType(s)
+        assert AlgebraDescriptor(A.spectrum, s) == A
         M = matrix_over(A, 6)
-        assert M.collapsed and M.st == mul_natural(s, 6)
+        assert M.st == mul_natural(s, 6) and max_element(M.spectrum) is None
         C = corner(A, Fraction(1, 2))
-        assert C.collapsed and C.st == scale(s, Fraction(1, 2))
+        assert C.st == scale(s, Fraction(1, 2)) and max_element(C.spectrum) is None
 
     def test_m_infinity(self):
         assert m_infinity(spec_matrix(1)).spectrum == ALL_NATURALS
@@ -132,6 +147,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             corner(spec_unital(P), Fraction(1, 4))
 
+    def test_corner_tests_its_denominator_once(self, monkeypatch):
+        from locmat import algebra, steinitz
+
+        seen, quotient, want = [], steinitz._quotient, parse_scaled("(1/6)*P")
+
+        def counted(s, n):
+            seen.append(n)
+            return quotient(s, n)
+
+        monkeypatch.setattr(steinitz, "_quotient", counted)
+        monkeypatch.setattr(algebra, "_quotient", counted, raising=False)
+        assert corner(spec_unital(P), Fraction(1, 6)).st == want
+        assert seen == [6]
+        with pytest.raises(ValueError, match=r"^denominator 4 is not in Omega\(P\)$"):
+            corner(spec_unital(P), Fraction(1, 4))
+
     @pytest.mark.parametrize("q", [True, 0.5], ids=["bool", "float"])
     def test_corner_takes_only_an_int_or_a_fraction(self, q):
         # Read as a Fraction, True would be the rank 1 and 0.5 the rank 1/2.
@@ -151,7 +182,7 @@ class TestDecisions:
     def test_collapsed_unital_agrees_with_st(self):
         # S(1, 2^inf) collapses to S(inf, 2^inf); the descriptor keeps st.
         A = spec_unital(parse("2^inf"))
-        assert A.collapsed and A.st == parse("2^inf")
+        assert A.st == parse("2^inf") and max_element(A.spectrum) is None
         assert is_unital(A)
         assert is_unital(matrix_over(A, 3))
         assert not is_unital(m_infinity(A))
@@ -183,6 +214,15 @@ class TestDecisions:
     def test_iso_negative(self):
         assert not isomorphic(spec_matrix(3), spec_matrix(4))
         assert not isomorphic(m_infinity(spec_matrix(1)), spec_unital(P))
+
+    def test_iso_tells_collapsed_unital_algebras_apart(self):
+        # spec_unital(2^inf), M_inf of it and spec_unital(3*2^inf) share the spectrum S(inf, 2^inf).
+        s = parse("2^inf")
+        A = spec_unital(s)
+        assert equals_formal(A.spectrum, m_infinity(A).spectrum)
+        assert not isomorphic(A, m_infinity(A))
+        assert not isomorphic(A, spec_unital(mul_natural(s, 3)))
+        assert isomorphic(A, spec_unital(parse("2^inf")))
 
     def test_embed(self):
         strict = AlgebraDescriptor(mk_finite_type(Fraction(3, 2), P, True))
@@ -480,6 +520,7 @@ class TestText:
             (spec_matrix(4), "alg([1..4])"),
             (spec_unital(P), "alg(S(1, P))"),
             (m_infinity(spec_unital(P)), "alg(S(inf, P))"),
+            (spec_unital(parse("2^inf")), "alg(unital 2^inf)"),
         ],
     )
     def test_format_descriptor_is_the_text_form(self, A, text):
@@ -506,11 +547,45 @@ DESCRIPTORS = st.one_of(
 )
 
 
+def _collapsed(A):
+    return A.st is not None and max_element(A.spectrum) is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(DESCRIPTORS, DESCRIPTORS)
 def test_iso_iff_mutual_embedding(A, B):
+    # spec_unital(2^inf) and S(inf, 2^inf) are each a corner of the other, so
+    # they embed both ways, but only one of them is unital: the converse needs
+    # descriptors whose spectrum keeps their st.
     mutual = embeds_as_approximative_corner(A, B) and embeds_as_approximative_corner(B, A)
-    assert isomorphic(A, B) == mutual
+    if isomorphic(A, B):
+        assert mutual
+    elif not (_collapsed(A) or _collapsed(B)):
+        assert not mutual
+
+
+@settings(max_examples=80, deadline=None)
+@given(DESCRIPTORS, DESCRIPTORS)
+def test_isomorphic_algebras_agree_on_unitality(A, B):
+    if isomorphic(A, B):
+        assert is_unital(A) == is_unital(B)
+
+
+_BASES = st.sampled_from(
+    [P, parse("P^1*2^3"), parse("3^3*P"), parse("2^inf"), parse("2^inf*3"), parse("2^inf*3^inf*5")]
+)
+_UNITAL = st.one_of(
+    st.builds(spec_matrix, st.integers(min_value=1, max_value=30)),
+    st.builds(spec_unital, _BASES),
+    st.builds(lambda s, n: matrix_over(spec_unital(s), n), _BASES, st.integers(min_value=1, max_value=12)),
+    st.builds(lambda s, b: corner(spec_unital(mul_natural(s, b)), Fraction(1, b)), _BASES, st.integers(1, 12)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_UNITAL, DESCRIPTORS, _UNITAL.map(m_infinity)))
+def test_descriptor_text_roundtrip(A):
+    assert parse_descriptor(str(A)) == A
 
 
 @settings(max_examples=40, deadline=None)

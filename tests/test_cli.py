@@ -51,6 +51,10 @@ GOLDEN = [
     (["alg", "minf", "alg([1..1])"], 0, "alg(N)"),
     (["alg", "matover", "alg([1..3])", "2"], 0, "alg([1..6])"),
     (["alg", "corner", "alg(S(1,P))", "1/2"], 0, "alg(S(1, 2^0*P))"),
+    # A collapsed unital algebra keeps its st in the text form.
+    (["alg", "unital", "alg(unital 2^inf)"], 0, "true"),
+    (["alg", "iso", "alg(unital 2^inf)", "alg(S(inf, 2^inf))"], 1, "false"),
+    (["alg", "matover", "alg(unital 2^inf)", "3"], 0, "alg(unital 2^inf*3)"),
     (
         ["alg", "realize", "S(3/2,P)", "--chain", "2,6"],
         0,
@@ -442,6 +446,7 @@ _DENSITIES = "expected inf, u/v or (x+y*sqrt(d))/z"
         (["alg", "corner", "alg(S(1,P))", "1/"], "malformed integer '' (at position 2)"),
         (["alg", "realize", "S(3/2,P)", "--chain", "2, x"], "malformed integer ' x' (at position 3)"),
         (["alg", "realize", "S(3/2,P)", "--chain", "2, "], "malformed integer ' ' (at position 3)"),
+        (["alg", "unital", "alg(unital 4^inf)"], "non-prime base 4 (at position 11)"),
     ],
 )
 def test_literal_error_points_into_the_argument(argv, expected):

@@ -155,11 +155,11 @@ def test_value_classes_are_immutable_and_compare_within_their_class(value):
 def test_value_class_defaults_checks_and_reprs():
     P = parse("P")
     assert TailRule("unbounded").r is None and ChainPresentation((Stage(1, P),), ()).tail is None
-    assert AlgebraDescriptor(Segment(3)).unit_st is None and CheckResult(True, "x").witness == ""
+    assert AlgebraDescriptor(Segment(3)).st == parse("3") and CheckResult(True, "x").witness == ""
     assert (EnumWindow().numerator_bound, EnumWindow().denominator_bound) == (64, 30)
     with pytest.raises(ValueError, match="window bounds"):
         EnumWindow(0, 30)
-    with pytest.raises(ValueError, match="unit_st"):
+    with pytest.raises(ValueError, match="^st P is not the Steinitz number"):
         AlgebraDescriptor(Segment(3), P)
     assert repr(Stage(2, P)) == 'Stage(k=2, s=SteinitzNumber("P"))'
     assert repr(Surd.make(1, 1, 5, 2)) == "(1+1*sqrt(5))/2"
@@ -206,6 +206,8 @@ _COUNTS = {
     "budget": lambda v: equals_extensional(_S32, mk_finite_type(Fraction(2), parse("P")), v),
     "samples": lambda v: check_saturation_axioms(_S32, samples=v),
     "divisor": lambda v: realize(_S32, divisor_chain=[v]),
+    "numerator bound of the window bounds": lambda v: EnumWindow(v, 30),
+    "denominator bound of the window bounds": lambda v: EnumWindow(64, v),
 }
 
 
