@@ -15,14 +15,14 @@ import math
 import re
 from fractions import Fraction
 
-from .density import INFINITY, cmp_ratio, format_density, parse_density, scale_density
+from .density import INFINITY, _parts, cmp_ratio, format_density, parse_density, scale_density
 from .saturated import (
     SaturatedSet,
     Segment,
     TailRule,
-    _UNIT_DENSITY,
     _floor_count,
     _included,
+    contains,
     equals_formal,
     format_set,
     max_element,
@@ -49,6 +49,10 @@ from .steinitz import (
 )
 
 
+#: The density of a unital algebra's spectrum at its Steinitz number.
+_UNIT_DENSITY = Fraction(1)
+
+
 def _unital_spectrum(s: SteinitzNumber) -> SaturatedSet:
     return Segment(s.as_int()) if s.is_natural else mk_finite_type(_UNIT_DENSITY, s, strict=False)
 
@@ -61,7 +65,9 @@ class AlgebraDescriptor(_Value):
     element.  An explicit st is accepted exactly when its unital spectrum
     equals ``spectrum``.  That keeps the st of a unital algebra over a number
     with an infinite prime, whose spectrum is of infinite type and no longer
-    determines st.
+    determines st.  The check builds no set: an infinity-free st must be the
+    largest element, and an st with an infinite prime, whose unital spectrum
+    S(1, st) collapses to S(inf, st), a member of an infinite-type spectrum.
     """
 
     __slots__ = __match_args__ = ("spectrum", "st")
@@ -73,7 +79,9 @@ class AlgebraDescriptor(_Value):
             st = max_element(spectrum)
         elif not isinstance(st, SteinitzNumber):
             raise ValueError(f"st must be a SteinitzNumber or None, got {st!r} ({type(st).__name__})")
-        elif not equals_formal(spectrum, _unital_spectrum(st)):
+        elif not (
+            st == max_element(spectrum) if st.is_infinity_free else spectrum.r is INFINITY and contains(spectrum, st)
+        ):
             raise ValueError(
                 f"st {st} is not the Steinitz number of a unital algebra with spectrum {format_set(spectrum)}"
             )
@@ -314,14 +322,16 @@ class ChainPresentation(_Value):
 #: Largest ``realize`` depth.  The default divisor chain's i-th divisor is a
 #: product over the first i of the 168 primes in ``_SMALL_PRIMES``, so the
 #: cost of one call grows steeply with the depth: for S(3/2, P) on a 2-core
-#: Xeon, about 13 ms at depth 64.
+#: Xeon (Python 3.11), about 1.4 ms at depth 64 and 0.14 ms at depth 16.
 _MAX_DEPTH = 64
 
 
 def _default_divisor_chain(base: SteinitzNumber, depth: int) -> list[int]:
     # Diagonal sweep: b_i is the product over the first i primes p of
     # p^min(v_p(base), i).  Ascending by divisibility, lcm exhausts the base.
-    return [math.prod(p ** min(base.valuation(p), i) for p in _SMALL_PRIMES[:i]) for i in range(1, depth + 1)]
+    # Each of the first ``depth`` valuations is read once.
+    vals = [(p, base.valuation(p)) for p in _SMALL_PRIMES[:depth]]
+    return [math.prod(p ** min(v, i) for p, v in vals[:i]) for i in range(1, depth + 1)]
 
 
 def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int = 4) -> ChainPresentation:
@@ -347,7 +357,7 @@ def realize(S: SaturatedSet, divisor_chain: list[int] | None = None, depth: int 
     divisor_chain = [_positive_int("divisor", b) for b in divisor_chain]
     # Stage rejects a size of 0 (S+(1, s) at b = 1), before b1/k1 below; divide_by
     # rejects a divisor outside Omega(base).
-    stages = tuple(Stage(_floor_count(S.r, S.strict, b), divide_by(base, b)) for b in divisor_chain)
+    stages = tuple(Stage(_floor_count(S._parts, S.strict, b), divide_by(base, b)) for b in divisor_chain)
     for b, c in zip(divisor_chain, divisor_chain[1:]):
         if c % b != 0:
             raise ValueError(f"divisor chain not ascending by divisibility: {b}, {c}")
@@ -375,7 +385,7 @@ def spectrum_of_chain(chain: ChainPresentation) -> SaturatedSet:
     if not first.is_infinity_free:  # every stage spectrum is S(inf, s_0)
         raise ValueError("a density tail is inconsistent with an infinite-type prefix")
     # The last spectrum, S(1, last), is closed and has the density last/s_0 at s_0.
-    c = cmp_ratio(*_ratio_pair(first, last), tail.r)
+    c = cmp_ratio(*_ratio_pair(first, last), _parts(tail.r))
     approached = tail.kind == "approached"
     if c > 0 or (c == 0 and approached):
         limit = f"S{'+' if approached else ''}({format_density(tail.r)}, {first})"

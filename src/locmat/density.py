@@ -139,14 +139,15 @@ def cmp_density(a: Density, b: Density) -> int:
     return _cmp_scaled(a, b, 1, 1)
 
 
-def cmp_ratio(n: int, d: int, r: Fraction | Surd) -> int:
-    """Sign of n/d - r for d > 0, without building a Fraction.
+def cmp_ratio(n: int, d: int, parts: tuple[int, int, int, int]) -> int:
+    """Sign of n/d - r for d > 0, where ``parts`` are ``_parts(r)`` of a finite
+    density r, without building a Fraction.
 
     With r = (x + y*sqrt(D))/z, n/d - r has the sign of a - y*d*sqrt(D)
     with a = n*z - x*d, as d*z > 0.  For a surd y*d > 0: that is -1 when
     a <= 0, else the sign of a^2 - y^2 d^2 D, never 0 as D is squarefree.
     """
-    x, y, D, z = _parts(r)
+    x, y, D, z = parts
     a = n * z - x * d
     if y == 0:
         return _sign(a)
@@ -163,22 +164,23 @@ def scale_density(r: Density, q: Fraction) -> Density:
     return Surd.make(x * q.numerator, y * q.numerator, d, z * q.denominator)
 
 
-def floor_times(r: Fraction | Surd, b: int, c: int = 1) -> int:
-    """floor(r * b / c) for c > 0, exactly.
+def floor_times(parts: tuple[int, int, int, int], b: int, c: int = 1) -> int:
+    """floor(r * b / c) for c > 0, exactly, where ``parts`` are ``_parts(r)``
+    of a finite density r.
 
     For a surd (x + y*sqrt(d))/z the value x*b + y*b*sqrt(d) lies strictly
     between consecutive integers K and K+1 with K = x*b + isqrt((y*b)^2 d)
     (the radicand is never a perfect square), and floor of anything in that
     open interval divided by z*c is K // (z*c).  A rational has y = 0.
     """
-    x, y, d, z = _parts(r)
+    x, y, d, z = parts
     t = y * b
     return (x * b + math.isqrt(t * t * d)) // (z * c)
 
 
-def times_is_integer(r: Fraction | Surd, b: int, c: int = 1) -> bool:
-    """Whether r * b / c is an integer (never, for surds)."""
-    x, y, _, z = _parts(r)
+def times_is_integer(parts: tuple[int, int, int, int], b: int, c: int = 1) -> bool:
+    """Whether r * b / c is an integer (never, for surds), where ``parts`` are ``_parts(r)``."""
+    x, y, _, z = parts
     return y == 0 and x * b % (z * c) == 0
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import partial
 from itertools import count, islice
 
 from .density import INFINITY, Surd, cmp_density, cmp_ratio, floor_times
@@ -140,13 +141,13 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
     if isinstance(S, AllNaturals):
         yield from map(SteinitzNumber.from_int, count(1))
     else:
-        base, r = S.base, S.r
+        base, parts = S.base, S._parts
         seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
         inf_default = base.default == INF
         absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
         for b in iter_omega(base, den_bound):
-            hi = _INF_CAP * b + 1 if r is INFINITY else floor_times(r, b)
-            if S.strict and cmp_ratio(hi, b, r) == 0:  # a = r*b is off a strict bound, whose r is finite
+            hi = _INF_CAP * b + 1 if parts is None else floor_times(parts, b)
+            if S.strict and cmp_ratio(hi, b, parts) == 0:  # a = r*b is off a strict bound, whose r is finite
                 hi -= 1
             if hi < 1:  # no member at this b, though _products(primes, 0) gives [1]
                 continue
@@ -179,16 +180,19 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
         q = ratio_if_connected(divide_by(S.base, b), t)  # t = (a/b)*base for a natural a = q
         if q.denominator != 1:
             continue
-        c = cmp_ratio(q.numerator, b, S.r)
+        c = cmp_ratio(q.numerator, b, S._parts)
         if c < 0 or (c == 0 and not S.strict):
             return True
     raise ValueError(f"no representation of {t} in {format_set(S)} with a denominator up to {_SEARCH_DEN_BOUND}")
 
 
-def _probe_contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
+def _prober(S: SaturatedSet) -> Callable[[SteinitzNumber], bool]:
+    """The membership test of S, chosen once for all of its probes:
+    representation search for a raw finite type over a base with an infinite
+    prime, else ``contains``."""
     if isinstance(S, FiniteType) and not S.base.is_infinity_free:
-        return _existential_contains(S, t)
-    return contains(S, t)
+        return partial(_existential_contains, S)
+    return partial(contains, S)
 
 
 def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) -> bool:
@@ -201,8 +205,9 @@ def equals_extensional(S1: SaturatedSet, S2: SaturatedSet, budget: int = 100) ->
     """
     _positive_int("budget", budget)
     for left, right in ((S1, S2), (S2, S1)):
+        member = _prober(right)
         for t in islice(_sweep(left, 256), budget):
-            if not _probe_contains(right, t):
+            if not member(t):
                 return False
     return True
 
@@ -225,7 +230,7 @@ def check_saturation_axioms(S, samples: int = 1000, seed: int = 0):
     _positive_int("samples", samples)
     if isinstance(S, SaturatedSet):
         pool = sample_members(S, den_bound=_AXIOM_DEN_BOUND, limit=max(40, samples // 10))
-        member = lambda t: _probe_contains(S, t)
+        member = _prober(S)
     else:
         pool = list(S)
         literal = set(pool)

@@ -11,7 +11,9 @@ the infinite-type set and is normalized to it (the "collapse").
 
 The natural sets are the other two over the base 1: Omega(1) = {1}, so
 [1..n] is S(n, 1) and N is S(inf, 1).  Every class therefore exposes the
-same ``base``, ``r`` and ``strict``, and each decision reads those alone.
+same ``base``, ``r`` and ``strict``, and each decision reads those alone,
+with ``_parts``: the integer parts ``_parts(r)`` of a finite density, built
+once and not a field, or None for the infinite density.
 Sampling, representation search and axiom checks live in ``oracle``.
 """
 
@@ -26,7 +28,7 @@ from .density import (
     Density,
     Surd,
     _cmp_scaled,
-    cmp_density,
+    _parts,
     cmp_ratio,
     floor_times,
     format_density,
@@ -60,7 +62,7 @@ class SaturatedSet(_Value):
 class Segment(SaturatedSet):
     """{1, 2, ..., n} = S(n, 1)."""
 
-    __slots__ = ("n", "r")  # r, the density n as a Fraction, is built once and is not a field
+    __slots__ = ("n", "r", "_parts")  # r, the density n as a Fraction, and its parts are built once and are not fields
     __match_args__ = ("n",)
     base = ONE
     strict = False
@@ -68,6 +70,7 @@ class Segment(SaturatedSet):
     def __init__(self, n: int):
         self._set("n", _positive_int("segment length", n))
         self._set("r", Fraction(n))
+        self._set("_parts", _parts(self.r))
 
 
 class AllNaturals(SaturatedSet):
@@ -76,6 +79,7 @@ class AllNaturals(SaturatedSet):
     __slots__ = __match_args__ = ()
     base = ONE
     r = INFINITY
+    _parts = None
     strict = False
 
 
@@ -84,6 +88,7 @@ class InfType(SaturatedSet):
 
     __slots__ = __match_args__ = ("base",)
     r = INFINITY
+    _parts = None
     strict = False
 
     def __init__(self, base: SteinitzNumber):
@@ -103,19 +108,20 @@ class FiniteType(SaturatedSet):
     it normalizes nothing, but takes only a finite density of at least 1 and
     of a type that decisions read: S(inf, base) has one spelling, InfType."""
 
-    __slots__ = __match_args__ = ("r", "base", "strict")
+    __slots__ = ("r", "base", "strict", "_parts")  # the parts of r are built once and are not a field
+    __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
-        if cmp_density(_finite_density(r), _UNIT_DENSITY) < 0:
+        parts = _parts(_finite_density(r))
+        if cmp_ratio(1, 1, parts) > 0:  # 1 > r
             raise ValueError(f"density must be at least 1, got {format_density(r)}")
         self._set("r", r)
         self._set("base", base)
         self._set("strict", strict)
+        self._set("_parts", parts)
 
 
 ALL_NATURALS = AllNaturals()
-#: The least finite-type density, and the density of a unital algebra's spectrum.
-_UNIT_DENSITY = Fraction(1)
 
 
 def mk_inf_type(s: SteinitzNumber) -> SaturatedSet:
@@ -139,32 +145,35 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
     if s.is_natural:
         raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
     S = FiniteType(Fraction(r) if type(r) is int else r, s, strict)  # which checks the density
-    r = S.r  # an int density answers as the Fraction it equals
     if not s.is_infinity_free:
         return InfType(s)
-    if strict and (isinstance(r, Surd) or not omega_contains(s, r.denominator)):
-        return FiniteType(r, s, False)
+    _, y, _, z = S._parts
+    if strict and (y or not omega_contains(s, z)):
+        return FiniteType(S.r, s, False)
     return S
 
 
 def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
     """Exact membership test: t = (qn/qd)*base with q not above r (below r
-    when strict).  A rational bound is decided by integer cross-multiplication
-    inline, a surd bound by ``cmp_ratio``; neither builds a Fraction.
+    when strict).  It reads the parts (x, y, d, z) of r that S keeps: a
+    rational bound (y = 0) is decided by integer cross-multiplication inline,
+    a surd bound by ``cmp_ratio``; neither builds a Fraction.
 
     The reduced denominator of q always divides the base: the exponents of
     t are nonnegative, so no Omega check is needed.
     """
-    base, r = S.base, S.r
+    base = S.base
     if base._core != t._core:
         return False
-    if r is INFINITY:
+    parts = S._parts
+    if parts is None:  # the infinite density
         return True
     qn, qd = t._num * base._den, t._den * base._num  # _ratio_pair's quotient, inline
-    if type(r) is Fraction:
-        c = qn * r.denominator - r.numerator * qd  # the sign of q - r, as qd > 0
+    x, y, _, z = parts
+    if y == 0:
+        c = qn * z - x * qd  # the sign of q - r, as qd > 0
     else:
-        c = cmp_ratio(qn, qd, r)  # a <= r*b  iff  a/b <= r
+        c = cmp_ratio(qn, qd, parts)  # a <= r*b  iff  a/b <= r
     return c < 0 or (c == 0 and not S.strict)
 
 
@@ -179,17 +188,18 @@ def density(S: SaturatedSet, t: SteinitzNumber) -> Density:
     return scale_density(S.r, Fraction(qd, qn))
 
 
-def _floor_count(r: Density, strict: bool, b: int, c: int = 1) -> int | float:
-    """max { i : i <= r*b/c }, or i < r*b/c when strict: the floor dichotomy.
+def _floor_count(parts: tuple[int, int, int, int] | None, strict: bool, b: int, c: int = 1) -> int | float:
+    """max { i : i <= r*b/c }, or i < r*b/c when strict: the floor dichotomy,
+    where ``parts`` are ``_parts(r)``, or None for the infinite density.
 
     floor(r*b/c) when r*b/c is not an integer (always, for an irrational r);
-    exactly r*b/c (closed) or r*b/c - 1 (strict) when it is.  Infinite
-    densities give infinity.
+    exactly r*b/c (closed) or r*b/c - 1 (strict) when it is.  The infinite
+    density gives infinity.
     """
-    if r is INFINITY:
+    if parts is None:
         return INFINITY
-    k = floor_times(r, b, c)
-    return k - 1 if strict and times_is_integer(r, b, c) else k
+    k = floor_times(parts, b, c)
+    return k - 1 if strict and times_is_integer(parts, b, c) else k
 
 
 def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
@@ -201,17 +211,18 @@ def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
     if not omega_contains(t, b):
         raise ValueError(f"{b} is not in Omega({t})")
     qn, qd = _ratio_pair(S.base, t)
-    return _floor_count(S.r, S.strict, qd * b, qn)
+    return _floor_count(S._parts, S.strict, qd * b, qn)
 
 
 def max_element(S: SaturatedSet) -> SteinitzNumber | None:
     """The largest member, (u/v)*base, when the bound r = u/v is attained:
     closed, r rational (a raw int included) and v in Omega(base)."""
-    r = S.r
-    if S.strict or r is INFINITY or isinstance(r, Surd):
+    parts = S._parts
+    if S.strict or parts is None or parts[1]:  # a strict, an infinite or a surd bound
         return None
-    m = _quotient(S.base, r.denominator)
-    return None if m is None else mul_natural(_coset(S.base, *m), r.numerator)
+    u, _, _, v = parts
+    m = _quotient(S.base, v)
+    return None if m is None else mul_natural(_coset(S.base, *m), u)
 
 
 class Inclusion(Enum):

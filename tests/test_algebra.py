@@ -1,5 +1,6 @@
 """Algebra descriptors, decision procedures, and chain realization."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locmat import saturated
+from locmat import algebra, saturated
 from locmat.algebra import (
     AlgebraDescriptor,
     ChainPresentation,
     Stage,
+    _default_divisor_chain,
+    _unital_spectrum,
     corner,
     embeds_as_approximative_corner,
     is_unital,
@@ -39,8 +42,10 @@ from locmat.saturated import (
     mk_inf_type,
 )
 from locmat.steinitz import (
+    _SMALL_PRIMES,
     ONE,
     ParseError,
+    SteinitzNumber,
     mul_natural,
     parse,
     parse_scaled,
@@ -96,6 +101,45 @@ class TestConstructors:
         assert AlgebraDescriptor(Segment(3), parse("3")) == AlgebraDescriptor(Segment(3))
         S = mk_finite_type(Fraction(3, 2), P)
         assert AlgebraDescriptor(S, parse_scaled("(3/2)*P")) == AlgebraDescriptor(S)
+
+    def test_explicit_st_is_accepted_exactly_when_its_unital_spectrum_is_equal(self):
+        # The rule the constructor applies, without building a set, against
+        # building the unital spectrum of st and comparing it.
+        spectra = [
+            Segment(3),
+            Segment(6),
+            ALL_NATURALS,
+            mk_inf_type(P),
+            mk_inf_type(parse("2^inf")),
+            mk_inf_type(parse("2^inf*3")),
+            mk_finite_type(Fraction(1), P, False),
+            mk_finite_type(Fraction(3, 2), P, False),
+            mk_finite_type(Fraction(3, 2), P, True),
+            mk_finite_type(SQRT2, P, False),
+            mk_finite_type(Fraction(5, 2), parse("P^1*2^3"), True),
+            FiniteType(Fraction(1), parse("2^inf"), False),
+            FiniteType(2, P, False),
+            FiniteType(Fraction(3, 2), P, True),
+        ]
+        sts = [parse(t) for t in ("3", "2*3", "P", "2*P", "2^inf", "2^inf*3", "3^inf", "2^inf*3^2")]
+        sts += [parse_scaled("(3/2)*P"), parse_scaled("(1/2)*P")]
+        accepted = 0
+        for spectrum in spectra:
+            for st_ in sts:
+                try:
+                    ok = AlgebraDescriptor(spectrum, st_).st == st_
+                except ValueError:
+                    ok = False
+                assert ok == equals_formal(spectrum, _unital_spectrum(st_)), (spectrum, st_)
+                accepted += ok
+        assert accepted == 11
+
+    @pytest.mark.parametrize("text", ["P", "2^inf"])
+    def test_spec_unital_builds_its_spectrum_once(self, monkeypatch, text):
+        built, unital = [], _unital_spectrum
+        monkeypatch.setattr(algebra, "_unital_spectrum", lambda s: built.append(str(s)) or unital(s))
+        assert spec_unital(parse(text)).st == parse(text)
+        assert built == [text]
 
     @pytest.mark.parametrize(
         "spectrum,s,name",
@@ -269,6 +313,20 @@ class TestRealize:
             realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[6, 2])
         with pytest.raises(ValueError):
             realize(mk_finite_type(Fraction(3, 2), P, False), divisor_chain=[2, 5])
+
+    @pytest.mark.parametrize("text", ["P", "P^2*3", "2^inf*P", "P^1*2^3"])
+    def test_default_divisor_chain_matches_the_diagonal_sweep(self, text):
+        # The sweep as it once ran, reading the i-th valuation again for every divisor past it.
+        base = parse(text)
+        for depth in range(1, 65):
+            sweep = [math.prod(p ** min(base.valuation(p), i) for p in _SMALL_PRIMES[:i]) for i in range(1, depth + 1)]
+            assert _default_divisor_chain(base, depth) == sweep
+
+    def test_realize_reads_each_valuation_once(self, monkeypatch):
+        read, valuation = [], SteinitzNumber.valuation
+        monkeypatch.setattr(SteinitzNumber, "valuation", lambda s, p: read.append(p) or valuation(s, p))
+        realize(mk_finite_type(Fraction(3, 2), P, False), depth=64)
+        assert read == list(_SMALL_PRIMES[:64])
 
     def test_empty_divisor_chain_refused(self):
         with pytest.raises(ValueError, match="^empty divisor chain$"):

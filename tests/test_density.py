@@ -11,6 +11,7 @@ from locmat.density import (
     INFINITY,
     Surd,
     _cmp_scaled,
+    _parts,
     cmp_density,
     cmp_ratio,
     floor_times,
@@ -103,15 +104,15 @@ class TestOrdering:
 
 class TestFloorTimes:
     def test_known_values(self):
-        assert floor_times(SQRT2, 2) == 2
-        assert floor_times(SQRT2, 6) == 8
-        assert floor_times(Fraction(3, 2), 3) == 4
+        assert floor_times(_parts(SQRT2), 2) == 2
+        assert floor_times(_parts(SQRT2), 6) == 8
+        assert floor_times(_parts(Fraction(3, 2)), 3) == 4
 
     def test_rational_exact(self):
-        assert floor_times(Fraction(7, 3), 6) == 14
-        assert times_is_integer(Fraction(7, 3), 6)
-        assert not times_is_integer(Fraction(7, 3), 4)
-        assert not times_is_integer(SQRT2, 4)
+        assert floor_times(_parts(Fraction(7, 3)), 6) == 14
+        assert times_is_integer(_parts(Fraction(7, 3)), 6)
+        assert not times_is_integer(_parts(Fraction(7, 3)), 4)
+        assert not times_is_integer(_parts(SQRT2), 4)
 
 
 class TestText:
@@ -151,15 +152,15 @@ def test_floor_times_matches_decimal_oracle(r, b):
         if isinstance(scaled, Surd)
         else scaled.numerator // scaled.denominator
     )
-    assert floor_times(r, b) == expected
+    assert floor_times(_parts(r), b) == expected
 
 
 @given(values, st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=60))
 def test_floor_times_divides_by_its_divisor(r, b, c):
     # floor(x/c) = floor(floor(x)/c) for an integer c > 0, and x/c is an
     # integer exactly when x is one that c divides.
-    assert floor_times(r, b, c) == floor_times(r, b) // c
-    assert times_is_integer(r, b, c) == (times_is_integer(r, b) and floor_times(r, b) % c == 0)
+    assert floor_times(_parts(r), b, c) == floor_times(_parts(r), b) // c
+    assert times_is_integer(_parts(r), b, c) == (times_is_integer(_parts(r), b) and floor_times(_parts(r), b) % c == 0)
 
 
 #: Every kind a density comes in: rationals, raw ints, surds with x of either
@@ -216,9 +217,9 @@ def test_cmp_ratio_matches_cmp_density(r, n, d, k, pin):
     if pin == "at-r" and isinstance(r, Fraction):
         n, d = r.numerator, r.denominator
     elif pin.startswith("floor"):
-        n = floor_times(r, d) + (pin == "floor+1")
+        n = floor_times(_parts(r), d) + (pin == "floor+1")
     n, d = n * k, d * k
-    assert cmp_ratio(n, d, r) == cmp_density(Fraction(n, d), r)
+    assert cmp_ratio(n, d, _parts(r)) == cmp_density(Fraction(n, d), r)
 
 
 @given(values, values, values)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from locmat import oracle, steinitz
 from locmat.algebra import ChainPresentation, Stage, realize, spec_unital, spectrum_of_chain
-from locmat.density import INFINITY, Surd, cmp_density, floor_times, scale_density
+from locmat.density import INFINITY, Surd, _parts, cmp_density, floor_times, scale_density
 from locmat.oracle import _existential_contains, check_saturation_axioms, equals_extensional, sample_members
 from locmat.saturated import (
     ALL_NATURALS,
@@ -453,7 +453,7 @@ def sets_and_candidates(draw):
     base, strict = draw(st.sampled_from(BASES)), draw(st.booleans())
     S = mk_finite_type(r, base, strict) if base.is_infinity_free else FiniteType(r, base, strict)
     b = draw(st.sampled_from(enumerate_omega(base, 12)))
-    i = draw(st.one_of(st.integers(-1, 1).map(lambda k: floor_times(r, b) + k), st.integers(1, 40)))
+    i = draw(st.one_of(st.integers(-1, 1).map(lambda k: floor_times(_parts(r), b) + k), st.integers(1, 40)))
     other = st.sampled_from([P, parse("P^2"), parse("2^inf*P"), parse("3^inf"), parse("P^inf")])
     return S, draw(st.one_of(st.just(mul_natural(divide_by(base, b), max(i, 1))), other))
 
@@ -463,19 +463,26 @@ def sets_and_candidates(draw):
 @example((mk_finite_type(Surd.make(5, 1, 2, 1), P), P))  # q = 1 against 5 + sqrt(2): a = 1 - 5 < 0
 @example((mk_finite_type(Surd.make(2, 1, 2, 1), P), parse_scaled("(2/1)*P")))  # q = 2 against 2 + sqrt(2): a = 0
 @example((S32_STRICT, parse_scaled("(3/2)*P")))  # q = r at a strict bound
+# Raw forms that normalization never builds:
+@example((FiniteType(2, P, False), parse_scaled("(2/1)*P")))  # an int density, q = r
+@example((FiniteType(Surd.make(2, 1, 2, 1), P, True), parse_scaled("(2/1)*P")))  # strict surd, a = 0: 2 < 2+sqrt(2)
+@example((FiniteType(Fraction(5, 4), P, True), P))  # strict, though 4 is not in Omega(P)
+@example((Segment(5), SteinitzNumber.from_int(5)))  # q = n
+@example((Segment(5), SteinitzNumber.from_int(6)))  # q = n + 1
 def test_contains_agrees_with_the_density_comparison(pair):
     # Membership is q = t/base against r, strict-aware; density and r_sub refuse
-    # exactly the non-members, and give the rebased density at a member.
+    # exactly the non-members, and give the rebased density at a member.  The
+    # density is defined at infinite members only.
     S, t = pair
     q = ratio_if_connected(S.base, t)
     c = None if q is None else cmp_density(q, S.r)
     member = c is not None and (c < 0 or (c == 0 and not S.strict))
     assert contains(S, t) == member
     if member:
-        assert density(S, t) == scale_density(S.r, 1 / q)
+        assert t.is_natural or density(S, t) == scale_density(S.r, 1 / q)
         assert r_sub(S, t, 1) >= 1
         return
-    for refused in (lambda: density(S, t), lambda: r_sub(S, t, 1)):
+    for refused in (lambda: r_sub(S, t, 1),) + (() if t.is_natural else (lambda: density(S, t),)):
         with pytest.raises(ValueError, match="is not a member of"):
             refused()
 
@@ -645,7 +652,7 @@ def sample_by_definition(S, den_bound, limit):
         return [SteinitzNumber.from_int(i) for i in range(1, top + 1)]
     out, seen = [], set()
     for b in enumerate_omega(S.base, den_bound):
-        hi = 3 * b + 1 if S.r is INFINITY else floor_times(S.r, b) + 1
+        hi = 3 * b + 1 if S.r is INFINITY else floor_times(_parts(S.r), b) + 1
         for a in range(1, hi + 1):
             c = cmp_density(Fraction(a, b), S.r)
             if c > 0 or (c == 0 and S.strict):
@@ -701,7 +708,7 @@ def test_r_sub_matches_the_rebased_density_path(case):
     # t = q*base, built as a value, then the floor dichotomy of it at b.
     S, t, b = case
     rebased = scale_density(S.r, 1 / ratio_if_connected(S.base, t))
-    assert r_sub(S, t, b) == _floor_count(rebased, S.strict, b)
+    assert r_sub(S, t, b) == _floor_count(None if rebased is INFINITY else _parts(rebased), S.strict, b)
 
 
 def test_decisions_build_no_fraction_and_no_surd(monkeypatch):
@@ -735,6 +742,72 @@ def test_decisions_build_no_fraction_and_no_surd(monkeypatch):
     scale(P, 3)
     monkeypatch.undo()
     assert built == []
+
+
+#: A set of each kind with a finite density, raw forms and one over an infinite prime included.
+_FINITE_SETS = [
+    Segment(7),
+    S32,
+    S32_STRICT,
+    SSQRT2,
+    mk_finite_type(Surd.make(1, 1, 5, 2), parse("P^1*2^3"), True),
+    FiniteType(2, P, False),
+    FiniteType(Fraction(5, 4), P, True),
+    FiniteType(Fraction(3, 2), parse("2^inf*3^4*P"), False),
+]
+
+
+@pytest.mark.parametrize("S", _FINITE_SETS, ids=format_set)
+def test_a_set_keeps_the_parts_of_its_density_and_not_as_a_field(S):
+    # The parts that decisions read are _parts(r), built with the set.  They
+    # are no field: equality, hash, repr and pickling see the fields alone.
+    assert S._parts == _parts(S.r)
+    fields = ("n",) if isinstance(S, Segment) else ("r", "base", "strict")
+    assert type(S).__match_args__ == fields and S._values == tuple(getattr(S, f) for f in fields)
+    assert repr(S) == f"{type(S).__qualname__}({', '.join(f'{f}={getattr(S, f)!r}' for f in fields)})"
+    assert hash(S) == hash(S._values)
+    again = pickle.loads(pickle.dumps(S))
+    assert again == S and hash(again) == hash(S) and again._parts == S._parts
+    with pytest.raises(AttributeError):
+        S._parts = (1, 0, 1, 1)
+
+
+def test_infinite_sets_keep_no_parts():
+    assert ALL_NATURALS._parts is None and mk_inf_type(P)._parts is None
+
+
+def test_a_brute_scan_reads_no_fraction_property(monkeypatch):
+    # Each membership test of a scan reads the parts its set keeps, not the
+    # numerator and denominator properties of its Fraction density.
+    scans = [(S, t, enumerate_omega(t, 12)) for S, t in ((S32, P), (SSQRT2, P), (Segment(50), SteinitzNumber.from_int(50)))]
+    read = []
+    for name in ("numerator", "denominator"):
+        prop = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, property(lambda q, f=prop.fget, n=name: read.append(n) or f(q)))
+    for S, t, omega in scans:
+        for b in omega:
+            oracle.r_sub_brute(S, t, b, i_bound=3 * b + 80)
+    monkeypatch.undo()
+    assert read == []
+
+
+def test_oracle_probes_pick_their_membership_test_once_per_set(monkeypatch):
+    # The choice between contains and the representation search reads the
+    # probed set's base once per set, so more probes read it no more often.
+    prop = SteinitzNumber.is_infinity_free
+    read = []
+    monkeypatch.setattr(SteinitzNumber, "is_infinity_free", property(lambda s: read.append(s) or prop.fget(s)))
+
+    def reads(check, *args, **kwargs):
+        del read[:]
+        check(*args, **kwargs)
+        return len(read)
+
+    raw = FiniteType(Fraction(3, 2), parse("2^inf*3"), False)
+    for S1, S2 in ((S32, S32), (raw, mk_inf_type(parse("2^inf*3"))), (raw, raw)):
+        assert reads(equals_extensional, S1, S2, budget=5) == reads(equals_extensional, S1, S2, budget=50) <= 4
+        assert reads(check_saturation_axioms, S1, samples=100) == reads(check_saturation_axioms, S1, samples=400) <= 2
+    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("limit", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
