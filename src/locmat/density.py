@@ -53,7 +53,7 @@ def _order(test):
     """A Surd comparison method: ``test`` on the exact three-way result."""
 
     def method(self, other):
-        if not isinstance(other, (int, Fraction, Surd)):
+        if type(other) is bool or not isinstance(other, (int, Fraction, Surd)):
             return NotImplemented
         return test(cmp_density(self, other), 0)
 
@@ -63,14 +63,19 @@ def _order(test):
 class Surd(_Value):
     """(x + y*sqrt(d))/z with y > 0, z > 0, d squarefree > 1, gcd(x,y,z) = 1.
 
-    Always irrational under those invariants; construct via :meth:`make`,
-    which normalizes square parts and common factors.  A Surd never equals
-    an int or a Fraction.
+    Always irrational under those invariants, which the constructor checks;
+    :meth:`make` normalizes square parts and common factors to meet them.
+    A Surd never equals an int or a Fraction.
     """
 
     __slots__ = __match_args__ = ("x", "y", "d", "z")
 
     def __init__(self, x: int, y: int, d: int, z: int):
+        if not (
+            type(x) is type(y) is type(d) is type(z) is int
+            and y > 0 and z > 0 and d > 1 and math.gcd(x, y, z) == 1 and _squarefree_split(d)[0] == 1
+        ):
+            raise ValueError(f"Surd{(x, y, d, z)} is not in normal form: build it with Surd.make")
         self._set("x", x)
         self._set("y", y)
         self._set("d", d)
@@ -107,20 +112,22 @@ Density = Fraction | Surd | float
 
 
 def _parts(r: int | Fraction | Surd) -> tuple[int, int, int, int]:
-    """(x, y, d, z) with r = (x + y*sqrt(d))/z and z > 0; a rational has y = 0, d = 1."""
+    """(x, y, d, z) with r = (x + y*sqrt(d))/z and z > 0; a rational has y = 0, d = 1.
+    The one check of a finite density: it refuses all but an int (not a bool), a Fraction or a Surd."""
     if isinstance(r, Surd):
         return r.x, r.y, r.d, r.z
+    if type(r) is bool or not isinstance(r, (int, Fraction)):
+        raise ValueError(f"density must be an int, a Fraction or a Surd, got {r!r} ({type(r).__name__})")
     return r.numerator, 0, 1, r.denominator
 
 
-def _cmp_scaled(a: Density, b: Density, n: int, d: int) -> int:
-    """Sign of a - b*n/d for ints n, d > 0: b's parts scale to (x*n, y*n, D, z*d), unreduced."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return _sign(a.numerator * b.denominator * d - b.numerator * n * a.denominator)
-    if a is INFINITY or b is INFINITY:
-        return (a is INFINITY) - (b is INFINITY)
-    x1, y1, d1, z1 = _parts(a)
-    x2, y2, d2, z2 = _parts(b)
+def _cmp_scaled(pa: tuple[int, int, int, int] | None, pb: tuple[int, int, int, int] | None, n: int, d: int) -> int:
+    """Sign of a - b*n/d for ints n, d > 0, where pa and pb are the parts of a
+    and b, or None for INFINITY: b's parts scale to (x*n, y*n, D, z*d), unreduced."""
+    if pa is None or pb is None:
+        return (pa is None) - (pb is None)
+    x1, y1, d1, z1 = pa
+    x2, y2, d2, z2 = pb
     # a - b*n/d has the sign of r + p*sqrt(d1) - q*sqrt(d2), with p, q >= 0.
     r, p, q = x1 * z2 * d - x2 * n * z1, y1 * z2 * d, y2 * n * z1
     if d1 == d2 or 1 in (d1, d2):  # one radicand: the other side has q or p = 0
@@ -136,7 +143,7 @@ def _cmp_scaled(a: Density, b: Density, n: int, d: int) -> int:
 
 def cmp_density(a: Density, b: Density) -> int:
     """Three-way comparison across all density kinds (INFINITY is largest)."""
-    return _cmp_scaled(a, b, 1, 1)
+    return _cmp_scaled(None if a is INFINITY else _parts(a), None if b is INFINITY else _parts(b), 1, 1)
 
 
 def cmp_ratio(n: int, d: int, parts: tuple[int, int, int, int]) -> int:
@@ -176,12 +183,6 @@ def floor_times(parts: tuple[int, int, int, int], b: int, c: int = 1) -> int:
     x, y, d, z = parts
     t = y * b
     return (x * b + math.isqrt(t * t * d)) // (z * c)
-
-
-def times_is_integer(parts: tuple[int, int, int, int], b: int, c: int = 1) -> bool:
-    """Whether r * b / c is an integer (never, for surds), where ``parts`` are ``_parts(r)``."""
-    x, y, _, z = parts
-    return y == 0 and x * b % (z * c) == 0
 
 
 #: One form with the spaces around it, or ``bad`` from the first character on.

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import count, islice
 
-from .density import INFINITY, Surd, cmp_density, cmp_ratio, floor_times
+from .density import INFINITY, Surd, cmp_ratio, floor_times
 from .saturated import (
     ALL_NATURALS,
     AllNaturals,
@@ -273,12 +273,13 @@ def enumerate_members(S: SaturatedSet, w: EnumWindow) -> list[tuple[Fraction, St
     """
     out: list[tuple[Fraction, SteinitzNumber]] = []
     seen: set[Fraction] = set()
+    parts = S._parts
     for b in enumerate_omega(S.base, w.denominator_bound):
         for a in range(1, w.numerator_bound + 1):
-            key = Fraction(a, b)
-            c = cmp_density(key, S.r)
+            c = -1 if parts is None else cmp_ratio(a, b, parts)  # the sign of a/b - r
             if c > 0 or (c == 0 and S.strict):
                 continue
+            key = Fraction(a, b)
             if key in seen:
                 continue
             seen.add(key)

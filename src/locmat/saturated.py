@@ -34,7 +34,6 @@ from .density import (
     format_density,
     parse_density,
     scale_density,
-    times_is_integer,
 )
 from .steinitz import (
     ONE,
@@ -95,14 +94,6 @@ class InfType(SaturatedSet):
         self._set("base", base)
 
 
-def _finite_density(r: Fraction | Surd) -> Fraction | Surd:
-    """r, when it is an int (not a bool), a Fraction or a Surd: a finite
-    density that decisions read.  The float INFINITY is refused too."""
-    if type(r) is bool or not isinstance(r, (int, Fraction, Surd)):
-        raise ValueError(f"density must be an int, a Fraction or a Surd, got {r!r} ({type(r).__name__})")
-    return r
-
-
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
     it normalizes nothing, but takes only a finite density of at least 1 and
@@ -112,7 +103,7 @@ class FiniteType(SaturatedSet):
     __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
-        parts = _parts(_finite_density(r))
+        parts = _parts(r)  # which checks the density
         if cmp_ratio(1, 1, parts) > 0:  # 1 > r
             raise ValueError(f"density must be at least 1, got {format_density(r)}")
         self._set("r", r)
@@ -199,7 +190,8 @@ def _floor_count(parts: tuple[int, int, int, int] | None, strict: bool, b: int, 
     if parts is None:
         return INFINITY
     k = floor_times(parts, b, c)
-    return k - 1 if strict and times_is_integer(parts, b, c) else k
+    x, y, _, z = parts
+    return k - 1 if strict and y == 0 and x * b % (z * c) == 0 else k  # r*b/c is an integer
 
 
 def r_sub(S: SaturatedSet, t: SteinitzNumber, b: int) -> int | float:
@@ -238,7 +230,7 @@ def compare_inclusion(S1: SaturatedSet, S2: SaturatedSet) -> Inclusion:
     if q is None:
         return Inclusion.DISJOINT
     # S2.base = (n/d) * S1.base, so S2's density at S1's base is S2.r * n/d.
-    c = _cmp_scaled(S1.r, S2.r, *q)
+    c = _cmp_scaled(S1._parts, S2._parts, *q)
     if c < 0:
         return Inclusion.LEFT_IN_RIGHT
     if c > 0:
@@ -278,8 +270,10 @@ class TailRule(_Value):
             raise ValueError("a density tail needs a density")
         if r is not None and kind == "unbounded":
             raise ValueError("an unbounded tail takes no density")
+        if r is not None and r is not INFINITY:
+            _parts(r)  # which checks the density
         self._set("kind", kind)
-        self._set("r", r if r is None or r is INFINITY else _finite_density(r))
+        self._set("r", r)
 
 
 def format_set(S: SaturatedSet) -> str:

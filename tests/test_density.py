@@ -1,6 +1,7 @@
 """Exact density arithmetic: surd ordering against integer-sqrt oracles."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from locmat.density import (
     format_density,
     parse_density,
     scale_density,
-    times_is_integer,
 )
+from locmat.saturated import _floor_count
 from locmat.steinitz import ParseError
 
 
@@ -76,6 +77,32 @@ class TestConstruction:
     def test_negative_denominator_flips_every_sign(self):
         assert Surd.make(-1, -1, 2, -2) == Surd.make(1, 1, 2, 2)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 1, 4, 1),  # sqrt(4) = 2 is rational
+            (0, 1, 8, 1),  # 8 is not squarefree
+            (0, 1, 1, 1),
+            (1, 2, 3, 0),  # a zero denominator
+            (1, 2, 3, -1),
+            (0, 0, 2, 1),
+            (0, -1, 2, 1),
+            (0, 2, 2, 2),  # gcd(x, y, z) = 2
+            (True, 1, 2, 1),
+            (0, 1, 2.0, 1),
+            (0, 1, "2", 1),
+        ],
+    )
+    def test_raw_constructor_refuses_what_is_not_in_normal_form(self, args):
+        with pytest.raises(ValueError) as e:
+            Surd(*args)
+        assert str(e.value) == f"Surd{args} is not in normal form: build it with Surd.make"
+
+    def test_raw_constructor_takes_the_normal_form(self):
+        s = Surd.make(2, 4, 12, 6)
+        assert Surd(1, 4, 3, 3) == s == pickle.loads(pickle.dumps(s))
+        assert Surd(-3, 1, 5, 2) == Surd.make(-3, 1, 5, 2)
+
 
 class TestOrdering:
     def test_cross_radicand(self):
@@ -95,6 +122,10 @@ class TestOrdering:
     def test_order_with_another_type_is_a_type_error(self):
         with pytest.raises(TypeError):
             SQRT2 < "x"
+        with pytest.raises(TypeError):
+            SQRT2 < True
+        with pytest.raises(TypeError):
+            False >= SQRT2
 
     def test_infinity_is_largest(self):
         assert cmp_density(INFINITY, SQRT5) == 1
@@ -110,9 +141,10 @@ class TestFloorTimes:
 
     def test_rational_exact(self):
         assert floor_times(_parts(Fraction(7, 3)), 6) == 14
-        assert times_is_integer(_parts(Fraction(7, 3)), 6)
-        assert not times_is_integer(_parts(Fraction(7, 3)), 4)
-        assert not times_is_integer(_parts(SQRT2), 4)
+        # The strict count is one less exactly where r*b is an integer.
+        assert _floor_count(_parts(Fraction(7, 3)), True, 6) == 13
+        assert _floor_count(_parts(Fraction(7, 3)), True, 4) == floor_times(_parts(Fraction(7, 3)), 4) == 9
+        assert _floor_count(_parts(SQRT2), True, 4) == floor_times(_parts(SQRT2), 4) == 5
 
 
 class TestText:
@@ -158,9 +190,11 @@ def test_floor_times_matches_decimal_oracle(r, b):
 @given(values, st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=60))
 def test_floor_times_divides_by_its_divisor(r, b, c):
     # floor(x/c) = floor(floor(x)/c) for an integer c > 0, and x/c is an
-    # integer exactly when x is one that c divides.
+    # integer exactly when x is one that c divides; the strict count is one
+    # less exactly where it is an integer.
     assert floor_times(_parts(r), b, c) == floor_times(_parts(r), b) // c
-    assert times_is_integer(_parts(r), b, c) == (times_is_integer(_parts(r), b) and floor_times(_parts(r), b) % c == 0)
+    is_integer = [floor_times(_parts(r), b, k) - _floor_count(_parts(r), True, b, k) for k in (c, 1)]
+    assert is_integer[0] == (is_integer[1] and floor_times(_parts(r), b) % c == 0)
 
 
 #: Every kind a density comes in: rationals, raw ints, surds with x of either
@@ -183,9 +217,10 @@ def test_cmp_scaled_matches_cmp_density_of_the_scaled_value(a, b, n, d, at_b):
     scaled = scale_density(b, Fraction(n, d))
     if at_b:
         a = scaled
-    assert _cmp_scaled(a, b, n, d) == cmp_density(a, scaled)
+    pa, pb = (None if v is INFINITY else _parts(v) for v in (a, b))
+    assert _cmp_scaled(pa, pb, n, d) == cmp_density(a, scaled)
     if INFINITY not in (a, b):
-        assert _cmp_scaled(a, b, n, d) == oracle_cmp(a, scaled)
+        assert _cmp_scaled(pa, pb, n, d) == oracle_cmp(a, scaled)
 
 
 def test_scale_density_refuses_a_zero_factor():

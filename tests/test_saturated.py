@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from locmat import oracle, steinitz
 from locmat.algebra import ChainPresentation, Stage, realize, spec_unital, spectrum_of_chain
-from locmat.density import INFINITY, Surd, _parts, cmp_density, floor_times, scale_density
+from locmat.density import INFINITY, Surd, _parts, cmp_density, floor_times, format_density, scale_density
 from locmat.oracle import _existential_contains, check_saturation_axioms, equals_extensional, sample_members
 from locmat.saturated import (
     ALL_NATURALS,
@@ -61,6 +61,15 @@ SSQRT2 = mk_finite_type(SQRT2, P, False)
 #: The normalizing and the raw constructor of S(r, P), as functions of r.
 _FINITE_TYPE_BUILDS = (lambda r: mk_finite_type(r, P, False), lambda r: FiniteType(r, P, False))
 
+#: Every entry point that takes a finite density, with r in one place: each checks it with ``_parts``.
+_FINITE_DENSITY_READS = _FINITE_TYPE_BUILDS + (
+    lambda r: TailRule("attained", r),
+    lambda r: cmp_density(r, 1),
+    lambda r: cmp_density(SQRT2, r),
+    lambda r: scale_density(r, Fraction(2)),
+    format_density,
+)
+
 
 class TestConstructors:
     def test_inf_type_of_natural_is_all_naturals(self):
@@ -100,10 +109,10 @@ class TestConstructors:
     @pytest.mark.parametrize(
         "builds,r,message",
         [
-            (_FINITE_TYPE_BUILDS, 2.5, "density must be an int, a Fraction or a Surd, got 2.5 (float)"),
-            (_FINITE_TYPE_BUILDS, float("inf"), "density must be an int, a Fraction or a Surd, got inf (float)"),
-            (_FINITE_TYPE_BUILDS, "3/2", "density must be an int, a Fraction or a Surd, got '3/2' (str)"),
-            (_FINITE_TYPE_BUILDS, True, "density must be an int, a Fraction or a Surd, got True (bool)"),
+            (_FINITE_DENSITY_READS, 2.5, "density must be an int, a Fraction or a Surd, got 2.5 (float)"),
+            (_FINITE_DENSITY_READS, float("inf"), "density must be an int, a Fraction or a Surd, got inf (float)"),
+            (_FINITE_DENSITY_READS, "3/2", "density must be an int, a Fraction or a Surd, got '3/2' (str)"),
+            (_FINITE_DENSITY_READS, True, "density must be an int, a Fraction or a Surd, got True (bool)"),
             (_FINITE_TYPE_BUILDS, 0, "density must be at least 1, got 0"),
             (_FINITE_TYPE_BUILDS, -1, "density must be at least 1, got -1"),
             (_FINITE_TYPE_BUILDS, Fraction(1, 2), "density must be at least 1, got 1/2"),
@@ -789,6 +798,33 @@ def test_a_brute_scan_reads_no_fraction_property(monkeypatch):
             oracle.r_sub_brute(S, t, b, i_bound=3 * b + 80)
     monkeypatch.undo()
     assert read == []
+
+
+def test_inclusion_decisions_read_no_fraction_property(monkeypatch):
+    # compare_inclusion and equals_formal compare the parts both sets keep,
+    # not the numerator and denominator properties of their Fraction densities.
+    pairs = [
+        (S32, S1),
+        (S32, mk_finite_type(Fraction(3), HALF_P)),  # equal, over two bases
+        (SSQRT2, S32),
+        (SSQRT2, mk_finite_type(SQRT5, HALF_P)),
+        (S32_STRICT, S32),
+        (FiniteType(2, P, True), mk_finite_type(Fraction(4), HALF_P)),
+        (mk_inf_type(P), S32),
+        (ALL_NATURALS, Segment(7)),
+        (Segment(7), Segment(50)),
+        (S32, mk_inf_type(parse("2^inf"))),
+    ]
+    pairs += [(B, A) for A, B in pairs]
+    verdicts = [(compare_inclusion(A, B), equals_formal(A, B)) for A, B in pairs]
+    read = []
+    for name in ("numerator", "denominator"):
+        prop = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, property(lambda q, f=prop.fget, n=name: read.append(n) or f(q)))
+    again = [(compare_inclusion(A, B), equals_formal(A, B)) for A, B in pairs]
+    monkeypatch.undo()
+    assert read == [] and again == verdicts
+    assert verdicts[1] == (Inclusion.EQUAL, True) and verdicts[5] == (Inclusion.LEFT_IN_RIGHT, False)
 
 
 def test_oracle_probes_pick_their_membership_test_once_per_set(monkeypatch):
