@@ -76,10 +76,15 @@ class Surd(_Value):
             and y > 0 and z > 0 and d > 1 and math.gcd(x, y, z) == 1 and _squarefree_split(d)[0] == 1
         ):
             raise ValueError(f"Surd{(x, y, d, z)} is not in normal form: build it with Surd.make")
+        self._fill(x, y, d, z)
+
+    def _fill(self, x: int, y: int, d: int, z: int) -> "Surd":
+        """Set the fields of a checked normal form; returns self."""
         self._set("x", x)
         self._set("y", y)
         self._set("d", d)
         self._set("z", z)
+        return self
 
     @classmethod
     def make(cls, x: int, y: int, d: int, z: int) -> "Surd | Fraction":
@@ -96,7 +101,7 @@ class Surd(_Value):
         if y < 0:
             raise ValueError("surd part must be positive")
         g = math.gcd(math.gcd(abs(x), y), z)
-        return cls(x // g, y // g, m, z // g)
+        return object.__new__(cls)._fill(x // g, y // g, m, z // g)  # m is squarefree, the rest reduced above
 
     __lt__ = _order(operator.lt)
     __le__ = _order(operator.le)

@@ -111,12 +111,16 @@ def _positive_int(name: str, v: int) -> int:
     return v
 
 
+def _eratosthenes(limit: int) -> bytearray:
+    """The sieve of Eratosthenes below limit >= 2: byte n is 1 iff n is a prime."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in compress(range(math.isqrt(limit - 1) + 1), sieve):
+        sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return sieve
+
+
 _TRIAL_LIMIT = 1000
-_sieve = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_LIMIT - 2)  # Eratosthenes: 1 marks a prime
-for _p in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
-    _sieve[_p * _p :: _p] = bytes(len(range(_p * _p, _TRIAL_LIMIT, _p)))
-_SMALL_PRIMES = tuple(compress(range(_TRIAL_LIMIT), _sieve))
-del _sieve, _p
+_SMALL_PRIMES = tuple(compress(range(_TRIAL_LIMIT), _eratosthenes(_TRIAL_LIMIT)))
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # (bound, bases): being a strong probable prime to every base is exact for
@@ -622,12 +626,17 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
     """Multiply by a natural number (exponentwise add; INF absorbs)."""
     if n < 1:
         raise ValueError(f"multiplier must be positive, got {n}")
-    on, off = (1, n) if s._radical == 1 else _split(n, s._radical)  # _split(n, 1) is (1, n), one frame less
-    k = on if s._core[0] == INF else off
-    if k == 1:
+    radical = s._radical
+    if radical != 1:
+        on, n = _split(n, radical)
+        if s._core[0] == INF:
+            n = on
+    elif s._core[0] == INF:  # P^inf lists no finite prime, so it absorbs every n
         return s
-    g = math.gcd(k, s._den)
-    return _coset(s, s._num * (k // g), s._den // g)
+    if n == 1:
+        return s
+    g = math.gcd(n, s._den)
+    return _coset(s, s._num * (n // g), s._den // g)
 
 
 def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
@@ -686,5 +695,17 @@ def iter_omega(s: SteinitzNumber, bound: int) -> Iterator[int]:
 
 
 def enumerate_omega(s: SteinitzNumber, bound: int) -> list[int]:
-    """All n <= bound dividing s, ascending."""
-    return list(iter_omega(s, bound))
+    """All n <= bound dividing s, ascending, by a sieve: each prime p <= bound
+    whose finite exponent v in s has p^(v+1) <= bound strikes the multiples
+    of p^(v+1).  It reserves about 2 bytes per n up to ``bound`` (the marks
+    and the primes' sieve) before it returns anything, and takes one
+    valuation per prime up to it.  ``iter_omega`` tests each n instead, in
+    constant memory, for a sweep that may stop early or a very large bound."""
+    _positive_int("bound", bound)
+    keep = bytearray([0]) + bytearray([1]) * bound
+    top = bound.bit_length()
+    for p in compress(range(bound + 1), _eratosthenes(bound + 1)):
+        v = s.valuation(p)
+        if v < top and (q := p ** (v + 1)) <= bound:  # past top, and at INF, p^(v+1) > 2^top > bound
+            keep[q::q] = bytes(len(range(q, bound + 1, q)))
+    return list(compress(range(bound + 1), keep))

@@ -3,6 +3,7 @@
 import math
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +14,7 @@ from locmat.density import (
     Surd,
     _cmp_scaled,
     _parts,
+    _squarefree_split,
     cmp_density,
     cmp_ratio,
     floor_times,
@@ -97,6 +99,13 @@ class TestConstruction:
         with pytest.raises(ValueError) as e:
             Surd(*args)
         assert str(e.value) == f"Surd{args} is not in normal form: build it with Surd.make"
+
+    def test_make_splits_the_radicand_once(self):
+        # make builds the normal form, so it needs no second check of it.
+        with mock.patch("locmat.density._squarefree_split", wraps=_squarefree_split) as split:
+            s = Surd.make(2, 4, 12, 6)
+        assert split.call_count == 1
+        assert s == Surd(1, 4, 3, 3)
 
     def test_raw_constructor_takes_the_normal_form(self):
         s = Surd.make(2, 4, 12, 6)

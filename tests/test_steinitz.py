@@ -152,6 +152,12 @@ class TestOmega:
     def test_enumerate_one(self):
         assert enumerate_omega(ONE, 10) == [1]
 
+    def test_enumerate_omega_sieves_instead_of_testing_each_n(self):
+        want = squarefree_sieve(210)
+        with mock.patch.object(steinitz, "omega_contains", wraps=omega_contains) as test:
+            assert enumerate_omega(P_ALL, 210) == want
+        assert test.call_count == 0
+
     def test_iter_omega_is_lazy_and_checks_its_bound_at_the_call(self):
         with pytest.raises(ValueError):
             iter_omega(P_ALL, 0)
@@ -178,6 +184,15 @@ class TestMulDiv:
 
     def test_mul_absorption(self):
         assert mul_natural(parse("2^inf"), 2) == parse("2^inf")
+
+    @pytest.mark.parametrize(
+        "text,n,want", [("P^inf", 6, "P^inf"), ("P^inf*2^3", 12, "P^inf*2^5"), ("2^inf*P", 12, "2^inf*3^2*P")]
+    )
+    def test_mul_absorbs_at_the_infinite_primes_only(self, text, n, want):
+        s = parse(text)
+        got = mul_natural(s, n)
+        assert got == parse(want)
+        assert (got is s) == (text == want)  # a product that absorbs all of n is s itself
 
     def test_divide_outside_omega(self):
         with pytest.raises(ValueError):
@@ -338,12 +353,15 @@ def test_finitely_divides_consistency(a, b):
 
 
 @settings(max_examples=30)
-@given(steinitz_numbers, naturals)
+@given(steinitz_numbers, naturals.map(lambda n: min(n, 60)))
+@example(parse("P^2*3^0"), 1000)
+@example(parse("2^inf*3"), 1000)
+@example(parse("P^inf*2^3"), 1000)
+@example(SteinitzNumber.from_int(2 * 997), 1000)  # 997 is the largest prime below the bound
+@example(ONE, 1000)
+@example(ONE, 1)
 def test_omega_contains_matches_enumeration(s, bound):
-    bound = min(bound, 60)
-    listed = set(enumerate_omega(s, bound))
-    for n in range(1, bound + 1):
-        assert (n in listed) == omega_contains(s, n)
+    assert enumerate_omega(s, bound) == [n for n in range(1, bound + 1) if omega_contains(s, n)]
 
 
 def prime_sieve(bound: int) -> bytearray:
