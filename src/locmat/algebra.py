@@ -167,6 +167,8 @@ class Stage(_Value):
 
     def __init__(self, k: int, s: SteinitzNumber):
         self._set("k", _positive_int("stage size", k))
+        if not isinstance(s, SteinitzNumber):
+            raise ValueError(f"s must be a SteinitzNumber, got {s!r} ({type(s).__name__})")
         self._set("s", s)
 
     @property

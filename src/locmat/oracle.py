@@ -373,6 +373,9 @@ class FiniteMatrixChain(_Value):
     __slots__ = __match_args__ = ("sizes", "mults", "pads")
 
     def __init__(self, sizes: tuple[int, ...], mults: tuple[int, ...], pads: tuple[int, ...]):
+        for name, values in (("stage sizes", sizes), ("multiplicities", mults), ("paddings", pads)):
+            if not (isinstance(values, tuple) and all(type(v) is int for v in values)):
+                raise ValueError(f"{name} must be a tuple of ints, got {values!r}")
         if not sizes:
             raise ValueError("chain needs at least one stage")
         if len(mults) != len(sizes) - 1 or len(pads) != len(sizes) - 1:

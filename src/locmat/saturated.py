@@ -83,7 +83,8 @@ class AllNaturals(SaturatedSet):
 
 
 class InfType(SaturatedSet):
-    """S(inf, base) = {(a/b)*base : a natural, b in Omega(base)}."""
+    """S(inf, base) = {(a/b)*base : a natural, b in Omega(base)}, over an
+    infinite base: S(inf, 1) has one spelling, AllNaturals."""
 
     __slots__ = __match_args__ = ("base",)
     r = INFINITY
@@ -91,18 +92,23 @@ class InfType(SaturatedSet):
     strict = False
 
     def __init__(self, base: SteinitzNumber):
+        if base.is_natural:
+            raise ValueError(f"infinite-type base must be an infinite Steinitz number, got {base}")
         self._set("base", base)
 
 
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
-    it normalizes nothing, but takes only a finite density of at least 1 and
-    of a type that decisions read: S(inf, base) has one spelling, InfType."""
+    it normalizes nothing, but takes only an infinite base (a natural one is
+    a segment's) and a finite density of at least 1 and of a type that
+    decisions read: S(inf, base) has one spelling, InfType."""
 
     __slots__ = ("r", "base", "strict", "_parts")  # the parts of r are built once and are not a field
     __match_args__ = ("r", "base", "strict")
 
     def __init__(self, r: Fraction | Surd, base: SteinitzNumber, strict: bool):
+        if base.is_natural:
+            raise ValueError(f"finite-type base must be an infinite Steinitz number, got {base}")
         parts = _parts(r)  # which checks the density
         if cmp_ratio(1, 1, parts) > 0:  # 1 > r
             raise ValueError(f"density must be at least 1, got {format_density(r)}")
@@ -133,9 +139,7 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
     """
     if r is INFINITY:
         return mk_inf_type(s)
-    if s.is_natural:
-        raise ValueError(f"finite-type base must be an infinite Steinitz number, got {s}")
-    S = FiniteType(Fraction(r) if type(r) is int else r, s, strict)  # which checks the density
+    S = FiniteType(Fraction(r) if type(r) is int else r, s, strict)  # which checks the base, then the density
     if not s.is_infinity_free:
         return InfType(s)
     _, y, _, z = S._parts
@@ -281,8 +285,6 @@ def format_set(S: SaturatedSet) -> str:
         return f"[1..{S.n}]"
     if isinstance(S, AllNaturals):
         return "N"
-    if isinstance(S, InfType):
-        return f"S(inf, {S.base})"
     plus = "+" if S.strict else ""
     return f"S{plus}({format_density(S.r)}, {S.base})"
 

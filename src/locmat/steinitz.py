@@ -301,7 +301,7 @@ _factorize_once = factorize.__wrapped__
 def _check_exponent(e: Exponent) -> Exponent:
     if e is INF or e == INF:
         return INF
-    if isinstance(e, int) and e >= 0:
+    if type(e) is int and e >= 0:  # a bool is refused, though Python counts it as an int
         return e
     raise ValueError(f"exponent must be a nonnegative integer or INF, got {e!r}")
 
@@ -414,17 +414,17 @@ class SteinitzNumber:
         view, num, den = self._near
         if num == self._num and den == self._den:
             return view
+        # The near view's primes by valuation; factor only the offset's rest.  At INF
+        # the known primes are the core's: each replaces its INF, and the rest is 1.
         d, primes = self._core
-        if d == INF:
-            view = tuple((p, _vp(self._num, p)) for p in primes)
-        else:  # the near view's primes by valuation; factor only the offset's rest
-            known = [p for p, e in view if e != INF]
-            radical = math.prod(known)
-            exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
-            exc.update((p, d + _vp(self._num, p) - _vp(self._den, p)) for p in known)
-            exc.update((p, d + e) for p, e in _factorize_once(_split(self._num, radical)[1]))
-            exc.update((p, d - e) for p, e in _factorize_once(_split(self._den, radical)[1]))
-            view = tuple(sorted(item for item in exc.items() if item[1] != d))
+        base = 0 if d == INF else d
+        known = [p for p, e in view if e != INF]
+        radical = math.prod(known)
+        exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
+        exc.update((p, base + _vp(self._num, p) - _vp(self._den, p)) for p in known)
+        exc.update((p, base + e) for p, e in _factorize_once(_split(self._num, radical)[1]))
+        exc.update((p, base - e) for p, e in _factorize_once(_split(self._den, radical)[1]))
+        view = tuple(sorted(item for item in exc.items() if item[1] != d))
         self._near = (view, self._num, self._den)
         return view
 
@@ -462,23 +462,12 @@ class SteinitzNumber:
     def __hash__(self):
         return hash((self._core, self._num, self._den))
 
-    def __str__(self) -> str:
-        terms = []
-        for p, e in self.exceptions:
-            if e == 1:
-                terms.append(str(p))
-            elif e == INF:
-                terms.append(f"{p}^inf")
-            else:
-                terms.append(f"{p}^{e}")
+    def __str__(self) -> str:  # INF is math.inf, which prints as inf
+        terms = [str(p) if e == 1 else f"{p}^{e}" for p, e in self.exceptions]
         d = self.default
-        if d == 1:
-            terms.append("P")
-        elif d == INF:
-            terms.append("P^inf")
-        elif d != 0:
-            terms.append(f"P^{d}")
-        return "*".join(terms) if terms else "1"
+        if d != 0:
+            terms.append("P" if d == 1 else f"P^{d}")
+        return "*".join(terms) or "1"
 
     def __repr__(self) -> str:
         return f'SteinitzNumber("{self}")'
@@ -588,17 +577,17 @@ def parse_scaled(text: str) -> SteinitzNumber:
 def _quotient(s: SteinitzNumber, n: int) -> tuple[int, int] | None:
     """The offset (num, den) of s/n, or None when n is not in Omega(s).
 
-    n's part on the primes the core absorbs drops out.  A finite default d
-    admits n exactly when no prime ends up with more than d in the
-    denominator, so only d >= 1 factors the new part of it."""
+    n's part on the primes the core absorbs drops out: it keeps the part on
+    the core's primes at the default INF, the part off them otherwise.  The
+    defaults 0 and INF refuse a leftover denominator; a finite d >= 1 factors
+    it and admits it while no prime ends up with more than d there."""
     d = s._core[0]
     on, off = _split(n, s._radical)
-    if d == INF:
-        return (s._num // on, 1) if s._num % on == 0 else None
-    g = math.gcd(s._num, off)
-    k = off // g
+    kept = on if d == INF else off
+    g = math.gcd(s._num, kept)
+    k = kept // g
     den = s._den * k
-    if k > 1 and (d == 0 or any(_vp(den, p) > d for p, _ in factorize(k))):
+    if k > 1 and (d == 0 or d == INF or any(_vp(den, p) > d for p, _ in factorize(k))):
         return None
     return s._num // g, den
 
@@ -626,13 +615,10 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
     """Multiply by a natural number (exponentwise add; INF absorbs)."""
     if n < 1:
         raise ValueError(f"multiplier must be positive, got {n}")
-    radical = s._radical
-    if radical != 1:
-        on, n = _split(n, radical)
-        if s._core[0] == INF:
-            n = on
-    elif s._core[0] == INF:  # P^inf lists no finite prime, so it absorbs every n
-        return s
+    if s._core[0] == INF:  # keep n's part on the core's primes, 1 at P^inf
+        n = _split(n, s._radical)[0]
+    elif s._radical != 1:  # keep n's part off the core's infinite primes
+        n = _split(n, s._radical)[1]
     if n == 1:
         return s
     g = math.gcd(n, s._den)

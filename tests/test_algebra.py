@@ -389,6 +389,12 @@ class TestSpectrumOfChain:
         (lambda: FiniteMatrixChain((), (), ()), "chain needs at least one stage"),
         (lambda: FiniteMatrixChain((2, 5), (), ()), "need one multiplicity and one padding per step"),
         (lambda: FiniteMatrixChain((2, 4), (0,), (4,)), "step 0: need m >= 1, z >= 0"),
+        (lambda: FiniteMatrixChain([1, 2], [2], [0]), "stage sizes must be a tuple of ints, got [1, 2]"),
+        (lambda: FiniteMatrixChain((2.5,), (), ()), "stage sizes must be a tuple of ints, got (2.5,)"),
+        (lambda: FiniteMatrixChain((True, 2), (2,), (0,)), "stage sizes must be a tuple of ints, got (True, 2)"),
+        (lambda: FiniteMatrixChain((1, 2), [2], (0,)), "multiplicities must be a tuple of ints, got [2]"),
+        (lambda: FiniteMatrixChain((1, 2), (2,), (False,)), "paddings must be a tuple of ints, got (False,)"),
+        (lambda: Stage(2, "P"), "s must be a SteinitzNumber, got 'P' (str)"),
         (lambda: TailRule("spiral", Fraction(1)), "unknown tail kind 'spiral'"),
         (lambda: TailRule("attained"), "a density tail needs a density"),
         (lambda: TailRule("unbounded", Fraction(2)), "an unbounded tail takes no density"),
@@ -396,7 +402,9 @@ class TestSpectrumOfChain:
     ids=[
         "size-0", "no-stage", "quotient-count", "zero-quotient", "wrong-quotient", "corner", "finite-chain",
         "finite-chain-one-negative-stage", "finite-chain-one-empty-stage", "finite-chain-no-stage",
-        "finite-chain-step-count", "finite-chain-zero-multiplicity", "tail-kind", "tail-density",
+        "finite-chain-step-count", "finite-chain-zero-multiplicity", "finite-chain-list", "finite-chain-float-size",
+        "finite-chain-bool-size", "finite-chain-list-multiplicities", "finite-chain-bool-padding", "stage-str-number",
+        "tail-kind", "tail-density",
         "unbounded-tail-density",
     ],
 )

@@ -99,6 +99,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             mk_finite_type(Fraction(3, 2), parse("2^2"), False)
 
+    @pytest.mark.parametrize(
+        "build,kind",
+        [(lambda s: FiniteType(Fraction(5, 2), s, False), "finite"), (InfType, "infinite")],
+        ids=["finite-type", "infinite-type"],
+    )
+    @pytest.mark.parametrize("text", ["1", "2*3"])
+    def test_raw_set_refuses_a_natural_base(self, build, kind, text):
+        # Over a natural base the set is a segment or N: S(5/2, 1) is {1, 2}, and
+        # a raw spelling of it would read as an infinite set with no largest member.
+        message = f"{kind}-type base must be an infinite Steinitz number, got {text}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(parse(text))
+
+    def test_raw_set_refuses_a_natural_base_before_its_density(self):
+        with pytest.raises(ValueError, match=r"^finite-type base must be an infinite Steinitz number, got 1$"):
+            FiniteType(Fraction(1, 2), ONE, False)
+
     def test_density_below_one_rejected(self):
         with pytest.raises(ValueError):
             mk_finite_type(Fraction(1, 2), P, False)
@@ -394,6 +411,9 @@ class TestText:
     def test_normalizing_parse(self):
         assert format_set(parse_set("S(3/2, 2^inf*3)")) == "S(inf, 2^inf*3)"
         assert format_set(parse_set("S+(sqrt(2), P)")) == "S((0+1*sqrt(2))/1, P)"
+
+    def test_infinite_type_over_the_default_inf(self):
+        assert format_set(mk_inf_type(parse("P^inf*2^3*5^0"))) == "S(inf, 2^3*5^0*P^inf)"
 
 
 BASES = [P, parse("P^1*2^3"), parse("P^2"), parse("2^inf"), parse("2^inf*3")]

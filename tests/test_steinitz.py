@@ -194,6 +194,13 @@ class TestMulDiv:
         assert got == parse(want)
         assert (got is s) == (text == want)  # a product that absorbs all of n is s itself
 
+    def test_default_inf_keeps_its_finite_primes(self):
+        # At P^inf the core lists the primes of finite exponent, here 2^3 and 5^0.
+        s = parse("P^inf*2^3*5^0")
+        assert str(divide_by(s, 4)) == "2*5^0*P^inf"
+        assert str(mul_natural(s, 10)) == "2^4*5*P^inf"
+        assert [omega_contains(s, n) for n in (16, 56, 5)] == [False, True, False]
+
     def test_divide_outside_omega(self):
         with pytest.raises(ValueError):
             divide_by(P_ALL, 4)
@@ -482,8 +489,14 @@ class TestCanonicalConstructor:
     # compare equal to from_int(4).
     @pytest.mark.parametrize(
         "default,exceptions,message",
-        [(0, {4: 1}, "not a prime"), (0, {2: -1}, "exponent"), (1.5, {}, "exponent")],
-        ids=["composite-key", "negative-exponent", "fractional-default"],
+        [
+            (0, {4: 1}, "not a prime"), (0, {2: -1}, "exponent"), (1.5, {}, "exponent"),
+            (True, {}, "exponent"), (False, {}, "exponent"), (0, {2: True}, "exponent"), (0, {2: False}, "exponent"),
+        ],
+        ids=[
+            "composite-key", "negative-exponent", "fractional-default",
+            "true-default", "false-default", "true-exponent", "false-exponent",
+        ],
     )
     def test_raw_constructor_validates(self, default, exceptions, message):
         with pytest.raises(ValueError, match=message):
