@@ -100,8 +100,9 @@ class InfType(SaturatedSet):
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
     it normalizes nothing, but takes only an infinite base (a natural one is
-    a segment's) and a finite density of at least 1 and of a type that
-    decisions read: S(inf, base) has one spelling, InfType."""
+    a segment's), a finite density of at least 1 and of a type that
+    decisions read (S(inf, base) has one spelling, InfType), and a bool
+    ``strict``."""
 
     __slots__ = ("r", "base", "strict", "_parts")  # the parts of r are built once and are not a field
     __match_args__ = ("r", "base", "strict")
@@ -112,6 +113,8 @@ class FiniteType(SaturatedSet):
         parts = _parts(r)  # which checks the density
         if cmp_ratio(1, 1, parts) > 0:  # 1 > r
             raise ValueError(f"density must be at least 1, got {format_density(r)}")
+        if type(strict) is not bool:  # a truthy "no" or 1 would print as S+ yet not equal it
+            raise ValueError(f"strict must be a bool, got {strict!r} ({type(strict).__name__})")
         self._set("r", r)
         self._set("base", base)
         self._set("strict", strict)

@@ -8,7 +8,9 @@ multiplication/division, rational scaling) and covers shapes like the
 product of all primes (default 1) or a single p^inf.  The infinite exponent
 ``INF`` is also the infinite density, ``density.INFINITY``.  The constructor
 checks its keys and exponents; ``parse``, which checks each fact as it reads
-it, and arithmetic, which keeps the invariant, skip those checks.
+it, and arithmetic, which keeps the invariant, skip those checks.  ``parse``
+reads a product literal such as ``13^4*2^0*P^2*17`` with string methods
+alone, in one pass over its ``*``-separated terms: no regular expression.
 
 A value is stored as its connectivity class plus a rational offset (see
 :class:`SteinitzNumber`), because every question the saturated sets ask is
@@ -374,26 +376,38 @@ class SteinitzNumber:
         self._fill(_check_exponent(default), exc)
 
     def _fill(self, default: Exponent, exc: dict[int, Exponent]) -> "SteinitzNumber":
-        """Set the fields from a checked default and checked exceptions; returns self."""
-        view = tuple(sorted((p, e) for p, e in exc.items() if e != default))
+        """Set the fields from a checked default and checked exceptions, in one
+        sorted pass; the offset's size is checked before any power is built.
+        Returns self."""
         # The core lists the primes whose exponent is finite exactly when the
         # default is not; the offset is taken from P^default, or from P^0 at INF.
-        primes = tuple(p for p, e in view if (e == INF) != (default == INF))
-        base = 0 if default == INF else default
-        bits = sum(abs(e - base) * p.bit_length() for p, e in view if e != INF)
+        at_inf = default == INF
+        base = 0 if at_inf else default
+        view, primes, steps, bits = [], [], [], 0
+        for p, e in sorted(exc.items()):
+            if e == default:
+                continue
+            view.append((p, e))
+            if e == INF:
+                primes.append(p)
+                continue
+            if at_inf:
+                primes.append(p)
+            k = e - base
+            steps.append((p, k))
+            bits += abs(k) * p.bit_length()
         if bits > _OFFSET_BITS:
             raise ValueError(f"offset of about {bits} bits from P^{default} exceeds {_OFFSET_BITS} bits")
         num = den = 1
-        for p, e in view:
-            if e == INF:
-                continue
-            if e > base:
-                num *= p ** (e - base)
+        for p, k in steps:
+            if k > 0:
+                num *= p**k
             else:
-                den *= p ** (base - e)
+                den *= p**-k
+        primes = tuple(primes)
         self._core, self._radical = (default, primes), math.prod(primes)
         self._num, self._den = num, den
-        self._near = (view, num, den)
+        self._near = (tuple(view), num, den)
         return self
 
     @classmethod
@@ -422,8 +436,11 @@ class SteinitzNumber:
         radical = math.prod(known)
         exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
         exc.update((p, base + _vp(self._num, p) - _vp(self._den, p)) for p in known)
-        exc.update((p, base + e) for p, e in _factorize_once(_split(self._num, radical)[1]))
-        exc.update((p, base - e) for p, e in _factorize_once(_split(self._den, radical)[1]))
+        num_rest, den_rest = _split(self._num, radical)[1], _split(self._den, radical)[1]
+        if num_rest != 1:  # a rest of 1 has nothing to factor
+            exc.update((p, base + e) for p, e in _factorize_once(num_rest))
+        if den_rest != 1:
+            exc.update((p, base - e) for p, e in _factorize_once(den_rest))
         view = tuple(sorted(item for item in exc.items() if item[1] != d))
         self._near = (view, self._num, self._den)
         return view
@@ -494,12 +511,6 @@ ONE = SteinitzNumber.of(0, {})
 _LITERAL_BITS = 2048
 _BUDGET = f"literal exceeds the size budget of {_LITERAL_BITS} bits"
 
-#: One term, then its ``*`` or the end.  A malformed term is matched as the words
-#: between two ``*``, and an empty one where its spaces end.
-_TERM_RE = re.compile(
-    r"\s*(?P<term>(?:(?P<prime>\d+)|(?P<all>P))(?:\^(?P<exp>\d+|inf))?|[^\s*]+(?:\s+[^\s*]+)*|)\s*(?:(?P<star>\*)|\Z)"
-)
-
 
 def parse(text: str) -> SteinitzNumber:
     """Parse the canonical product grammar.
@@ -510,39 +521,52 @@ def parse(text: str) -> SteinitzNumber:
     The literal ``1`` denotes the empty product.  A literal heavier than
     ``_LITERAL_BITS`` is refused at the term that crosses the budget.
 
+    The text is read in one pass over ``text.split("*")``.  Each piece is
+    stripped of whitespace (``str.isspace``) and split at its first ``^``:
+    the head must be ``P`` or a run of decimal digits in any script
+    (``str.isdecimal``, which ``int`` reads), and the exponent such a run
+    or ``inf``.  An error points at its term's first character, an exponent
+    too long for ``int`` at its own, and an empty term where its spaces end.
+    A non-str argument is refused with TypeError.
+
     >>> parse("2^inf*3^2")
     SteinitzNumber("2^inf*3^2")
     """
-    m = _TERM_RE.match(text)
-    if m["term"] in ("", "1") and not m["star"]:  # the whole literal is one empty or unit term
-        if m["term"]:
+    if not isinstance(text, str):  # a subclass is read: from_json passes its decoded strings
+        raise TypeError(f"literal must be a str, got {text!r} ({type(text).__name__})")
+    if (whole := text.strip()) in ("", "1"):  # the whole literal is one empty or unit term
+        if whole:
             return ONE
-        raise ParseError("empty Steinitz expression", m.start("term"))
+        raise ParseError("empty Steinitz expression", len(text))
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
     spent = top = 0  # the literal's weight so far; its largest prime's bit length
-    while m:
-        (term, prime, every, exp_text, star), pos = m.groups(), m.start(1)
-        if prime is None and every is None:
+    start = 0  # the piece's offset in text
+    for piece in text.split("*"):
+        rest = piece.lstrip()
+        term, pos = rest.rstrip(), start + len(piece) - len(rest)
+        start += len(piece) + 1  # past the piece and its ``*``
+        head, caret, exp_text = term.partition("^")
+        if not (head == "P" or head.isdecimal()) or caret and not (exp_text == "inf" or exp_text.isdecimal()):
             raise ParseError(f"malformed term {term!r}, expected p^e or P^e", pos)
-        e: Exponent = 1 if exp_text is None else INF if exp_text == "inf" else _parse_int(exp_text, m.start(4))
-        if every:
+        e: Exponent = INF if exp_text == "inf" else _parse_int(exp_text, pos + len(head) + 1) if caret else 1
+        if head == "P":
             if default is not None:
                 raise ParseError("duplicate P term", pos)
             default, default_pos = e, pos
         else:
-            p = _parse_int(prime, pos)
+            p = _parse_int(head, pos)
             bits = p.bit_length()
-            spent += bits * (e if 1 < e < INF else 1)
+            spent += (bits * e) if 1 < e < INF else bits
             if spent > _LITERAL_BITS:
                 raise ParseError(_BUDGET, pos)
-            top = max(top, bits)
+            if bits > top:
+                top = bits
             if not _is_prime(p):
                 raise ParseError(f"non-prime base {p}", pos)
             if p in exceptions:
                 raise ParseError(f"duplicate prime {p}", pos)
             exceptions[p] = e
-        m = star and _TERM_RE.match(text, m.end())  # the next term, after a ``*``
     if default is None:
         default = 0
     elif spent + top * (default if 1 < default < INF else 1) > _LITERAL_BITS:

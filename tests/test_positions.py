@@ -99,3 +99,11 @@ def test_a_part_is_reported_at_its_first_character(parse_fn, text, pos):
     with pytest.raises(ParseError) as e:
         parse_fn(text)
     assert e.value.pos == pos
+
+
+@pytest.mark.parametrize("parse_fn", [parse, parse_scaled, parse_density, parse_set, parse_descriptor])
+@pytest.mark.parametrize("arg", [5, None, b"2*3"], ids=["int", "none", "bytes"])
+def test_a_non_str_argument_is_a_type_error(parse_fn, arg):
+    # A TypeError, never an AttributeError from a string method or a value.
+    with pytest.raises(TypeError):
+        parse_fn(arg)

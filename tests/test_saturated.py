@@ -116,6 +116,21 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"^finite-type base must be an infinite Steinitz number, got 1$"):
             FiniteType(Fraction(1, 2), ONE, False)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda strict: FiniteType(Fraction(3, 2), P, strict), lambda strict: mk_finite_type(Fraction(3, 2), P, strict)],
+        ids=["raw", "normalized"],
+    )
+    @pytest.mark.parametrize(
+        "strict,shown",
+        [("no", "'no' (str)"), (1, "1 (int)"), (0, "0 (int)"), (None, "None (NoneType)")],
+        ids=["str", "one", "zero", "none"],
+    )
+    def test_strict_must_be_a_bool(self, build, strict, shown):
+        # A truthy "no" printed as S+(3/2, P) yet did not equal the set built with True.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'strict must be a bool, got {shown}')}$"):
+            build(strict)
+
     def test_density_below_one_rejected(self):
         with pytest.raises(ValueError):
             mk_finite_type(Fraction(1, 2), P, False)

@@ -113,6 +113,97 @@ class TestParse:
             parse("2^3*.9")
 
 
+#: The product grammar as one regular expression per term: one term, then
+#: its ``*`` or the end.  A malformed term is matched as the words between two
+#: ``*``, an empty one where its spaces end.  It lives only here, as the
+#: independent reference that ``test_parse_matches_the_term_regex_reference``
+#: holds ``parse``'s split loop to.
+_TERM_RE = re.compile(
+    r"\s*(?P<term>(?:(?P<prime>\d+)|(?P<all>P))(?:\^(?P<exp>\d+|inf))?|[^\s*]+(?:\s+[^\s*]+)*|)\s*(?:(?P<star>\*)|\Z)"
+)
+
+
+def _reference_parse(text):
+    """``parse`` by ``_TERM_RE``, building its value with the checking constructor."""
+    m = _TERM_RE.match(text)
+    if m["term"] in ("", "1") and not m["star"]:
+        if m["term"]:
+            return ONE
+        raise ParseError("empty Steinitz expression", m.start("term"))
+    exceptions, default = {}, None
+    spent = top = 0
+    while m:
+        (term, prime, every, exp_text, star), pos = m.groups(), m.start(1)
+        if prime is None and every is None:
+            raise ParseError(f"malformed term {term!r}, expected p^e or P^e", pos)
+        e = 1 if exp_text is None else INF if exp_text == "inf" else steinitz._parse_int(exp_text, m.start(4))
+        if every:
+            if default is not None:
+                raise ParseError("duplicate P term", pos)
+            default, default_pos = e, pos
+        else:
+            p = steinitz._parse_int(prime, pos)
+            bits = p.bit_length()
+            spent += bits * (e if 1 < e < INF else 1)
+            if spent > steinitz._LITERAL_BITS:
+                raise ParseError(steinitz._BUDGET, pos)
+            top = max(top, bits)
+            if not _is_prime(p):
+                raise ParseError(f"non-prime base {p}", pos)
+            if p in exceptions:
+                raise ParseError(f"duplicate prime {p}", pos)
+            exceptions[p] = e
+        m = star and _TERM_RE.match(text, m.end())
+    if default is None:
+        default = 0
+    elif spent + top * (default if 1 < default < INF else 1) > steinitz._LITERAL_BITS:
+        raise ParseError(steinitz._BUDGET, default_pos)
+    return SteinitzNumber(default, exceptions)
+
+
+def _parse_outcome(parse_fn, text):
+    """("value", value) or ("error", type, message, position)."""
+    try:
+        return ("value", parse_fn(text))
+    except Exception as e:  # the type is compared too
+        return ("error", type(e).__name__, getattr(e, "message", str(e)), getattr(e, "pos", None))
+
+
+_TERM_FRAGMENTS = ["2", "3", "1", "0", "7", "13", "12", "P", "^", "inf", "*", " ", "\t", "\n", "\xa0", "\u0663", "\u00b2"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TERM_FRAGMENTS), max_size=12).map("".join))
+@example("2^" + "9" * 5000)
+@example("P^" + "9" * 5000)
+@example("9" * 5000)
+@example("3^" + "9" * 40)
+@example("2*P^" + "9" * 40)
+def test_parse_matches_the_term_regex_reference(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("  ", ("error", "ParseError", "empty Steinitz expression", 2)),
+        ("2**3", ("error", "ParseError", "malformed term '', expected p^e or P^e", 2)),
+        ("2*", ("error", "ParseError", "malformed term '', expected p^e or P^e", 2)),
+        ("2 ^3", ("error", "ParseError", "malformed term '2 ^3', expected p^e or P^e", 0)),
+        ("2^ 3", ("error", "ParseError", "malformed term '2^ 3', expected p^e or P^e", 0)),
+        ("2^3^4", ("error", "ParseError", "malformed term '2^3^4', expected p^e or P^e", 0)),
+        ("P*P", ("error", "ParseError", "duplicate P term", 2)),
+        ("1*2", ("error", "ParseError", "non-prime base 1", 0)),
+        ("\u0663", ("value", SteinitzNumber.of(0, {3: 1}))),
+        ("\xa02\xa0*3", ("value", SteinitzNumber.of(0, {2: 1, 3: 1}))),
+        (" 1 ", ("value", ONE)),
+    ],
+)
+def test_parse_outcomes_are_pinned(text, want):
+    assert _parse_outcome(parse, text) == want
+    assert _parse_outcome(_reference_parse, text) == want
+
+
 class TestValuation:
     def test_exception_lookup(self):
         assert parse("P^1*2^3").valuation(2) == 3
