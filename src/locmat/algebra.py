@@ -35,11 +35,10 @@ from .steinitz import (
     ParseError,
     SteinitzNumber,
     _SMALL_PRIMES,
-    _coset,
+    _divided,
     _parse_at,
     _parse_int,
     _positive_int,
-    _quotient,
     _ratio_pair,
     _rational_parts,
     _Value,
@@ -133,10 +132,10 @@ def corner(A: AlgebraDescriptor, q: Fraction) -> AlgebraDescriptor:
     n, d = _rational_parts("relative rank", q)
     if not 0 < n <= d:
         raise ValueError(f"relative rank must be in (0, 1], got {q}")
-    m = _quotient(s, d)
-    if m is None:
+    u = _divided(s, d)
+    if u is None:
         raise ValueError(f"denominator {d} is not in Omega({s})")
-    return spec_unital(mul_natural(_coset(s, *m), n))
+    return spec_unital(mul_natural(u, n))
 
 
 def is_unital(A: AlgebraDescriptor) -> bool:

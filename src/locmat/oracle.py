@@ -33,11 +33,11 @@ from .saturated import (
 from .steinitz import (
     INF,
     SteinitzNumber,
+    _divided,
     _positive_int,
     _Value,
     divide_by,
     enumerate_omega,
-    iter_omega,
     mul_natural,
     parse,
     ratio_if_connected,
@@ -130,14 +130,15 @@ def sample_members(S: SaturatedSet, den_bound: int = 30, limit: int | None = Non
 
 def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
     """The members (a/b)*base of S, lazily: b in Omega(base) up to den_bound,
-    tested one at a time, and a up to floor(r*b), of which only the top is
-    compared with r; infinite types take a up to _INF_CAP*b+1, and N is 1, 2,
-    3, ... without end.  Each ratio is met once, in lowest terms (Omega is
-    divisor-closed and b ascends).  Over a base with an infinite prime an a
-    with a factor the base absorbs names what its rest names (at default INF
-    only products of the finite primes are built), and ``seen`` drops ratios
-    that name one number (1/2 and 1 over 2^inf); over an infinity-free base
-    ratios are unique, so no set is kept."""
+    each b tested and divided once (one ``_divided``) when the sweep reaches
+    it, and a up to floor(r*b), of which only the top is compared with r;
+    infinite types take a up to _INF_CAP*b+1, and N is 1, 2, 3, ... without
+    end.  Each ratio is met once, in lowest terms (Omega is divisor-closed
+    and b ascends).  Over a base with an infinite prime an a with a factor
+    the base absorbs names what its rest names (at default INF only products
+    of the finite primes are built), and ``seen`` drops ratios that name one
+    number (1/2 and 1 over 2^inf); over an infinity-free base ratios are
+    unique, so no set is kept."""
     if isinstance(S, AllNaturals):
         yield from map(SteinitzNumber.from_int, count(1))
     else:
@@ -145,13 +146,14 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
         seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
         inf_default = base.default == INF
         absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
-        for b in iter_omega(base, den_bound):
+        for b in range(1, _positive_int("bound", den_bound) + 1):
+            if (u := _divided(base, b)) is None:
+                continue
             hi = _INF_CAP * b + 1 if parts is None else floor_times(parts, b)
             if S.strict and cmp_ratio(hi, b, parts) == 0:  # a = r*b is off a strict bound, whose r is finite
                 hi -= 1
             if hi < 1:  # no member at this b, though _products(primes, 0) gives [1]
                 continue
-            u = divide_by(base, b)
             for a in _products(base._core[1], hi) if inf_default else range(1, hi + 1):
                 if math.gcd(a, b * absorbed) > 1:
                     continue
@@ -168,16 +170,19 @@ def _existential_contains(S: FiniteType, t: SteinitzNumber) -> bool:
     Needed for raw finite-type descriptors whose base has an infinite prime
     exponent, where the canonical ratio does not range over all
     representations (the collapse phenomenon).  Omega(base) is swept
-    lazily, so the search tests no b past the first representation it
-    accepts.  Over such a base, at a positive density, every connected t is
-    a member (b can take any power of an infinite prime), so a sweep that
-    reaches _SEARCH_DEN_BOUND without a representation has given up: it
-    raises ValueError instead of answering.
+    lazily, each b tested and divided once (one ``_divided``), so the search
+    tests no b past the first representation it accepts.  Over such a base,
+    at a positive density, every connected t is a member (b can take any
+    power of an infinite prime), so a sweep that reaches _SEARCH_DEN_BOUND
+    without a representation has given up: it raises ValueError instead of
+    answering.
     """
     if ratio_if_connected(S.base, t) is None:
         return False
-    for b in iter_omega(S.base, _SEARCH_DEN_BOUND):
-        q = ratio_if_connected(divide_by(S.base, b), t)  # t = (a/b)*base for a natural a = q
+    for b in range(1, _SEARCH_DEN_BOUND + 1):
+        if (u := _divided(S.base, b)) is None:
+            continue
+        q = ratio_if_connected(u, t)  # t = (a/b)*base for a natural a = q
         if q.denominator != 1:
             continue
         c = cmp_ratio(q.numerator, b, S._parts)

@@ -39,11 +39,10 @@ from .steinitz import (
     ONE,
     ParseError,
     SteinitzNumber,
-    _coset,
+    _divided,
     _parse_at,
     _parse_int,
     _positive_int,
-    _quotient,
     _ratio_pair,
     _Value,
     mul_natural,
@@ -97,6 +96,13 @@ class InfType(SaturatedSet):
         self._set("base", base)
 
 
+def _strict_flag(strict: bool) -> bool:
+    """strict, when it is a bool: a truthy "no" or 1 would print as S+ yet not equal it."""
+    if type(strict) is not bool:
+        raise ValueError(f"strict must be a bool, got {strict!r} ({type(strict).__name__})")
+    return strict
+
+
 class FiniteType(SaturatedSet):
     """S(r, base) with bound a <= r*b, or S+(r, base) with a < r*b.  Built raw,
     it normalizes nothing, but takes only an infinite base (a natural one is
@@ -113,11 +119,9 @@ class FiniteType(SaturatedSet):
         parts = _parts(r)  # which checks the density
         if cmp_ratio(1, 1, parts) > 0:  # 1 > r
             raise ValueError(f"density must be at least 1, got {format_density(r)}")
-        if type(strict) is not bool:  # a truthy "no" or 1 would print as S+ yet not equal it
-            raise ValueError(f"strict must be a bool, got {strict!r} ({type(strict).__name__})")
         self._set("r", r)
         self._set("base", base)
-        self._set("strict", strict)
+        self._set("strict", _strict_flag(strict))
         self._set("_parts", parts)
 
 
@@ -140,7 +144,8 @@ def mk_finite_type(r: Density, s: SteinitzNumber, strict: bool = False) -> Satur
     strict flag is cleared when the strict and closed sets coincide (r
     irrational, or r = u/v with v not dividing the base).
     """
-    if r is INFINITY:
+    if r is INFINITY:  # S(inf, s) reads no strict, yet refuses a non-bool as FiniteType does
+        _strict_flag(strict)
         return mk_inf_type(s)
     S = FiniteType(Fraction(r) if type(r) is int else r, s, strict)  # which checks the base, then the density
     if not s.is_infinity_free:
@@ -220,8 +225,8 @@ def max_element(S: SaturatedSet) -> SteinitzNumber | None:
     if S.strict or parts is None or parts[1]:  # a strict, an infinite or a surd bound
         return None
     u, _, _, v = parts
-    m = _quotient(S.base, v)
-    return None if m is None else mul_natural(_coset(S.base, *m), u)
+    w = _divided(S.base, v)
+    return None if w is None else mul_natural(w, u)
 
 
 class Inclusion(Enum):

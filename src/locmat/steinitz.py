@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
@@ -594,7 +593,7 @@ def parse_scaled(text: str) -> SteinitzNumber:
     s, g = _parse_at(parse, m[3], m.start(3)), math.gcd(u, v)
     try:
         return mul_natural(divide_by(s, v // g), u // g)
-    except ValueError as e:  # u, v >= 1: the one refusal left is a denominator outside Omega(s)
+    except ValueError as e:  # u, v >= 1: the refusals left are v's, outside Omega(s) or too large to factor
         raise ParseError(str(e), v_pos) from None
 
 
@@ -649,14 +648,19 @@ def mul_natural(s: SteinitzNumber, n: int) -> SteinitzNumber:
     return _coset(s, s._num * (n // g), s._den // g)
 
 
+def _divided(s: SteinitzNumber, b: int) -> SteinitzNumber | None:
+    """s/b when the natural b is in Omega(s), else None: one test, one division."""
+    m = _quotient(s, b)
+    return None if m is None else _coset(s, *m)
+
+
 def divide_by(s: SteinitzNumber, b: int) -> SteinitzNumber:
     """Divide by b in Omega(s) (exponentwise subtract; INF absorbs)."""
     if b < 1:
         raise ValueError(f"divisor must be positive, got {b}")
-    m = _quotient(s, b)
-    if m is None:
+    if (u := _divided(s, b)) is None:
         raise ValueError(f"{b} is not in Omega({s})")
-    return _coset(s, *m)
+    return u
 
 
 def _rational_parts(name: str, q: Fraction | int) -> tuple[int, int]:
@@ -696,21 +700,13 @@ def lcm(s1: SteinitzNumber, s2: SteinitzNumber) -> SteinitzNumber:
     return object.__new__(SteinitzNumber)._fill(max(s1.default, s2.default), exc)  # its primes come from checked values
 
 
-def iter_omega(s: SteinitzNumber, bound: int) -> Iterator[int]:
-    """The n <= bound dividing s, ascending and lazily: each n is tested
-    only when the caller asks for the next one, so a sweep that stops early
-    tests no n past where it stopped.  The bound is checked at the call."""
-    _positive_int("bound", bound)
-    return (n for n in range(1, bound + 1) if omega_contains(s, n))
-
-
 def enumerate_omega(s: SteinitzNumber, bound: int) -> list[int]:
     """All n <= bound dividing s, ascending, by a sieve: each prime p <= bound
     whose finite exponent v in s has p^(v+1) <= bound strikes the multiples
     of p^(v+1).  It reserves about 2 bytes per n up to ``bound`` (the marks
     and the primes' sieve) before it returns anything, and takes one
-    valuation per prime up to it.  ``iter_omega`` tests each n instead, in
-    constant memory, for a sweep that may stop early or a very large bound."""
+    valuation per prime up to it.  A sweep that may stop early tests each n
+    itself instead, in constant memory."""
     _positive_int("bound", bound)
     keep = bytearray([0]) + bytearray([1]) * bound
     top = bound.bit_length()

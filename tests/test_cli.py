@@ -466,6 +466,13 @@ def test_unfactorable_radicand_is_reported_at_its_position(monkeypatch, density)
     assert cli.run(["set", "classify", text]) == (2, expected)
 
 
+def test_unfactorable_scale_denominator_is_reported_at_its_position(monkeypatch):
+    # Testing v for Omega(P) factors it: a v too large for that is refused at v, like one outside Omega.
+    monkeypatch.setattr(steinitz, "_RHO_STEPS", 1 << 10)  # refuse at once, not after 0.7 s
+    n = 1000000000000037 * 1000000000000091
+    assert cli.run(["num", "eval", f"(1/{n})*P"]) == (2, f"error: {n} is too large to factor (at position 3)")
+
+
 def test_deeply_nested_chain_json_exits_2():
     deep = '{"stages":' + "[" * 100000 + "]" * 100000 + "}"
     code, out = cli.run(["alg", "spectrum", deep])

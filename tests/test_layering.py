@@ -42,6 +42,13 @@ def test_core_module_imports_neither_oracle_nor_random(module):
     assert "random" not in parts
 
 
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "steinitz"), ids=lambda p: p.stem)
+def test_only_steinitz_composes_quotient_and_coset(path):
+    # s/b when b is in Omega(s) is steinitz._divided; no other module rebuilds it from the two internals.
+    imports = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not {name for name in imports if name.rsplit(".", 1)[-1] in ("_coset", "_quotient")}
+
+
 def test_module_level_imports_skip_function_bodies():
     tree = ast.parse("import re\nfrom . import oracle\ndef f():\n    import random\n")
     assert module_level_imports(tree) == {"re", ".", ".oracle"}

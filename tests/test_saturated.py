@@ -118,8 +118,13 @@ class TestConstructors:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda strict: FiniteType(Fraction(3, 2), P, strict), lambda strict: mk_finite_type(Fraction(3, 2), P, strict)],
-        ids=["raw", "normalized"],
+        [
+            lambda strict: FiniteType(Fraction(3, 2), P, strict),
+            lambda strict: mk_finite_type(Fraction(3, 2), P, strict),
+            lambda strict: mk_finite_type(INFINITY, P, strict),
+            lambda strict: mk_finite_type(INFINITY, parse("2*3"), strict),
+        ],
+        ids=["raw", "normalized", "infinite-density", "infinite-density-natural-base"],
     )
     @pytest.mark.parametrize(
         "strict,shown",
@@ -127,7 +132,8 @@ class TestConstructors:
         ids=["str", "one", "zero", "none"],
     )
     def test_strict_must_be_a_bool(self, build, strict, shown):
-        # A truthy "no" printed as S+(3/2, P) yet did not equal the set built with True.
+        # A truthy "no" printed as S+(3/2, P) yet did not equal the set built with True;
+        # at the density inf, where no set reads it, "no" was once taken silently.
         with pytest.raises(ValueError, match=f"^{re.escape(f'strict must be a bool, got {shown}')}$"):
             build(strict)
 
@@ -892,6 +898,16 @@ def test_sample_members_takes_a_count_as_its_limit(limit):
         sample_members(S32, limit=limit)
 
 
+@pytest.mark.parametrize(
+    "den_bound,message",
+    [(0, "bound must be positive, got 0"), (True, "bound must be an int, got True (bool)")],
+    ids=["zero", "bool"],
+)
+def test_sample_members_takes_a_count_as_its_den_bound(den_bound, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_members(S32, den_bound=den_bound)
+
+
 def test_equals_extensional_stops_at_the_first_disagreement(monkeypatch):
     # The sweep of S(3/2, P) meets P, (1/2)*P, then (3/2)*P, which S(1, P) lacks:
     # no later member is built, though the budget allows 100.
@@ -908,8 +924,8 @@ def test_equals_extensional_stops_at_the_first_disagreement(monkeypatch):
 
 @pytest.fixture
 def omega_tests(monkeypatch):
-    """Counts Omega membership tests: every omega_contains and divide_by
-    goes through steinitz._quotient."""
+    """Counts Omega membership tests: every omega_contains, divide_by and
+    steinitz._divided goes through steinitz._quotient."""
     calls = []
     quotient = steinitz._quotient
 
@@ -922,10 +938,11 @@ def omega_tests(monkeypatch):
 
 
 def test_sample_members_stops_testing_omega_at_its_limit(omega_tests):
-    # The 100th member lies at b = 17: each n <= 17 is tested once, and each
-    # of the 12 squarefree b among them once more by divide_by, 29 in all.
+    # The 100th member lies at b = 17: each n <= 17 is tested once, by the
+    # _divided that also divides the base by the 12 squarefree b among them,
+    # 17 in all.
     assert len(sample_members(S32, den_bound=256, limit=100)) == 100
-    assert len(omega_tests) <= 40
+    assert omega_tests == list(range(1, 18))
 
 
 def test_sample_members_skips_numbers_an_absorbed_prime_makes_equal(monkeypatch):
@@ -944,7 +961,7 @@ def test_sample_members_skips_numbers_an_absorbed_prime_makes_equal(monkeypatch)
 
 def test_sample_members_at_default_inf_builds_only_unabsorbed_numerators(monkeypatch):
     # Over P^inf every prime is absorbed, so only a = 1 is built: the 256 b each
-    # cost an Omega test, a division and a product, one _split apiece.
+    # cost an Omega test that also divides, and a product, one _split apiece.
     calls = []
 
     def counted(n, radical):
@@ -956,7 +973,7 @@ def test_sample_members_at_default_inf_builds_only_unabsorbed_numerators(monkeyp
     monkeypatch.setattr(oracle, "_split", counted, raising=False)  # for a sampler that splits each a itself
     p_inf = parse("P^inf")
     assert sample_members(mk_inf_type(p_inf), 256, 100) == [p_inf]
-    assert len(calls) <= 1000
+    assert len(calls) <= 512
 
 
 @pytest.mark.parametrize(
@@ -983,10 +1000,10 @@ def test_sample_members_over_an_infinity_free_base_hashes_nothing(monkeypatch, S
 
 
 def test_representation_search_stops_at_the_first_representation(omega_tests):
-    # t = (1/1)*base is found at b = 1: one Omega test and one divide_by.
+    # t = (1/1)*base is found at b = 1: one Omega test, which also divides.
     raw = FiniteType(1, parse("2^inf"), False)
     assert _existential_contains(raw, parse("2^inf"))
-    assert len(omega_tests) <= 4
+    assert omega_tests == [1]
 
 
 def test_representation_search_rejects_an_unconnected_number(omega_tests):

@@ -25,7 +25,6 @@ from locmat.steinitz import (
     divides,
     enumerate_omega,
     factorize,
-    iter_omega,
     lcm,
     mul_natural,
     omega_contains,
@@ -248,13 +247,6 @@ class TestOmega:
         with mock.patch.object(steinitz, "omega_contains", wraps=omega_contains) as test:
             assert enumerate_omega(P_ALL, 210) == want
         assert test.call_count == 0
-
-    def test_iter_omega_is_lazy_and_checks_its_bound_at_the_call(self):
-        with pytest.raises(ValueError):
-            iter_omega(P_ALL, 0)
-        it = iter_omega(P_ALL, 10**12)  # a list would never finish
-        assert [next(it) for _ in range(7)] == [1, 2, 3, 5, 6, 7, 10]
-        assert list(iter_omega(parse("2^inf*3"), 40)) == enumerate_omega(parse("2^inf*3"), 40)
 
 
 class TestDivides:
