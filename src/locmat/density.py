@@ -10,8 +10,8 @@ which also stands for an infinite prime exponent.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from fractions import Fraction
 
@@ -26,17 +26,17 @@ def _sign(n) -> int:
 
 
 def _sign_single(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for integers a, b and d squarefree (d > 1 unless b = 0).
+    """Sign of a + b*sqrt(d) for integers a, b and d squarefree (d > 1 unless b = 0):
+    the one sign rule of the exact densities.
 
-    Never returns 0 with b != 0: that would make sqrt(d) rational.
+    With s the sign of b != 0, the sign is s where a agrees with it (a*s >= 0),
+    else s times the sign of b^2 d - a^2.  Never returns 0 with b != 0: that
+    would make sqrt(d) rational.
     """
     if b == 0:
         return _sign(a)
-    if b < 0:
-        return -_sign_single(-a, -b, d)
-    if a >= 0:
-        return 1
-    return _sign(b * b * d - a * a)
+    s = 1 if b > 0 else -1
+    return s if a * s >= 0 else s * _sign(b * b * d - a * a)
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -49,17 +49,7 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return k, m
 
 
-def _order(test):
-    """A Surd comparison method: ``test`` on the exact three-way result."""
-
-    def method(self, other):
-        if type(other) is bool or not isinstance(other, (int, Fraction, Surd)):
-            return NotImplemented
-        return test(cmp_density(self, other), 0)
-
-    return method
-
-
+@functools.total_ordering
 class Surd(_Value):
     """(x + y*sqrt(d))/z with y > 0, z > 0, d squarefree > 1, gcd(x,y,z) = 1.
 
@@ -103,10 +93,10 @@ class Surd(_Value):
         g = math.gcd(math.gcd(abs(x), y), z)
         return object.__new__(cls)._fill(x // g, y // g, m, z // g)  # m is squarefree, the rest reduced above
 
-    __lt__ = _order(operator.lt)
-    __le__ = _order(operator.le)
-    __gt__ = _order(operator.gt)
-    __ge__ = _order(operator.ge)
+    def __lt__(self, other):
+        if type(other) is bool or not isinstance(other, (int, Fraction, Surd)):
+            return NotImplemented
+        return cmp_density(self, other) < 0
 
     def __repr__(self):
         return format_density(self)
@@ -156,14 +146,12 @@ def cmp_ratio(n: int, d: int, parts: tuple[int, int, int, int]) -> int:
     density r, without building a Fraction.
 
     With r = (x + y*sqrt(D))/z, n/d - r has the sign of a - y*d*sqrt(D)
-    with a = n*z - x*d, as d*z > 0.  For a surd y*d > 0: that is -1 when
-    a <= 0, else the sign of a^2 - y^2 d^2 D, never 0 as D is squarefree.
+    with a = n*z - x*d, as d*z > 0: ``_sign_single(a, -y*d, D)``.  For a
+    surd y*d > 0: that is -1 when a <= 0, else the sign of a^2 - y^2 d^2 D,
+    never 0 as D is squarefree.  A rational has y = 0: the sign of a.
     """
     x, y, D, z = parts
-    a = n * z - x * d
-    if y == 0:
-        return _sign(a)
-    return -1 if a <= 0 else _sign(a * a - y * y * d * d * D)
+    return _sign_single(n * z - x * d, -y * d, D)
 
 
 def scale_density(r: Density, q: Fraction) -> Density:

@@ -139,6 +139,7 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
     of the finite primes are built), and ``seen`` drops ratios that name one
     number (1/2 and 1 over 2^inf); over an infinity-free base ratios are
     unique, so no set is kept."""
+    den_bound = _positive_int("bound", den_bound)  # N ignores it, but takes only a count too
     if isinstance(S, AllNaturals):
         yield from map(SteinitzNumber.from_int, count(1))
     else:
@@ -146,7 +147,7 @@ def _sweep(S: SaturatedSet, den_bound: int) -> Iterator[SteinitzNumber]:
         seen: set[SteinitzNumber] | None = None if base.is_infinity_free else set()
         inf_default = base.default == INF
         absorbed = 1 if inf_default else base._radical  # the infinite primes; at default INF, _products skips them
-        for b in range(1, _positive_int("bound", den_bound) + 1):
+        for b in range(1, den_bound + 1):
             if (u := _divided(base, b)) is None:
                 continue
             hi = _INF_CAP * b + 1 if parts is None else floor_times(parts, b)

@@ -29,6 +29,7 @@ from .density import (
     Surd,
     _cmp_scaled,
     _parts,
+    _sign_single,
     cmp_ratio,
     floor_times,
     format_density,
@@ -160,7 +161,8 @@ def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
     """Exact membership test: t = (qn/qd)*base with q not above r (below r
     when strict).  It reads the parts (x, y, d, z) of r that S keeps: a
     rational bound (y = 0) is decided by integer cross-multiplication inline,
-    a surd bound by ``cmp_ratio``; neither builds a Fraction.
+    and a surd bound by one ``_sign_single`` on the same cross product, as
+    ``cmp_ratio`` does; neither builds a Fraction.
 
     The reduced denominator of q always divides the base: the exponents of
     t are nonnegative, so no Omega check is needed.
@@ -172,11 +174,10 @@ def contains(S: SaturatedSet, t: SteinitzNumber) -> bool:
     if parts is None:  # the infinite density
         return True
     qn, qd = t._num * base._den, t._den * base._num  # _ratio_pair's quotient, inline
-    x, y, _, z = parts
-    if y == 0:
-        c = qn * z - x * qd  # the sign of q - r, as qd > 0
-    else:
-        c = cmp_ratio(qn, qd, parts)  # a <= r*b  iff  a/b <= r
+    x, y, D, z = parts
+    c = qn * z - x * qd  # the sign of q - r for a rational r, as qd > 0
+    if y:
+        c = _sign_single(c, -y * qd, D)  # cmp_ratio(qn, qd, parts), inline
     return c < 0 or (c == 0 and not S.strict)
 
 

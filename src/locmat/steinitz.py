@@ -269,10 +269,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
     counts: dict[int, int] = {}
-    small = math.gcd(n, _PRIMORIAL)
+    small = math.gcd(n, _PRIMORIAL)  # squarefree
     for p in _SMALL_PRIMES:
-        if small == 1:
-            break
+        if p * p > small:
+            if small == 1:
+                break
+            p = small  # past its square root, what is left of small is one prime
         if small % p == 0:
             small //= p
             e = 0
@@ -355,9 +357,10 @@ class SteinitzNumber:
     a prime and every exponent a nonnegative int or INF, and refuses an
     offset past ``_OFFSET_BITS``.
     ``default``, ``exceptions`` (sorted, without default-valued entries) and
-    ``str`` are views of the pair; the exceptions view takes the primes of one
-    whose view is known by valuation, factorizes only the rest of the offset,
-    once, and is cached in ``_near``.
+    ``str`` are views of the pair; the exceptions view starts from one whose
+    view is known, moves the known primes that divide the ratio of the two
+    offsets by valuation, factorizes only the rest of that ratio, once, and
+    is cached in ``_near``.
     """
 
     # _near is (view, num, den): the exceptions view of the value with this
@@ -427,19 +430,24 @@ class SteinitzNumber:
         view, num, den = self._near
         if num == self._num and den == self._den:
             return view
-        # The near view's primes by valuation; factor only the offset's rest.  At INF
-        # the known primes are the core's: each replaces its INF, and the rest is 1.
-        d, primes = self._core
-        base = 0 if d == INF else d
+        # This offset is the near one times u/w in lowest terms.  The near view's
+        # primes that divide u*w move by valuation; the parts of u and w coprime
+        # to them are factored, each prime starting from the default.  At INF
+        # the known primes are the core's, so those parts are 1.
+        d = self._core[0]
+        u, w = self._num * den, self._den * num
+        g = math.gcd(u, w)
+        u, w = u // g, w // g
         known = [p for p, e in view if e != INF]
         radical = math.prod(known)
-        exc: dict[int, Exponent] = dict.fromkeys(primes, INF)
-        exc.update((p, base + _vp(self._num, p) - _vp(self._den, p)) for p in known)
-        num_rest, den_rest = _split(self._num, radical)[1], _split(self._den, radical)[1]
-        if num_rest != 1:  # a rest of 1 has nothing to factor
-            exc.update((p, base + e) for p, e in _factorize_once(num_rest))
-        if den_rest != 1:
-            exc.update((p, base - e) for p, e in _factorize_once(den_rest))
+        (u_on, u_rest), (w_on, w_rest) = _split(u, radical), _split(w, radical)
+        exc: dict[int, Exponent] = dict(view)
+        moved = u_on * w_on
+        exc.update((p, exc[p] + _vp(u_on, p) - _vp(w_on, p)) for p in known if moved % p == 0)
+        if u_rest != 1:  # a rest of 1 has nothing to factor
+            exc.update((p, d + e) for p, e in _factorize_once(u_rest))
+        if w_rest != 1:
+            exc.update((p, d - e) for p, e in _factorize_once(w_rest))
         view = tuple(sorted(item for item in exc.items() if item[1] != d))
         self._near = (view, self._num, self._den)
         return view
@@ -583,7 +591,9 @@ def parse_scaled(text: str) -> SteinitzNumber:
     reduced denominator must divide the product, or the error points at v.
     Used by the CLI, where members of a set are written relative to its base.
     """
-    m = _SCALED_RE.fullmatch(text)
+    # The pattern needs a "(" after the leading space, which lstrip (str.isspace) and \s agree on;
+    # str.lstrip refuses a non-str with TypeError, as parse does.
+    m = _SCALED_RE.fullmatch(text) if str.lstrip(text).startswith("(") else None
     if m is None:
         return parse(text)
     u_pos, v_pos = m.start(1), m.start(2)

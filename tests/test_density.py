@@ -14,6 +14,7 @@ from locmat.density import (
     Surd,
     _cmp_scaled,
     _parts,
+    _sign_single,
     _squarefree_split,
     cmp_density,
     cmp_ratio,
@@ -263,7 +264,31 @@ def test_cmp_ratio_matches_cmp_density(r, n, d, k, pin):
     elif pin.startswith("floor"):
         n = floor_times(_parts(r), d) + (pin == "floor+1")
     n, d = n * k, d * k
-    assert cmp_ratio(n, d, _parts(r)) == cmp_density(Fraction(n, d), r)
+    # cmp_density decides by the same _sign_single, so the decimal oracle is the independent check.
+    assert cmp_ratio(n, d, _parts(r)) == oracle_cmp(Fraction(n, d), r) == cmp_density(Fraction(n, d), r)
+
+
+@given(
+    st.integers(min_value=-400, max_value=400),
+    st.integers(min_value=-30, max_value=30),
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    st.sampled_from(["free", "floor", "floor+1"]),
+)
+@example(a=7, b=-5, d=2, pin="free")  # b < 0: 7 - 5*sqrt(2) < 0, as 49 < 50
+@example(a=8, b=-5, d=2, pin="free")  # b < 0: 8 - 5*sqrt(2) > 0, as 64 > 50
+@example(a=-3, b=-1, d=3, pin="free")  # b < 0 with a of its sign
+@example(a=0, b=-4, d=7, pin="free")  # a = 0
+@example(a=0, b=4, d=7, pin="free")
+@example(a=-9, b=0, d=2, pin="free")  # b = 0: the sign of a
+@example(a=0, b=0, d=3, pin="free")
+@example(a=5, b=0, d=3, pin="free")
+def test_sign_single_matches_decimal_oracle(a, b, d, pin):
+    # a is drawn freely or put at -floor(|b|*sqrt(d)) (+1 further out) against b's sign,
+    # where a^2 and b^2 d are closest.
+    if pin != "free" and b:
+        a = -(math.isqrt(b * b * d) + (pin == "floor+1")) * (1 if b > 0 else -1)
+    s = -1 if b < 0 else 1  # a + b*sqrt(d) = s * (s*a + |b|*sqrt(d))
+    assert _sign_single(a, b, d) == s * oracle_cmp(Surd.make(s * a, abs(b), d, 1), Fraction(0))
 
 
 @given(values, values, values)

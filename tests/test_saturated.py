@@ -899,13 +899,20 @@ def test_sample_members_takes_a_count_as_its_limit(limit):
 
 
 @pytest.mark.parametrize(
-    "den_bound,message",
-    [(0, "bound must be positive, got 0"), (True, "bound must be an int, got True (bool)")],
-    ids=["zero", "bool"],
+    "S,den_bound,message",
+    [
+        (S32, 0, "bound must be positive, got 0"),
+        (S32, True, "bound must be an int, got True (bool)"),
+        (ALL_NATURALS, 0, "bound must be positive, got 0"),
+        (ALL_NATURALS, True, "bound must be an int, got True (bool)"),
+        (ALL_NATURALS, "x", "bound must be an int, got 'x' (str)"),
+    ],
+    ids=["zero", "bool", "N-zero", "N-bool", "N-str"],
 )
-def test_sample_members_takes_a_count_as_its_den_bound(den_bound, message):
+def test_sample_members_takes_a_count_as_its_den_bound(S, den_bound, message):
+    # N's sweep never reads den_bound, but refuses what every other set refuses.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sample_members(S32, den_bound=den_bound)
+        sample_members(S, den_bound=den_bound)
 
 
 def test_equals_extensional_stops_at_the_first_disagreement(monkeypatch):

@@ -520,7 +520,9 @@ class TestPrimeKernel:
 
     def test_factorize_roundtrip(self):
         rng = random.Random(20)
-        for n in [1, 2, 999_983**2, 2**64 + 1] + [rng.randint(1, 10**20) for _ in range(150)]:
+        # 2*3*997^2 and 991*997 end trial division on a leftover prime past the square root.
+        pinned = [1, 2, 999_983**2, 2**64 + 1, 2 * 3 * 997**2, 991 * 997]
+        for n in pinned + [rng.randint(1, 10**20) for _ in range(150)]:
             f = factorize(n)
             assert math.prod(p**e for p, e in f) == n
             assert [p for p, _ in f] == sorted({p for p, _ in f})
@@ -713,6 +715,15 @@ def test_printing_arithmetic_factors_only_the_offset_apart_from_its_literal(monk
     s = parse_scaled("(3/20)*2^5*7^2*P")
     assert str(s) == "2^3*3^2*5^0*7^2*P" and factored == [3, 5]
     assert str(s) == "2^3*3^2*5^0*7^2*P" and factored == [3, 5]
+
+
+def test_a_moved_view_takes_valuations_only_at_the_primes_that_moved(monkeypatch):
+    # The offset moved by 3/5 from its literal's: 2, 7 and 11 keep their exponents unread.
+    t = divide_by(mul_natural(parse("2^5*3^2*5^4*7^2*11^0*P"), 3), 5)
+    read = []
+    vp = steinitz._vp
+    monkeypatch.setattr(steinitz, "_vp", lambda n, p: read.append(p) or vp(n, p))
+    assert str(t) == "2^5*3^3*5^3*7^2*11^0*P" and sorted(set(read)) == [3, 5]
 
 
 _LITERAL_PRIMES = (2, 3, 5, 7, 11, 13, 1000003, 2**61 - 1)
